@@ -22,9 +22,7 @@ def main():
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None,
               help="Output directory (default: config out_dir under the "
                    "OBSLAB_OUT_ROOT root).")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Worker threads for independent solves.")
-def run_cmd(config_file, seed, out_dir, workers):
+def run_cmd(config_file, seed, out_dir):
     """Run the experiment described by CONFIG_FILE."""
     with open(config_file) as fh:
         config = json.load(fh)
@@ -33,7 +31,7 @@ def run_cmd(config_file, seed, out_dir, workers):
     if out_dir is None:
         root = Path(os.environ.get("OBSLAB_OUT_ROOT", "results"))
         out_dir = root / config.get("out_dir", Path(config_file).stem)
-    report = run(config, out_dir, workers=workers)
+    report = run(config, out_dir)
     click.echo(f"{config['experiment']}: "
                f"{'PASS' if report['passed'] else 'FAIL'}  -> {out_dir}")
     sys.exit(0 if report["passed"] else 1)

@@ -138,8 +138,10 @@ def laplacian_array(v: np.ndarray, h: float) -> np.ndarray:
 
 
 def gradient_array(v: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(v)
-    out[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2.0 * h)
+    out = np.empty_like(v, dtype=float)
+    inner = out[..., 1:-1]
+    np.subtract(v[..., 2:], v[..., :-2], out=inner)
+    inner /= 2.0 * h
     out[..., 0] = (v[..., 1] - v[..., 0]) / h
     out[..., -1] = (v[..., -1] - v[..., -2]) / h
     return out

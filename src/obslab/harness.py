@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -21,7 +20,6 @@ from . import __version__
 from .bsde import bsde_residual, coarsen, sample_paths, star_integral_check
 from .families import make_problem
 from .grid import Field, ht_distance
-from .kernels import BACKEND
 from .ldp import TargetEvent, condition_ii_test, mc_ldp_compare, minimize_rate
 from .problem import validate
 from .skeleton import (Control, complementarity_residual, constant_control,
@@ -51,6 +49,11 @@ def validate_config(config: dict) -> None:
         raise ConfigError(f"config field {path}: {exc.message}") from exc
     if config["experiment"] not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {config['experiment']!r}")
+    if config["experiment"] == "mc_compare" \
+            and config.get("event", {}).get("kind") == "sup_exceed":
+        # Monte Carlo membership is read from terminal states only
+        raise ConfigError("mc_compare needs a terminal_ball event; "
+                          "sup_exceed membership depends on the whole path")
 
 
 def config_hash(config: dict) -> str:
@@ -99,16 +102,12 @@ def _event_from(config: dict, problem, n_steps: int) -> TargetEvent:
 # {name: Trajectory} to be written as CSV).
 # --------------------------------------------------------------------------
 
-def _run_penalization_study(config, problem, workers):
+def _run_penalization_study(config, problem):
     n_steps = config["mesh"]["n_steps"]
     schedule = config["params"].get("n_schedule", [1e3, 1e4, 1e5, 1e6])
     control = _control_from(config, problem, n_steps)
 
-    def solve(n):
-        return solve_penalized(problem, control, n)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        sols = list(pool.map(solve, schedule))
+    sols = [solve_penalized(problem, control, n) for n in schedule]
     norms = np.array([s.diagnostics.penalty_l2 for s in sols])
     gaps = [float(ht_distance(a.traj, b.traj)) for a, b in zip(sols, sols[1:])]
     exponent = float(-np.polyfit(np.log(schedule), np.log(norms), 1)[0])
@@ -127,7 +126,7 @@ def _run_penalization_study(config, problem, workers):
     return report, passed, {"final_trajectory": sols[-1].traj}
 
 
-def _run_skeleton_solve(config, problem, workers):
+def _run_skeleton_solve(config, problem):
     n_steps = config["mesh"]["n_steps"]
     solver = config["solver"]
     control = _control_from(config, problem, n_steps)
@@ -149,7 +148,7 @@ def _run_skeleton_solve(config, problem, workers):
                             "projection_trajectory": proj.traj}
 
 
-def _run_condition_i(config, problem, workers):
+def _run_condition_i(config, problem):
     p = config["params"]
     n_steps = config["mesh"]["n_steps"]
     control = _control_from(config, problem, n_steps)
@@ -163,7 +162,7 @@ def _run_condition_i(config, problem, workers):
     return report, passed, {}
 
 
-def _run_condition_ii(config, problem, workers):
+def _run_condition_ii(config, problem):
     p = config["params"]
     n_steps = config["mesh"]["n_steps"]
     control = _control_from(config, problem, n_steps)
@@ -176,7 +175,7 @@ def _run_condition_ii(config, problem, workers):
     return report, passed, {}
 
 
-def _run_bsde_check(config, problem, workers):
+def _run_bsde_check(config, problem):
     # Joint refinement with h proportional to dt: the spatial read-off
     # errors (interpolation ~h^2, centered gradient ~h^2) then decay faster
     # than the dt^(1/2) martingale remainder that sets the observed order.
@@ -207,7 +206,7 @@ def _run_bsde_check(config, problem, workers):
     return report, order >= 0.5, {}
 
 
-def _run_star_check(config, problem, workers):
+def _run_star_check(config, problem):
     p = config["params"]
     n_steps = config["mesh"]["n_steps"]
     n_paths = p.get("n_paths", 10000)
@@ -227,7 +226,7 @@ def _run_star_check(config, problem, workers):
     return report, passed, {}
 
 
-def _run_rate_minimize(config, problem, workers):
+def _run_rate_minimize(config, problem):
     p = config["params"]
     n_steps = config["mesh"]["n_steps"]
     event = _event_from(config, problem, n_steps)
@@ -246,7 +245,7 @@ def _run_rate_minimize(config, problem, workers):
     return report, result.feasible or p.get("expect_infeasible", False), {}
 
 
-def _run_mc_compare(config, problem, workers):
+def _run_mc_compare(config, problem):
     p = config["params"]
     n_steps = config["mesh"]["n_steps"]
     event = _event_from(config, problem, n_steps)
@@ -276,7 +275,7 @@ _RUNNERS = {
 }
 
 
-def run(config: dict, out_dir, workers: int = 1) -> dict:
+def run(config: dict, out_dir) -> dict:
     """Validate, dispatch, and persist one experiment.
 
     Returns the report (with a "passed" flag); writes report.json,
@@ -288,7 +287,7 @@ def run(config: dict, out_dir, workers: int = 1) -> dict:
     problem = _problem_from(config)
     t0 = time.monotonic()
     report, passed, trajectories = _RUNNERS[config["experiment"]](
-        config, problem, workers)
+        config, problem)
     wall = time.monotonic() - t0
     report = {"experiment": config["experiment"], "passed": bool(passed),
               **report}
@@ -300,7 +299,6 @@ def run(config: dict, out_dir, workers: int = 1) -> dict:
     manifest = {
         "config_hash": config_hash(config),
         "package_version": __version__,
-        "kernel_backend": BACKEND,
         "wall_time_s": wall,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }

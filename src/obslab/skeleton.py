@@ -14,9 +14,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import Trajectory, h_norm_array, ht_distance, v_norm_sq_array
+# h_norm_array and v_norm_sq_array are not called here, but stay importable
+# from this module: the traced benchmark (perfbench/layers.py) names them as
+# probe sites.
+from .grid import (Trajectory, h_norm_array, ht_distance,  # noqa: F401
+                   v_norm_sq_array)
 from .problem import ProblemSpec
-from .stepping import DEFAULT_THETA, MarchResult, march
+from .stepping import DEFAULT_THETA, march
 
 N0_DEFAULT = 1_000
 N_MAX_DEFAULT = 10_000_000
@@ -87,7 +91,6 @@ def constant_control(n_steps: int, n_modes: int, horizon: float,
 
 @dataclass(frozen=True)
 class Diagnostics:
-    energy: float        # sup_t |u|_H^2 + dt * sum_t |u|_V^2
     penalty_l2: float    # L2(dt, dx) norm of the barrier gap (u - L)^-
     min_gap: float       # min over (t, x) of u - L
 
@@ -129,12 +132,6 @@ def _check_control(problem: ProblemSpec, control: Optional[Control],
     return control
 
 
-def _energy(res: MarchResult, h: float, dt: float) -> float:
-    sup = float(np.max(h_norm_array(res.traj, h) ** 2))
-    integ = float(dt * np.sum(v_norm_sq_array(res.traj, h)))
-    return sup + integ
-
-
 def solve_penalized(problem: ProblemSpec, control: Optional[Control],
                     n: float, n_steps: Optional[int] = None,
                     theta: float = DEFAULT_THETA) -> PenalizedSolution:
@@ -144,8 +141,7 @@ def solve_penalized(problem: ProblemSpec, control: Optional[Control],
                 control_values=control.values, theta=theta)
     traj = Trajectory(control.times, res.traj, problem.grid)
     dens = Trajectory(control.times, res.density, problem.grid)
-    diag = Diagnostics(energy=_energy(res, problem.grid.h, control.dt),
-                       penalty_l2=float(np.sqrt(res.gap_l2_sq)),
+    diag = Diagnostics(penalty_l2=float(np.sqrt(res.gap_l2_sq)),
                        min_gap=float(res.min_gap))
     return PenalizedSolution(traj, dens, n, control, diag, problem)
 
@@ -170,8 +166,12 @@ def solve_skeleton(problem: ProblemSpec, control: Optional[Control] = None,
     """Penalty-parameter doubling until consecutive solutions are Cauchy.
 
     Returns the last penalized solution; a failure to meet `tol` before
-    `n_max` is flagged on the result and warned, not raised.
+    `n_max` is flagged on the result and warned, not raised.  The schedule
+    must allow at least one doubling (2 * n0 <= n_max).
     """
+    if 2 * n0 > n_max:
+        raise ValueError(f"n0={n0:g} leaves no doubling below n_max={n_max:g}; "
+                         "need 2 * n0 <= n_max")
     control = _check_control(problem, control, n_steps)
     prev = solve_penalized(problem, control, n0, theta=theta)
     n = n0

@@ -18,6 +18,9 @@ splitting steps applied to the diffusion predictor p:
 * projection: v_i = max(p_i, L_i).
 
 Batched operation (leading sample axis) drives the Monte Carlo modules.
+Trajectories, the barrier density and the gap statistics are produced only
+by a stored march; Monte Carlo marches read the final state or a streamed
+path distance and skip them.
 """
 from __future__ import annotations
 
@@ -26,7 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import gradient_array, h_norm_array, laplacian_array, v_norm_sq_array
+# laplacian_array is not called here, but stays importable from this module:
+# the traced benchmark (perfbench/layers.py) names it as a probe site.
+from .grid import (gradient_array, h_norm_array,  # noqa: F401
+                   laplacian_array, v_norm_sq_array)
 from .kernels import thomas_batch
 from .problem import ProblemSpec
 
@@ -46,17 +52,17 @@ class MarchResult:
     """Raw output of one march (arrays in forward-time order).
 
     `traj` and `density` are (n_steps+1, n_nodes), with a leading sample
-    axis when the march was batched; they are None when storage was turned
-    off.  `final` is the state at forward time 0.  Gap statistics are per
-    sample (scalars for an unbatched march).
+    axis when the march was batched.  `final` is the state at forward time
+    0.  Gap statistics are per sample (scalars for an unbatched march).
+    Everything but `final` and `distances` is None when storage was turned
+    off: an unstored march computes no barrier diagnostics.
     """
 
     final: np.ndarray
     traj: Optional[np.ndarray]
     density: Optional[np.ndarray]
-    gap_l2_sq: np.ndarray          # layer-corrected integral of the squared gap
-    plain_gap_l2_sq: np.ndarray    # same with the plain end-of-step quadrature
-    min_gap: np.ndarray            # min over (t, x) of u - L
+    gap_l2_sq: Optional[np.ndarray]  # layer-corrected integral of the squared gap
+    min_gap: Optional[np.ndarray]    # min over (t, x) of u - L
     distances: Optional[np.ndarray]  # per-sample ht_distance to `reference`
 
 
@@ -88,7 +94,9 @@ def march(problem: ProblemSpec, n_steps: int, *,
     Brownian increments over those intervals; a leading batch axis batches
     the whole march.  `reference` is a forward-ordered
     (n_steps+1, n_nodes) array; when given, the per-sample path distance to
-    it is accumulated without storing trajectories.
+    it is accumulated without storing trajectories.  With `store=False` the
+    march keeps only the current state: `final` and `distances` are set and
+    no barrier diagnostics are computed.
     """
     grid = problem.grid
     nx = grid.n_nodes
@@ -130,21 +138,23 @@ def march(problem: ProblemSpec, n_steps: int, *,
     lower = np.full(ni, -kappa)
     upper = np.full(ni, -kappa)
     diag = np.full(ni, 1.0 + 2.0 * kappa)
+    c_lap = 0.5 * (1.0 - theta)
+    c_pen = dt * penalty_n
 
     v = problem.terminal_field().values.copy()
     if batch is not None:
         v = np.broadcast_to(v, (batch, nx)).copy()
     shape0 = v.shape[:-1]
 
-    traj = density = None
+    traj = density = gap_l2_sq = min_gap = None
     if store:
         traj = np.empty(shape0 + (n_steps + 1, nx))
         density = np.zeros_like(traj)
         traj[..., n_steps, :] = v
+        gap_l2_sq = np.zeros(shape0)
+        min_gap = np.full(shape0, np.inf)
+        pred_full = np.zeros_like(v)   # predictor; zero at the pinned nodes
 
-    gap_l2_sq = np.zeros(shape0)
-    plain_gap_l2_sq = np.zeros(shape0)
-    min_gap = np.full(shape0, np.inf)
     sup_dist = integ_dist = None
     if reference is not None:
         reference = np.asarray(reference, dtype=float)
@@ -155,6 +165,8 @@ def march(problem: ProblemSpec, n_steps: int, *,
         integ_dist = dt * v_norm_sq_array(d, h)
 
     times = np.linspace(0.0, T, n_steps + 1)
+    # row i is the barrier at t_i, where the step over [t_i, t_{i+1}) lands
+    obstacle = np.array([problem.obstacle_values(t) for t in times[:-1]])
     co = problem.coefficients
     weights = co.mode_weights
     sqrt_eps = np.sqrt(epsilon)
@@ -162,7 +174,6 @@ def march(problem: ProblemSpec, n_steps: int, *,
     for m in range(n_steps):
         i_step = n_steps - 1 - m          # forward interval [t_i, t_{i+1})
         t_pre = times[i_step + 1]
-        t_post = times[i_step]
 
         grad_v = gradient_array(v, h)
         fval = np.asarray(co.f(t_pre, x, v, grad_v), dtype=float)
@@ -170,55 +181,69 @@ def march(problem: ProblemSpec, n_steps: int, *,
         # stencil then runs over one row, not the whole batch
         gval = np.asarray(co.g(t_pre, x, v, grad_v), dtype=float) \
             + np.zeros_like(x)
-        hval = np.asarray(co.h_shape(t_pre, x, v, grad_v), dtype=float)
-        rhs = v + dt * (0.5 * (1.0 - theta) * laplacian_array(v, h)
-                        + fval + gradient_array(gval, h))
+        hval = _interior(np.asarray(co.h_shape(t_pre, x, v, grad_v),
+                                    dtype=float))
+        # Explicit right-hand side at the interior nodes,
+        #   v + dt * (c_lap * Lap v + f + div g),
+        # accumulated in one buffer: a fresh temporary per operation costs
+        # more than the arithmetic on Monte Carlo batches.
+        vi = v[..., 1:-1]
+        rhs = 2.0 * vi
+        np.subtract(v[..., :-2], rhs, out=rhs)
+        rhs += v[..., 2:]
+        rhs /= h * h
+        rhs *= c_lap
+        rhs += _interior(fval)
+        rhs += (gval[..., 2:] - gval[..., :-2]) / (2.0 * h)
+        rhs *= dt
+        rhs += vi
         if control_values is not None:
             # sum_j h_j k^j = h_shape * sum_j c_j k^j
             ck = control_values[..., i_step, :] @ weights
             if np.ndim(ck) == 1:
                 ck = ck[:, None]
-            rhs = rhs + dt * hval * ck
+            rhs += dt * hval * ck
         if epsilon > 0.0 and noise_increments is not None:
             dB = noise_increments[..., i_step, :]  # (..., J)
-            rhs = rhs + sqrt_eps * hval * (dB @ weights)[..., None]
+            rhs += sqrt_eps * hval * (dB @ weights)[..., None]
 
-        pred = np.zeros_like(rhs)
-        pred[..., 1:-1] = thomas_batch(lower, diag, upper, rhs[..., 1:-1])
+        pred = thomas_batch(lower, diag, upper, rhs)
 
-        Lv = problem.obstacle_values(t_post)
-        if project:
-            vnew = np.maximum(pred, Lv)
-        elif penalty_n > 0.0:
-            vnew = np.where(pred < Lv,
-                            (pred + dt * penalty_n * Lv) / (1.0 + dt * penalty_n),
-                            pred)
-        else:
-            vnew = pred
+        # barrier split of the interior predictor, written into the new state
+        Lv = obstacle[i_step]
+        Li = Lv[1:-1]
+        vnew = np.empty_like(v)
         vnew[..., 0] = 0.0
         vnew[..., -1] = 0.0
-
-        pre_gap = np.maximum(Lv - pred, 0.0)
-        post_diff = vnew - Lv
-        post_gap = np.maximum(-post_diff, 0.0)
+        inner = vnew[..., 1:-1]
         if project:
-            dens = (vnew - pred) / dt
+            np.maximum(pred, Li, out=inner)
+        elif penalty_n > 0.0:
+            # (p + dt*n*L) / (1 + dt*n) where p < L, else p
+            np.add(pred, c_pen * Li, out=inner)
+            inner /= 1.0 + c_pen
+            np.copyto(inner, pred, where=pred >= Li)
         else:
-            dens = penalty_n * post_gap
-        # Sub-step boundary layer: the geometric mean of the pre- and
-        # post-split gaps tracks the continuum gap; the end-of-step gap
-        # alone under-resolves it (recorded too, for the plain quadrature).
-        gap_l2_sq += dt * h * np.sum(pre_gap * post_gap, axis=-1)
-        plain_gap_l2_sq += dt * h * np.sum(post_gap**2, axis=-1)
-        min_gap = np.minimum(min_gap, np.min(post_diff, axis=-1))
+            inner[...] = pred
 
         if not np.isfinite(np.sum(vnew)):
             raise DivergenceError(
-                f"non-finite state at reversed step {m} (forward t={t_post:.4g})")
+                f"non-finite state at reversed step {m} "
+                f"(forward t={times[i_step]:.4g})")
         v = vnew
         if store:
+            pred_full[..., 1:-1] = pred
+            pre_gap = np.maximum(Lv - pred_full, 0.0)
+            post_diff = v - Lv
+            post_gap = np.maximum(-post_diff, 0.0)
+            # Sub-step boundary layer: the geometric mean of the pre- and
+            # post-split gaps tracks the continuum gap; the end-of-step gap
+            # alone under-resolves it.
+            gap_l2_sq += dt * h * np.sum(pre_gap * post_gap, axis=-1)
+            min_gap = np.minimum(min_gap, np.min(post_diff, axis=-1))
             traj[..., i_step, :] = v
-            density[..., i_step, :] = dens
+            density[..., i_step, :] = ((v - pred_full) / dt if project
+                                       else penalty_n * post_gap)
         if reference is not None:
             d = v - reference[i_step]
             sup_dist = np.maximum(sup_dist, h_norm_array(d, h))
@@ -228,5 +253,10 @@ def march(problem: ProblemSpec, n_steps: int, *,
     if reference is not None:
         distances = sup_dist + np.sqrt(integ_dist)
     return MarchResult(final=v, traj=traj, density=density,
-                       gap_l2_sq=gap_l2_sq, plain_gap_l2_sq=plain_gap_l2_sq,
-                       min_gap=min_gap, distances=distances)
+                       gap_l2_sq=gap_l2_sq, min_gap=min_gap,
+                       distances=distances)
+
+
+def _interior(a: np.ndarray) -> np.ndarray:
+    """Interior nodes of a nodewise array; a scalar applies to every node."""
+    return a[..., 1:-1] if a.ndim else a

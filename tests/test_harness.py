@@ -46,6 +46,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(cfg)
 
+    def test_mc_compare_with_path_event_rejected_before_any_solve(
+            self, tmp_path, monkeypatch):
+        cfg = load_config("mc_compare")
+        cfg["event"] = {"kind": "sup_exceed", "level": 0.5}
+        with pytest.raises(ConfigError, match="terminal_ball"):
+            validate_config(cfg)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started before the config check")
+
+        monkeypatch.setattr("obslab.harness.make_problem", no_solve)
+        monkeypatch.setattr("obslab.harness.minimize_rate", no_solve)
+        with pytest.raises(ConfigError):
+            run(cfg, tmp_path / "mc")
+        assert not (tmp_path / "mc").exists()
+
     def test_hash_insensitive_to_key_order(self):
         cfg = load_config("skeleton_solve")
         shuffled = dict(reversed(list(cfg.items())))

@@ -1,14 +1,8 @@
-"""Compiled and fallback tridiagonal kernels agree and solve correctly."""
+"""The tridiagonal kernel solves single and batched systems correctly."""
 import numpy as np
 import pytest
 
-from obslab.kernels import BACKEND, thomas_batch
-from obslab.kernels._fallback import thomas_batch as thomas_numpy
-
-try:
-    from obslab.kernels._core import thomas_batch as thomas_cython
-except ImportError:
-    thomas_cython = None
+from obslab.kernels import thomas_batch
 
 
 def random_system(rng, n, batch=0):
@@ -45,19 +39,3 @@ class TestCorrectness:
             row = thomas_batch(lower, diag, upper, rhs[b])
             assert np.array_equal(full[b], row)
 
-
-class TestBackends:
-    def test_backend_flag_consistent(self):
-        assert BACKEND in ("cython", "numpy")
-        if BACKEND == "cython":
-            assert thomas_cython is not None
-
-    @pytest.mark.skipif(thomas_cython is None,
-                        reason="compiled kernel not built")
-    def test_cython_matches_fallback(self, rng):
-        for n, batch in ((11, 0), (201, 0), (101, 5), (301, 64)):
-            args = random_system(rng, n, batch)
-            a = thomas_cython(*args)
-            b = thomas_numpy(*args)
-            assert np.allclose(a, b, atol=1e-13)
-            assert a.shape == b.shape

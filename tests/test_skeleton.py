@@ -46,6 +46,10 @@ class TestAgainstProjection:
 
 
 class TestSkeletonLimit:
+    def test_schedule_without_a_doubling_rejected(self, heat_problem):
+        with pytest.raises(ValueError, match=r"n0=10000 .* n_max=15000"):
+            solve_skeleton(heat_problem, None, n_steps=20, n0=1e4, n_max=1.5e4)
+
     @pytest.mark.parametrize("family", ["heat_problem", "linear_problem",
                                         "quasilinear_problem"])
     def test_limit_matches_projection(self, family, request):

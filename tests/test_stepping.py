@@ -1,13 +1,16 @@
 """Semi-implicit theta-scheme march against closed-form references."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from obslab.families import heat_obstacle, linear_additive
+from obslab.families import (FAMILY_NAMES, heat_obstacle, linear_additive,
+                             make_problem)
 from obslab.grid import Grid, Trajectory, ht_distance
 from obslab.problem import (CoefficientSet, LipschitzInfo, Obstacle,
                             ProblemSpec)
 from obslab.skeleton import solve_penalized, zero_control
-from obslab.stepping import StabilityError, march, stability_limit
+from obslab.stepping import (DivergenceError, StabilityError, march,
+                             stability_limit)
 
 
 def _const_obstacle(level):
@@ -168,3 +171,78 @@ class TestControlAndNoise:
             t = Trajectory(ref.times, stored.traj[b], prob.grid)
             assert ht_distance(t, ref) == pytest.approx(streamed.distances[b],
                                                         rel=1e-12)
+
+
+class TestLeanMarch:
+    """An unstored march skips the diagnostics, not any of the dynamics."""
+
+    @staticmethod
+    def _noisy_inputs(problem, n_steps, batch, seed):
+        rng = np.random.default_rng(seed)
+        J = problem.coefficients.n_modes
+        dt = problem.horizon / n_steps
+        controls = rng.standard_normal((batch, n_steps, J))
+        noise = np.sqrt(dt) * rng.standard_normal((batch, n_steps, J))
+        return controls, noise
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_unstored_final_bit_identical(self, family):
+        prob = make_problem(family, n_nodes=101)
+        n_steps = 40
+        controls, noise = self._noisy_inputs(prob, n_steps, 6, seed=11)
+        kw = dict(penalty_n=1e4, control_values=controls, epsilon=0.1,
+                  noise_increments=noise)
+        stored = march(prob, n_steps, store=True, **kw)
+        lean = march(prob, n_steps, store=False, **kw)
+        assert np.array_equal(lean.final, stored.final)
+        assert np.array_equal(stored.traj[:, 0], stored.final)
+        assert lean.traj is None and lean.density is None
+        assert lean.gap_l2_sq is None and lean.min_gap is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(FAMILY_NAMES),
+           batch=st.integers(1, 4),
+           n_steps=st.integers(4, 16),
+           epsilon=st.sampled_from([0.0, 0.01, 0.3]),
+           project=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_rows_match_single_marches(self, family, batch, n_steps,
+                                             epsilon, project, seed):
+        prob = make_problem(family, n_nodes=41)
+        controls, noise = self._noisy_inputs(prob, n_steps, batch, seed)
+        split = dict(project=True) if project else dict(penalty_n=1e3)
+        batched = march(prob, n_steps, control_values=controls,
+                        epsilon=epsilon, noise_increments=noise, **split)
+        for b in range(batch):
+            single = march(prob, n_steps, control_values=controls[b],
+                           epsilon=epsilon, noise_increments=noise[b], **split)
+            if prob.coefficients.n_modes == 1:
+                assert np.array_equal(batched.traj[b], single.traj)
+                assert np.array_equal(batched.density[b], single.density)
+            else:
+                # the batched and single mode sums may round differently
+                np.testing.assert_allclose(batched.traj[b], single.traj,
+                                           rtol=0.0, atol=1e-12)
+
+    def test_unstored_march_raises_on_non_finite_state(self):
+        prob = linear_additive(n_nodes=101)
+        noise = np.zeros((3, 20, 1))
+        noise[1, 5, 0] = np.nan
+        with pytest.raises(DivergenceError):
+            march(prob, 20, penalty_n=1e4, epsilon=0.1,
+                  noise_increments=noise, store=False)
+
+    @pytest.mark.parametrize("split", [dict(penalty_n=1e3),
+                                       dict(project=True)])
+    def test_min_gap_is_min_of_stored_gap(self, split):
+        prob = heat_obstacle()
+        n_steps = 100
+        res = march(prob, n_steps, **split)
+        times = np.linspace(0.0, prob.horizon, n_steps + 1)
+        table = np.array([prob.obstacle_values(t) for t in times[:-1]])
+        assert res.min_gap == np.min(res.traj[:-1] - table)
+        # the penalty lets the state dip below the barrier; projection does not
+        if "project" in split:
+            assert res.min_gap >= 0.0
+        else:
+            assert res.min_gap < 0.0
