@@ -6,15 +6,14 @@ Carlo."""
 __version__ = "0.1.0"
 
 from .grid import (Field, Grid, GridMismatchError, Trajectory,  # noqa: F401
-                   divergence_of_flux, gradient, h_norm, ht_distance,
-                   laplacian, v_norm)
+                   gradient, h_norm, ht_distance, laplacian, v_norm)
 from .problem import (CoefficientSet, LipschitzInfo, Obstacle,  # noqa: F401
                       ProblemSpec, ValidationReport, eval_all, validate)
 from .families import make_problem  # noqa: F401
 from .skeleton import (Control, PenalizedSolution,  # noqa: F401
                        SkeletonSolution, complementarity_residual,
-                       constant_control, penalty_l2_estimate, solve_penalized,
-                       solve_projected, solve_skeleton, zero_control)
+                       constant_control, solve_penalized, solve_projected,
+                       solve_skeleton, zero_control)
 from .spde import (NoisePath, StochasticSolution,  # noqa: F401
                    condition_i_distance, sample_noise, solve_spde)
 from .bsde import (PathEnsemble, bsde_residual,  # noqa: F401

@@ -8,7 +8,7 @@ field, leaving its input untouched.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +19,17 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform nodes on [x_min, x_max] with zero-Dirichlet boundaries.
-
-    `dim` is fixed at 1 for now; it is kept in the interface so a planar
-    version can be added without breaking callers.
-    """
+    """Uniform nodes on [x_min, x_max] with zero-Dirichlet boundaries."""
 
     x_min: float
     x_max: float
     n_nodes: int
-    boundary_kind: str = "dirichlet_zero"
-    dim: int = 1
 
     def __post_init__(self):
         if self.n_nodes < 3:
             raise ValueError(f"n_nodes must be >= 3, got {self.n_nodes}")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
-        if self.boundary_kind != "dirichlet_zero":
-            raise ValueError(f"unsupported boundary_kind {self.boundary_kind!r}")
 
     @property
     def h(self) -> float:
@@ -155,11 +147,6 @@ def laplacian(f: Field) -> Field:
 def gradient(f: Field) -> Field:
     """Centered difference in the interior, one-sided at the boundary."""
     return Field(gradient_array(f.values, f.grid.h), f.grid)
-
-
-def divergence_of_flux(gvals: Field) -> Field:
-    """Spatial derivative of a nodewise flux; same stencil as `gradient`."""
-    return gradient(gvals)
 
 
 def h_norm(f: Field) -> float:

@@ -19,48 +19,37 @@ import numpy as np
 
 from .grid import Field, h_norm_array, ht_distance
 from .problem import ProblemSpec
-from .skeleton import Control, solve_penalized, solve_skeleton, zero_control
+# solve_skeleton is not called here, but stays importable from this module:
+# the traced benchmark (perfbench/layers.py) names it as a probe site.
+from .skeleton import (Control, solve_penalized, solve_skeleton,  # noqa: F401
+                       zero_control)
 from .spde import sample_terminal_states
 from .stepping import march
 
 DEFAULT_LAMBDAS = (10.0, 100.0, 1000.0, 10000.0)
+OPT_KEYS = ("n_steps", "penalty_n", "max_iters", "feasibility_tol")
 
 
 @dataclass(frozen=True)
 class TargetEvent:
-    """A rare-event set: a terminal ball or a running-maximum exceedance.
+    """A rare-event set read from terminal states only: the ball
+    {u : |u(0,.) - center|_H <= radius}."""
 
-    terminal_ball: {u : |u(0,.) - center|_H <= radius}.
-    sup_exceed:    {u : max_t u(t, probe_x) >= level}.
-    """
-
-    kind: str
-    center: Optional[Field] = None
-    radius: float = 0.0
-    level: float = 0.0
-    probe_x: float = 0.0
+    center: Field
+    radius: float
 
     def __post_init__(self):
-        if self.kind == "terminal_ball":
-            if self.center is None or self.radius <= 0:
-                raise ValueError("terminal_ball needs a center field and radius > 0")
-        elif self.kind == "sup_exceed":
-            pass
-        else:
-            raise ValueError(f"unknown event kind {self.kind!r}")
+        if self.radius <= 0:
+            raise ValueError("a terminal ball needs radius > 0")
 
-    def hinge(self, traj_values: np.ndarray, grid) -> float:
-        """Distance-to-event surrogate; zero iff the trajectory is inside."""
-        if self.kind == "terminal_ball":
-            d = float(h_norm_array(traj_values[0] - self.center.values, grid.h))
-            return max(0.0, d - self.radius)
-        idx = int(np.argmin(np.abs(grid.x - self.probe_x)))
-        return max(0.0, self.level - float(np.max(traj_values[:, idx])))
+    def hinge(self, final_states: np.ndarray, grid) -> np.ndarray:
+        """Distance-to-event surrogate per state along the leading axis;
+        zero iff the state is inside."""
+        d = h_norm_array(final_states - self.center.values, grid.h)
+        return np.maximum(0.0, d - self.radius)
 
     def contains_final(self, final_states: np.ndarray, grid) -> np.ndarray:
-        """Vectorized membership from terminal states only (terminal_ball)."""
-        if self.kind != "terminal_ball":
-            raise ValueError("only terminal_ball membership is final-state based")
+        """Vectorized membership of terminal states."""
         d = h_norm_array(final_states - self.center.values, grid.h)
         return d <= self.radius
 
@@ -79,13 +68,11 @@ def rate_functional(k: Control) -> float:
     return 0.5 * k.k_norm_sq()
 
 
-def _solution_values(problem: ProblemSpec, k: Control, opt_config: dict):
-    if opt_config.get("solver", "penalized") == "skeleton":
-        sol = solve_skeleton(problem, k, tol=opt_config.get("tol", 1e-3),
-                             n0=opt_config.get("n0", 1000))
-    else:
-        sol = solve_penalized(problem, k, opt_config.get("penalty_n", 1e4))
-    return sol.traj.values
+def _solution_values(problem: ProblemSpec, k: Control,
+                     penalty_n: float) -> np.ndarray:
+    """State at forward time 0 of the penalized solve under control k."""
+    return march(problem, k.n_steps, penalty_n=penalty_n,
+                 control_values=k.values, store=False).final
 
 
 def _batched_hinges(problem: ProblemSpec, template: Control,
@@ -93,39 +80,40 @@ def _batched_hinges(problem: ProblemSpec, template: Control,
                     penalty_n: float) -> np.ndarray:
     """Event hinge for a batch of control value matrices in one march."""
     res = march(problem, template.n_steps, penalty_n=penalty_n,
-                control_values=value_batch, store=True)
-    return np.array([event.hinge(res.traj[b], problem.grid)
-                     for b in range(value_batch.shape[0])])
+                control_values=value_batch, store=False)
+    return event.hinge(res.final, problem.grid)
 
 
 def minimize_rate(problem: ProblemSpec, event: TargetEvent,
                   lambda_schedule: Sequence[float] = DEFAULT_LAMBDAS,
-                  init: Optional[Control] = None,
                   opt_config: Optional[dict] = None) -> RateResult:
     """Penalty-continuation gradient descent on action + lambda * hinge^2.
 
-    Each continuation stage warm-starts from the previous, with forward
-    finite-difference gradients (relative step 1e-6) and backtracking line
-    search.  Returns the infeasibility sentinel (rate = +inf) when the final
-    residual exceeds the feasibility tolerance.
+    The first continuation stage starts from the zero control and each
+    later one warm-starts from the previous, with forward finite-difference
+    gradients (relative step 1e-6) and backtracking line search.  Returns the infeasibility sentinel (rate = +inf) when the final
+    residual exceeds the feasibility tolerance.  `opt_config` may set
+    `n_steps` (50), `penalty_n` (1e4), `max_iters` (80) per stage and
+    `feasibility_tol` (1e-3).
     """
     cfg = dict(opt_config or {})
+    unknown = sorted(set(cfg) - set(OPT_KEYS))
+    if unknown:
+        raise ValueError(f"unknown opt_config keys {unknown}; "
+                         f"expected some of {list(OPT_KEYS)}")
     n_steps = cfg.get("n_steps", 50)
-    if init is None:
-        init = zero_control(n_steps, problem.coefficients.n_modes, problem.horizon)
+    init = zero_control(n_steps, problem.coefficients.n_modes, problem.horizon)
     dt = init.dt
     grid = problem.grid
     max_iters = cfg.get("max_iters", 80)
     feas_tol = cfg.get("feasibility_tol", 1e-3)
-    fd_rel = 1e-6
-
-    use_skeleton = cfg.get("solver", "penalized") == "skeleton"
     penalty_n = cfg.get("penalty_n", 1e4)
+    fd_rel = 1e-6
 
     def objective(vals: np.ndarray, lam: float):
         k = init.with_values(vals)
         rate = rate_functional(k)
-        res = event.hinge(_solution_values(problem, k, cfg), grid)
+        res = float(event.hinge(_solution_values(problem, k, penalty_n), grid))
         return rate + lam * res * res, rate, res
 
     def fd_gradient(vals: np.ndarray, lam: float, f0: float) -> np.ndarray:
@@ -135,12 +123,7 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent,
         perts = np.broadcast_to(flat, (dim, dim)).copy()
         perts[np.arange(dim), np.arange(dim)] += steps
         perts = perts.reshape((dim,) + vals.shape)
-        if use_skeleton:
-            hinges = np.array([event.hinge(
-                _solution_values(problem, init.with_values(p), cfg), grid)
-                for p in perts])
-        else:
-            hinges = _batched_hinges(problem, init, perts, event, penalty_n)
+        hinges = _batched_hinges(problem, init, perts, event, penalty_n)
         rates = 0.5 * dt * np.sum(perts.reshape(dim, -1)**2, axis=1)
         f1 = rates + lam * hinges**2
         return ((f1 - f0) / steps).reshape(vals.shape)

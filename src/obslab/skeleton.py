@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +20,7 @@ import numpy as np
 from .grid import (Trajectory, h_norm_array, ht_distance,  # noqa: F401
                    v_norm_sq_array)
 from .problem import ProblemSpec
-from .stepping import DEFAULT_THETA, march
+from .stepping import march
 
 N0_DEFAULT = 1_000
 N_MAX_DEFAULT = 10_000_000
@@ -133,12 +133,11 @@ def _check_control(problem: ProblemSpec, control: Optional[Control],
 
 
 def solve_penalized(problem: ProblemSpec, control: Optional[Control],
-                    n: float, n_steps: Optional[int] = None,
-                    theta: float = DEFAULT_THETA) -> PenalizedSolution:
+                    n: float, n_steps: Optional[int] = None) -> PenalizedSolution:
     """Fixed-penalty march; the workhorse behind the skeleton limit."""
     control = _check_control(problem, control, n_steps)
     res = march(problem, control.n_steps, penalty_n=n,
-                control_values=control.values, theta=theta)
+                control_values=control.values)
     traj = Trajectory(control.times, res.traj, problem.grid)
     dens = Trajectory(control.times, res.density, problem.grid)
     diag = Diagnostics(penalty_l2=float(np.sqrt(res.gap_l2_sq)),
@@ -147,12 +146,11 @@ def solve_penalized(problem: ProblemSpec, control: Optional[Control],
 
 
 def solve_projected(problem: ProblemSpec, control: Optional[Control] = None,
-                    n_steps: Optional[int] = None,
-                    theta: float = DEFAULT_THETA) -> SkeletonSolution:
+                    n_steps: Optional[int] = None) -> SkeletonSolution:
     """Projection-scheme march: the independent oracle for the same limit."""
     control = _check_control(problem, control, n_steps)
     res = march(problem, control.n_steps, project=True,
-                control_values=control.values, theta=theta)
+                control_values=control.values)
     traj = Trajectory(control.times, res.traj, problem.grid)
     dens = Trajectory(control.times, res.density, problem.grid)
     return SkeletonSolution(traj, dens, n_final=np.inf, cauchy_gap=0.0,
@@ -161,8 +159,8 @@ def solve_projected(problem: ProblemSpec, control: Optional[Control] = None,
 
 def solve_skeleton(problem: ProblemSpec, control: Optional[Control] = None,
                    n_steps: Optional[int] = None, tol: float = 1e-3,
-                   n0: float = N0_DEFAULT, n_max: float = N_MAX_DEFAULT,
-                   theta: float = DEFAULT_THETA) -> SkeletonSolution:
+                   n0: float = N0_DEFAULT,
+                   n_max: float = N_MAX_DEFAULT) -> SkeletonSolution:
     """Penalty-parameter doubling until consecutive solutions are Cauchy.
 
     Returns the last penalized solution; a failure to meet `tol` before
@@ -173,13 +171,13 @@ def solve_skeleton(problem: ProblemSpec, control: Optional[Control] = None,
         raise ValueError(f"n0={n0:g} leaves no doubling below n_max={n_max:g}; "
                          "need 2 * n0 <= n_max")
     control = _check_control(problem, control, n_steps)
-    prev = solve_penalized(problem, control, n0, theta=theta)
+    prev = solve_penalized(problem, control, n0)
     n = n0
     history = []
     converged = False
     while n * 2 <= n_max:
         n *= 2
-        cur = solve_penalized(problem, control, n, theta=theta)
+        cur = solve_penalized(problem, control, n)
         gap = ht_distance(prev.traj, cur.traj)
         history.append((n, gap))
         prev = cur
@@ -214,13 +212,3 @@ def complementarity_residual(sol) -> float:
                             * np.maximum(-gap, 0.0))) == 0.0
         total += dt * h * float(np.sum(np.maximum(gap, 0.0) * dens.values[i]))
     return total
-
-
-def penalty_l2_estimate(problem: ProblemSpec, controls: Sequence[Control],
-                        n: float, n_steps: Optional[int] = None) -> float:
-    """Max over the control family of n times the squared barrier-gap norm."""
-    worst = 0.0
-    for control in controls:
-        sol = solve_penalized(problem, control, n, n_steps=n_steps)
-        worst = max(worst, n * sol.diagnostics.penalty_l2**2)
-    return worst

@@ -19,7 +19,7 @@ import numpy as np
 from .grid import Trajectory
 from .problem import ProblemSpec
 from .skeleton import Control, solve_penalized, zero_control
-from .stepping import DEFAULT_THETA, march
+from .stepping import march
 
 # Samples are drawn in fixed-size blocks, each from its own (seed, block)
 # key, so parallel workers produce byte-identical streams.
@@ -85,8 +85,8 @@ def sample_noise_batch(n_samples: int, n_steps: int, n_modes: int, dt: float,
 
 
 def solve_spde(problem: ProblemSpec, epsilon: float, n: float,
-               noise: NoisePath, control: Optional[Control] = None,
-               theta: float = DEFAULT_THETA) -> StochasticSolution:
+               noise: NoisePath,
+               control: Optional[Control] = None) -> StochasticSolution:
     """Euler-Maruyama noise on top of the semi-implicit barrier march."""
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -98,7 +98,7 @@ def solve_spde(problem: ProblemSpec, epsilon: float, n: float,
     elif control.n_steps != n_steps:
         raise ValueError("control and noise meshes differ")
     res = march(problem, n_steps, penalty_n=n, control_values=control.values,
-                epsilon=epsilon, noise_increments=noise.increments, theta=theta)
+                epsilon=epsilon, noise_increments=noise.increments)
     traj = Trajectory(control.times, res.traj, problem.grid)
     dens = Trajectory(control.times, res.density, problem.grid)
     return StochasticSolution(traj, dens, epsilon, control, noise.seed, problem)

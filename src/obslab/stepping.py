@@ -8,10 +8,10 @@ serves the deterministic, controlled, and stochastic variants alike:
     d v / d tau = 1/2 Lap v  +  f  +  div g  +  sum_j h_j k^j  [+ noise]
                   [+ barrier term]
 
-The half-Laplacian is treated by a theta-scheme tridiagonal solve (interior
-nodes; boundaries pinned at zero), the lower-order terms explicitly with
-coefficients frozen at the step start, and the barrier by one of two
-splitting steps applied to the diffusion predictor p:
+The half-Laplacian is treated by a Crank-Nicolson (theta = 1/2) tridiagonal
+solve (interior nodes; boundaries pinned at zero), the lower-order terms
+explicitly with coefficients frozen at the step start, and the barrier by one
+of two splitting steps applied to the diffusion predictor p:
 
 * penalty: the stiff relation v = p + dt*n*(L - v)^+ is solved exactly
   nodewise — if p_i < L_i then v_i = (p_i + dt*n*L_i)/(1 + dt*n), else p_i;
@@ -36,7 +36,7 @@ from .grid import (gradient_array, h_norm_array,  # noqa: F401
 from .kernels import thomas_batch
 from .problem import ProblemSpec
 
-DEFAULT_THETA = 0.5
+_THETA = 0.5  # Crank-Nicolson weight of the implicit half-Laplacian
 
 
 class DivergenceError(RuntimeError):
@@ -83,7 +83,6 @@ def march(problem: ProblemSpec, n_steps: int, *,
           control_values: Optional[np.ndarray] = None,
           epsilon: float = 0.0,
           noise_increments: Optional[np.ndarray] = None,
-          theta: float = DEFAULT_THETA,
           store: bool = True,
           reference: Optional[np.ndarray] = None) -> MarchResult:
     """March the reversed-time scheme from the terminal datum to time 0.
@@ -133,12 +132,12 @@ def march(problem: ProblemSpec, n_steps: int, *,
             batch = noise_increments.shape[0]
 
     # Interior theta-system bands (constant across steps and samples).
-    kappa = theta * dt * 0.5 / h**2
+    kappa = _THETA * dt * 0.5 / h**2
     ni = nx - 2
     lower = np.full(ni, -kappa)
     upper = np.full(ni, -kappa)
     diag = np.full(ni, 1.0 + 2.0 * kappa)
-    c_lap = 0.5 * (1.0 - theta)
+    c_lap = 0.5 * (1.0 - _THETA)
     c_pen = dt * penalty_n
 
     v = problem.terminal_field().values.copy()

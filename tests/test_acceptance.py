@@ -155,8 +155,7 @@ def test_criterion_08_rate_vs_quadratic_program():
     shifted = solve_penalized(
         prob, constant_control(n_steps, 1, prob.horizon, 1.2), 1e4,
         n_steps=n_steps)
-    event = TargetEvent("terminal_ball",
-                        center=Field(shifted.traj.values[0], prob.grid),
+    event = TargetEvent(center=Field(shifted.traj.values[0], prob.grid),
                         radius=0.02)
     oracle = least_norm_oracle(prob, event, n_steps)
     res = minimize_rate(prob, event, opt_config={"n_steps": n_steps,
@@ -164,16 +163,14 @@ def test_criterion_08_rate_vs_quadratic_program():
     rel = abs(res.rate - oracle) / oracle
 
     base = solve_penalized(prob, None, 1e4, n_steps=n_steps)
-    self_event = TargetEvent("terminal_ball",
-                             center=Field(base.traj.values[0], prob.grid),
+    self_event = TargetEvent(center=Field(base.traj.values[0], prob.grid),
                              radius=0.05)
     self_rate = minimize_rate(prob, self_event,
                               opt_config={"n_steps": n_steps,
                                           "penalty_n": 1e4}).rate
 
     noiseless = heat_obstacle()
-    far = TargetEvent("terminal_ball",
-                      center=Field(np.full(noiseless.grid.n_nodes, 10.0),
+    far = TargetEvent(center=Field(np.full(noiseless.grid.n_nodes, 10.0),
                                    noiseless.grid),
                       radius=0.01)
     unreachable = minimize_rate(noiseless, far,
@@ -193,8 +190,7 @@ def test_criterion_09_ldp_monte_carlo_agreement():
     shifted = solve_penalized(
         prob, constant_control(n_steps, 1, prob.horizon, 1.2), 1e4,
         n_steps=n_steps)
-    event = TargetEvent("terminal_ball",
-                        center=Field(shifted.traj.values[0], prob.grid),
+    event = TargetEvent(center=Field(shifted.traj.values[0], prob.grid),
                         radius=0.02)
     rate = minimize_rate(prob, event, opt_config={"n_steps": n_steps,
                                                   "penalty_n": 1e4})

@@ -50,7 +50,8 @@ class TestConfigValidation:
             self, tmp_path, monkeypatch):
         cfg = load_config("mc_compare")
         cfg["event"] = {"kind": "sup_exceed", "level": 0.5}
-        with pytest.raises(ConfigError, match="terminal_ball"):
+        with pytest.raises(ConfigError,
+                           match=r"'sup_exceed' is not one of \['terminal_ball'\]"):
             validate_config(cfg)
 
         def no_solve(*args, **kwargs):
@@ -61,6 +62,60 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run(cfg, tmp_path / "mc")
         assert not (tmp_path / "mc").exists()
+
+    @staticmethod
+    def _rejected_before_any_solve(cfg, out, monkeypatch, match):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started before the config check")
+
+        monkeypatch.setattr("obslab.harness.make_problem", no_solve)
+        monkeypatch.setattr("obslab.harness.minimize_rate", no_solve)
+        with pytest.raises(ConfigError, match=match):
+            run(cfg, out)
+        assert not out.exists()
+
+    def test_stale_skeleton_minimizer_keys_rejected_before_any_solve(
+            self, tmp_path, monkeypatch):
+        cfg = load_config("rate_minimize")
+        cfg["params"]["opt_config"] = {"solver": "skeleton", "tol": 1e-3,
+                                       "n0": 1000}
+        self._rejected_before_any_solve(
+            cfg, tmp_path / "rate", monkeypatch,
+            r"opt_config: .*'n0', 'solver', 'tol' were unexpected")
+
+    def test_minimizer_mesh_in_opt_config_rejected_before_any_solve(
+            self, tmp_path, monkeypatch):
+        # the minimizer always marches on mesh.n_steps
+        cfg = load_config("mc_compare")
+        cfg["params"]["opt_config"] = {"n_steps": 25}
+        self._rejected_before_any_solve(
+            cfg, tmp_path / "mc", monkeypatch,
+            r"opt_config: .*'n_steps' was unexpected")
+
+    def test_ball_without_radius_rejected_before_any_solve(
+            self, tmp_path, monkeypatch):
+        cfg = load_config("rate_minimize")
+        del cfg["event"]["radius"]
+        self._rejected_before_any_solve(
+            cfg, tmp_path / "rate", monkeypatch,
+            r"event: 'radius' is a required property")
+
+    def test_rate_experiment_without_event_rejected(self):
+        cfg = load_config("rate_minimize")
+        del cfg["event"]
+        with pytest.raises(ConfigError, match="'event' is a required property"):
+            validate_config(cfg)
+
+    def test_every_violation_named(self):
+        cfg = load_config("mc_compare")
+        cfg["event"] = {"kind": "sup_exceed", "level": 0.5}
+        cfg["params"]["opt_config"] = {"max_iters": 0}
+        with pytest.raises(ConfigError) as info:
+            validate_config(cfg)
+        message = str(info.value)
+        for part in ("'radius' is a required property", "'level' was unexpected",
+                     "'sup_exceed' is not one of", "max_iters: 0 is less than"):
+            assert part in message
 
     def test_hash_insensitive_to_key_order(self):
         cfg = load_config("skeleton_solve")

@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from obslab.families import heat_obstacle, linear_additive
-from obslab.grid import Field
-from obslab.ldp import (TargetEvent, condition_ii_test, mc_ldp_compare,
-                        minimize_rate, rate_functional)
+from obslab.families import heat_obstacle, linear_additive, make_problem
+from obslab.grid import Field, h_norm_array
+from obslab.ldp import (TargetEvent, _batched_hinges, _solution_values,
+                        condition_ii_test, mc_ldp_compare, minimize_rate,
+                        rate_functional)
 from obslab.skeleton import constant_control, solve_penalized, zero_control
 
 
@@ -72,6 +73,58 @@ class TestRateFunctional:
         assert rate_functional(k2) == 4.0 * rate_functional(k)
 
 
+class TestTerminalBall:
+    def test_hinge_zero_exactly_where_inside(self, linear_problem):
+        grid = linear_problem.grid
+        rng = np.random.default_rng(3)
+        center = Field(rng.standard_normal(grid.n_nodes), grid)
+        direction = rng.standard_normal(grid.n_nodes)
+        direction /= h_norm_array(direction, grid.h)
+        scales = np.array([0.0, 0.2, 0.5, 0.9, 3.0])
+        states = center.values + scales[:, None] * direction
+        # the third state lies on the sphere, to the last bit
+        radius = float(h_norm_array(states[2] - center.values, grid.h))
+        event = TargetEvent(center=center, radius=radius)
+        inside = event.contains_final(states, grid)
+        hinge = event.hinge(states, grid)
+        assert inside.tolist() == [True, True, True, False, False]
+        assert np.array_equal(hinge == 0.0, inside)
+        assert np.all(hinge[~inside] > 0.0)
+
+    def test_radius_must_be_positive(self, linear_problem):
+        center = Field(np.zeros(linear_problem.grid.n_nodes),
+                       linear_problem.grid)
+        with pytest.raises(ValueError):
+            TargetEvent(center=center, radius=0.0)
+
+    @pytest.mark.parametrize("family, atol", [("heat_obstacle", 0.0),
+                                              ("linear_additive", 0.0),
+                                              ("quasilinear_full", 1e-12)])
+    def test_gradient_rows_match_objective_solves(self, family, atol):
+        # the finite-difference gradient and the objective evaluate the
+        # same function of the control
+        problem = make_problem(family, n_nodes=101)
+        n_steps = 40
+        J = problem.coefficients.n_modes
+        template = zero_control(n_steps, J, problem.horizon)
+        values = np.random.default_rng(7).standard_normal((6, n_steps, J))
+        final0 = _solution_values(problem, template.with_values(values[0]),
+                                  1e4)
+        event = TargetEvent(center=Field(0.9 * final0, problem.grid),
+                            radius=1e-3)
+        batched = _batched_hinges(problem, template, values, event, 1e4)
+        single = np.array([
+            event.hinge(_solution_values(problem, template.with_values(v),
+                                         1e4), problem.grid)
+            for v in values])
+        assert np.all(single > 0.0)
+        if atol == 0.0:
+            assert np.array_equal(batched, single)
+        else:
+            # the batched and single mode sums may round differently
+            np.testing.assert_allclose(batched, single, rtol=0.0, atol=atol)
+
+
 class TestMinimizeRate:
     @pytest.fixture(scope="class")
     def problem(self):
@@ -79,19 +132,24 @@ class TestMinimizeRate:
 
     def test_self_centered_event_has_zero_rate(self, problem):
         base = solve_penalized(problem, None, 1e4, n_steps=50)
-        event = TargetEvent("terminal_ball",
-                            center=Field(base.traj.values[0], problem.grid),
+        event = TargetEvent(center=Field(base.traj.values[0], problem.grid),
                             radius=0.05)
         res = minimize_rate(problem, event,
                             opt_config={"n_steps": 50, "penalty_n": 1e4})
         assert res.feasible
         assert res.rate <= 1e-6
 
+    def test_unknown_opt_config_key_rejected(self, problem):
+        center = Field(np.zeros(problem.grid.n_nodes), problem.grid)
+        event = TargetEvent(center=center, radius=0.05)
+        with pytest.raises(ValueError, match="solver"):
+            minimize_rate(problem, event, opt_config={"solver": "skeleton"})
+
     def test_unreachable_event_is_infinite(self):
         # no noise modes act on heat_obstacle, so no control moves u at all
         prob = heat_obstacle()
         far = Field(np.full(prob.grid.n_nodes, 10.0), prob.grid)
-        event = TargetEvent("terminal_ball", center=far, radius=0.01)
+        event = TargetEvent(center=far, radius=0.01)
         res = minimize_rate(prob, event,
                             opt_config={"n_steps": 50, "penalty_n": 1e4})
         assert not res.feasible
@@ -102,8 +160,7 @@ class TestMinimizeRate:
         shifted = solve_penalized(
             problem, constant_control(n_steps, 1, problem.horizon, 1.2),
             1e4, n_steps=n_steps)
-        event = TargetEvent("terminal_ball",
-                            center=Field(shifted.traj.values[0],
+        event = TargetEvent(center=Field(shifted.traj.values[0],
                                          problem.grid),
                             radius=0.02)
         oracle = least_norm_oracle(problem, event, n_steps)
@@ -136,8 +193,7 @@ class TestMcCompare:
         shifted = solve_penalized(
             problem, constant_control(n_steps, 1, problem.horizon, 1.2),
             1e4, n_steps=n_steps)
-        event = TargetEvent("terminal_ball",
-                            center=Field(shifted.traj.values[0],
+        event = TargetEvent(center=Field(shifted.traj.values[0],
                                          problem.grid),
                             radius=0.02)
         rate = minimize_rate(problem, event,
@@ -179,8 +235,7 @@ class TestMcCompare:
     def test_whole_space_event_probability_one(self, setup):
         problem, _, _, n_steps = setup
         base = solve_penalized(problem, None, 1e4, n_steps=n_steps)
-        everything = TargetEvent("terminal_ball",
-                                 center=Field(base.traj.values[0],
+        everything = TargetEvent(center=Field(base.traj.values[0],
                                               problem.grid),
                                  radius=1e6)
         rep = mc_ldp_compare(problem, everything, [0.4, 0.2], 500, seed=5,
