@@ -234,8 +234,9 @@ def _run_rate_minimize(config, problem):
         "rate": float(result.rate) if np.isfinite(result.rate) else "inf",
         "feasible": bool(result.feasible),
         "constraint_residual": float(result.constraint_residual),
-        "lambda_history": [[float(a), float(b), float(c)]
-                           for a, b, c in result.lambda_history],
+        "lambda_history": [[int(i), float(a), float(r)]
+                           for i, a, r in result.lambda_history],
+        "solver_message": result.message,
         "k_norm_sq": float(result.minimizer.k_norm_sq()),
     }
     return report, result.feasible or p.get("expect_infeasible", False), {}

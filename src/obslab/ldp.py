@@ -3,8 +3,9 @@ Monte Carlo rare-event comparison.
 
 The action of a control is half its squared Cameron-Martin norm; the rate of
 a target event is the least action over controls steering the deterministic
-solver into the event.  Minimization is penalty-continuation gradient
-descent with finite-difference gradients, robust to the barrier kink.  The
+solver into the event.  Minimization is sequential quadratic programming
+(SLSQP) on that constrained problem, with an analytic action gradient and a
+batched finite-difference Jacobian of the terminal distance.  The
 rare-event module estimates small-noise probabilities (optionally under an
 importance-sampling drift at the minimizer) and compares eps * log p to the
 negated rate.
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .grid import Field, h_norm_array, ht_distance
 from .problem import ProblemSpec
@@ -26,8 +28,9 @@ from .skeleton import (Control, solve_penalized, solve_skeleton,  # noqa: F401
 from .spde import sample_terminal_states
 from .stepping import march
 
-DEFAULT_LAMBDAS = (10.0, 100.0, 1000.0, 10000.0)
 OPT_KEYS = ("n_steps", "penalty_n", "max_iters", "feasibility_tol")
+FD_REL_STEP = 1e-6     # forward finite-difference step, relative to max(1, |k|)
+SLSQP_FTOL = 1e-10     # SLSQP's accuracy target (its `ftol`)
 
 
 @dataclass(frozen=True)
@@ -42,16 +45,20 @@ class TargetEvent:
         if self.radius <= 0:
             raise ValueError("a terminal ball needs radius > 0")
 
+    def excess(self, final_states: np.ndarray, grid) -> np.ndarray:
+        """Signed distance |u - center|_H - radius per state along the
+        leading axis; <= 0 iff the state is inside."""
+        return h_norm_array(final_states - self.center.values,
+                            grid.h) - self.radius
+
     def hinge(self, final_states: np.ndarray, grid) -> np.ndarray:
-        """Distance-to-event surrogate per state along the leading axis;
-        zero iff the state is inside."""
-        d = h_norm_array(final_states - self.center.values, grid.h)
-        return np.maximum(0.0, d - self.radius)
+        """Distance outside the ball per state; zero iff the state is
+        inside."""
+        return np.maximum(0.0, self.excess(final_states, grid))
 
     def contains_final(self, final_states: np.ndarray, grid) -> np.ndarray:
         """Vectorized membership of terminal states."""
-        d = h_norm_array(final_states - self.center.values, grid.h)
-        return d <= self.radius
+        return self.excess(final_states, grid) <= 0.0
 
 
 @dataclass
@@ -60,7 +67,9 @@ class RateResult:
     rate: float
     constraint_residual: float
     feasible: bool
+    # solver trace: (iteration, action, residual) per SQP iterate
     lambda_history: list = field(default_factory=list)
+    message: str = ""
 
 
 def rate_functional(k: Control) -> float:
@@ -78,23 +87,25 @@ def _solution_values(problem: ProblemSpec, k: Control,
 def _batched_hinges(problem: ProblemSpec, template: Control,
                     value_batch: np.ndarray, event: TargetEvent,
                     penalty_n: float) -> np.ndarray:
-    """Event hinge for a batch of control value matrices in one march."""
+    """Event excess for a batch of control value matrices in one march."""
     res = march(problem, template.n_steps, penalty_n=penalty_n,
                 control_values=value_batch, store=False)
-    return event.hinge(res.final, problem.grid)
+    return event.excess(res.final, problem.grid)
 
 
 def minimize_rate(problem: ProblemSpec, event: TargetEvent,
-                  lambda_schedule: Sequence[float] = DEFAULT_LAMBDAS,
                   opt_config: Optional[dict] = None) -> RateResult:
-    """Penalty-continuation gradient descent on action + lambda * hinge^2.
+    """Least action over controls whose terminal state lies in the event.
 
-    The first continuation stage starts from the zero control and each
-    later one warm-starts from the previous, with forward finite-difference
-    gradients (relative step 1e-6) and backtracking line search.  Returns the infeasibility sentinel (rate = +inf) when the final
-    residual exceeds the feasibility tolerance.  `opt_config` may set
-    `n_steps` (50), `penalty_n` (1e4), `max_iters` (80) per stage and
-    `feasibility_tol` (1e-3).
+    Solves  min 1/2 dt |k|^2  subject to  radius - |u(0; k) - center|_H >= 0
+    by sequential quadratic programming (SLSQP, Kraft 1988), from the zero
+    control.  The action gradient is analytic; the constraint Jacobian is
+    one batched march of forward finite differences (relative step 1e-6).
+    A start inside the ball has rate 0 and needs no solve.  Returns the
+    infeasibility sentinel (rate = +inf) unless SLSQP reports success and
+    the final residual is within the feasibility tolerance.  `opt_config`
+    may set `n_steps` (50), `penalty_n` (1e4), `max_iters` (80, SLSQP's
+    iteration limit) and `feasibility_tol` (1e-3).
     """
     cfg = dict(opt_config or {})
     unknown = sorted(set(cfg) - set(OPT_KEYS))
@@ -104,73 +115,57 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent,
     n_steps = cfg.get("n_steps", 50)
     init = zero_control(n_steps, problem.coefficients.n_modes, problem.horizon)
     dt = init.dt
-    grid = problem.grid
-    max_iters = cfg.get("max_iters", 80)
-    feas_tol = cfg.get("feasibility_tol", 1e-3)
+    shape = init.values.shape
+    dim = init.values.size
     penalty_n = cfg.get("penalty_n", 1e4)
-    fd_rel = 1e-6
+    feas_tol = cfg.get("feasibility_tol", 1e-3)
+    last = {}
 
-    def objective(vals: np.ndarray, lam: float):
-        k = init.with_values(vals)
-        rate = rate_functional(k)
-        res = float(event.hinge(_solution_values(problem, k, penalty_n), grid))
-        return rate + lam * res * res, rate, res
+    def excess(x: np.ndarray) -> float:
+        # SLSQP asks for the constraint and then its Jacobian at the same
+        # point; the cache spares the Jacobian a second march there.
+        if "x" not in last or not np.array_equal(last["x"], x):
+            final = _solution_values(problem, init.with_values(x.reshape(shape)),
+                                     penalty_n)
+            last["x"], last["e"] = x.copy(), float(event.excess(final,
+                                                                problem.grid))
+        return last["e"]
 
-    def fd_gradient(vals: np.ndarray, lam: float, f0: float) -> np.ndarray:
-        flat = vals.ravel()
-        dim = flat.size
-        steps = fd_rel * np.maximum(1.0, np.abs(flat))
-        perts = np.broadcast_to(flat, (dim, dim)).copy()
+    def excess_jacobian(x: np.ndarray) -> np.ndarray:
+        e0 = excess(x)
+        steps = FD_REL_STEP * np.maximum(1.0, np.abs(x))
+        perts = np.broadcast_to(x, (dim, dim)).copy()
         perts[np.arange(dim), np.arange(dim)] += steps
-        perts = perts.reshape((dim,) + vals.shape)
-        hinges = _batched_hinges(problem, init, perts, event, penalty_n)
-        rates = 0.5 * dt * np.sum(perts.reshape(dim, -1)**2, axis=1)
-        f1 = rates + lam * hinges**2
-        return ((f1 - f0) / steps).reshape(vals.shape)
+        e1 = _batched_hinges(problem, init, perts.reshape((dim,) + shape),
+                             event, penalty_n)
+        return (e1 - e0) / steps
 
-    vals = init.values.copy()
+    def action(x: np.ndarray):
+        return 0.5 * dt * float(x @ x), dt * x
+
+    x0 = init.values.ravel()
+    if excess(x0) <= 0.0:
+        return RateResult(init, 0.0, 0.0, True, [(0, 0.0, 0.0)],
+                          "start is inside the event")
+
     history = []
-    stagnant = 0
-    best_feasible = None
-    for lam in lambda_schedule:
-        f0, rate, res = objective(vals, lam)
-        for _ in range(max_iters):
-            g = fd_gradient(vals, lam, f0)
-            gnorm = float(np.sqrt(np.sum(g**2)))
-            if gnorm < 1e-12:
-                break
-            step = 1.0 / max(lam * dt, 1.0)
-            improved = False
-            for _ in range(30):
-                cand = vals - step * g
-                f1, r1, s1 = objective(cand, lam)
-                if f1 < f0 - 1e-4 * step * gnorm**2:
-                    vals, f_prev = cand, f0
-                    f0, rate, res = f1, r1, s1
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-            if f_prev - f0 < 1e-10 * max(1.0, abs(f0)):
-                break
-        history.append((float(lam), float(rate), float(res)))
-        if res <= feas_tol and (best_feasible is None or rate <= best_feasible[0]):
-            best_feasible = (rate, vals.copy(), res)
-        if len(history) >= 2 and abs(history[-2][1] - rate) < 1e-10 \
-                and abs(history[-2][2] - res) < 1e-10:
-            stagnant += 1
-            if stagnant >= 2:
-                break
-        else:
-            stagnant = 0
 
-    k_final = init.with_values(vals)
-    if best_feasible is not None:
-        rate, bv, res = best_feasible
-        k_final = init.with_values(bv)
-        return RateResult(k_final, rate_functional(k_final), res, True, history)
-    return RateResult(k_final, math.inf, history[-1][2], False, history)
+    def record(x: np.ndarray) -> None:
+        history.append((len(history) + 1, action(x)[0],
+                        max(0.0, excess(x))))
+
+    sol = minimize(action, x0, jac=True, method="SLSQP",
+                   constraints={"type": "ineq",
+                                "fun": lambda x: -excess(x),
+                                "jac": lambda x: -excess_jacobian(x)[None, :]},
+                   callback=record,
+                   options={"maxiter": cfg.get("max_iters", 80),
+                            "ftol": SLSQP_FTOL})
+    k_final = init.with_values(sol.x.reshape(shape))
+    residual = max(0.0, excess(sol.x))
+    feasible = bool(sol.success) and residual <= feas_tol
+    rate = rate_functional(k_final) if feasible else math.inf
+    return RateResult(k_final, rate, residual, feasible, history, sol.message)
 
 
 def condition_ii_test(problem: ProblemSpec, k: Control,

@@ -100,6 +100,15 @@ class TestConfigValidation:
             cfg, tmp_path / "rate", monkeypatch,
             r"event: 'radius' is a required property")
 
+    def test_config_without_params_rejected_before_any_solve(
+            self, tmp_path, monkeypatch):
+        # every runner reads config["params"]
+        cfg = load_config("rate_minimize")
+        del cfg["params"]
+        self._rejected_before_any_solve(
+            cfg, tmp_path / "rate", monkeypatch,
+            r"<root>: 'params' is a required property")
+
     def test_rate_experiment_without_event_rejected(self):
         cfg = load_config("rate_minimize")
         del cfg["event"]
@@ -144,6 +153,13 @@ class TestRuns:
         for name in ("report.json", "final_trajectory.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_rate_minimize_repeat_runs_byte_identical(self, tmp_path):
+        cfg = load_config("rate_minimize")
+        run(cfg, tmp_path / "a")
+        run(cfg, tmp_path / "b")
+        assert (tmp_path / "a" / "report.json").read_bytes() == \
+            (tmp_path / "b" / "report.json").read_bytes()
 
     def test_experiment_mismatch_in_baseline(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Rate functional, constrained minimization, and rare-event Monte Carlo."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import obslab.ldp
 from obslab.families import heat_obstacle, linear_additive, make_problem
 from obslab.grid import Field, h_norm_array
 from obslab.ldp import (TargetEvent, _batched_hinges, _solution_values,
@@ -91,6 +93,20 @@ class TestTerminalBall:
         assert np.array_equal(hinge == 0.0, inside)
         assert np.all(hinge[~inside] > 0.0)
 
+    def test_excess_is_the_signed_distance(self, linear_problem):
+        grid = linear_problem.grid
+        center = Field(np.zeros(grid.n_nodes), grid)
+        unit = np.ones(grid.n_nodes) / h_norm_array(np.ones(grid.n_nodes),
+                                                     grid.h)
+        states = np.array([0.25, 0.5, 2.0])[:, None] * unit
+        event = TargetEvent(center=center, radius=0.5)
+        excess = event.excess(states, grid)
+        np.testing.assert_allclose(excess, [-0.25, 0.0, 1.5], atol=1e-14)
+        assert np.array_equal(event.hinge(states, grid),
+                              np.maximum(0.0, excess))
+        assert np.array_equal(event.contains_final(states, grid),
+                              excess <= 0.0)
+
     def test_radius_must_be_positive(self, linear_problem):
         center = Field(np.zeros(linear_problem.grid.n_nodes),
                        linear_problem.grid)
@@ -114,8 +130,8 @@ class TestTerminalBall:
                             radius=1e-3)
         batched = _batched_hinges(problem, template, values, event, 1e4)
         single = np.array([
-            event.hinge(_solution_values(problem, template.with_values(v),
-                                         1e4), problem.grid)
+            event.excess(_solution_values(problem, template.with_values(v),
+                                          1e4), problem.grid)
             for v in values])
         assert np.all(single > 0.0)
         if atol == 0.0:
@@ -130,6 +146,23 @@ class TestMinimizeRate:
     def problem(self):
         return linear_additive()
 
+    @pytest.fixture(scope="class")
+    def bundled(self, problem):
+        """The bundled rate_minimize event, its oracle rate and the
+        minimizer's result."""
+        n_steps = 50
+        shifted = solve_penalized(
+            problem, constant_control(n_steps, 1, problem.horizon, 1.2),
+            1e4, n_steps=n_steps)
+        event = TargetEvent(center=Field(shifted.traj.values[0],
+                                         problem.grid),
+                            radius=0.02)
+        oracle = least_norm_oracle(problem, event, n_steps)
+        res = minimize_rate(problem, event,
+                            opt_config={"n_steps": n_steps,
+                                        "penalty_n": 1e4})
+        return event, oracle, res
+
     def test_self_centered_event_has_zero_rate(self, problem):
         base = solve_penalized(problem, None, 1e4, n_steps=50)
         event = TargetEvent(center=Field(base.traj.values[0], problem.grid),
@@ -138,6 +171,43 @@ class TestMinimizeRate:
                             opt_config={"n_steps": 50, "penalty_n": 1e4})
         assert res.feasible
         assert res.rate <= 1e-6
+
+    def test_start_inside_ball_is_one_march_and_no_solve(self, problem,
+                                                          monkeypatch):
+        base = solve_penalized(problem, None, 1e4, n_steps=50)
+        event = TargetEvent(center=Field(base.traj.values[0], problem.grid),
+                            radius=0.05)
+        marches = []
+        real_march = obslab.ldp.march
+
+        def counting_march(*args, **kwargs):
+            marches.append(kwargs.get("control_values"))
+            return real_march(*args, **kwargs)
+
+        def no_solver(*args, **kwargs):
+            raise AssertionError("the solver ran for a start inside the ball")
+
+        monkeypatch.setattr("obslab.ldp.march", counting_march)
+        monkeypatch.setattr("obslab.ldp.minimize", no_solver)
+        res = minimize_rate(problem, event,
+                            opt_config={"n_steps": 50, "penalty_n": 1e4})
+        # one single-system march: control values (n_steps, J), no batch
+        assert len(marches) == 1 and marches[0].ndim == 2
+        assert res.feasible and res.rate == 0.0
+        assert res.constraint_residual == 0.0
+        assert not np.any(res.minimizer.values)
+
+    def test_iteration_limit_is_never_feasible(self, problem, bundled):
+        event, _, _ = bundled
+        # one SQP iteration gets close to the ball (residual about 1e-5,
+        # inside the default feasibility_tol) but is not a solution
+        res = minimize_rate(problem, event,
+                            opt_config={"n_steps": 50, "penalty_n": 1e4,
+                                        "max_iters": 1})
+        assert not res.feasible
+        assert res.rate == np.inf
+        assert res.message == "Iteration limit reached"
+        assert len(res.lambda_history) == 1
 
     def test_unknown_opt_config_key_rejected(self, problem):
         center = Field(np.zeros(problem.grid.n_nodes), problem.grid)
@@ -154,21 +224,46 @@ class TestMinimizeRate:
                             opt_config={"n_steps": 50, "penalty_n": 1e4})
         assert not res.feasible
         assert res.rate == np.inf
+        assert res.message == "Positive directional derivative for linesearch"
+        assert res.lambda_history
 
-    def test_matches_least_norm_oracle(self, problem):
-        n_steps = 50
-        shifted = solve_penalized(
-            problem, constant_control(n_steps, 1, problem.horizon, 1.2),
-            1e4, n_steps=n_steps)
-        event = TargetEvent(center=Field(shifted.traj.values[0],
-                                         problem.grid),
-                            radius=0.02)
-        oracle = least_norm_oracle(problem, event, n_steps)
-        res = minimize_rate(problem, event,
-                            opt_config={"n_steps": n_steps,
-                                        "penalty_n": 1e4})
+    def test_matches_least_norm_oracle(self, bundled):
+        _, oracle, res = bundled
         assert res.feasible
         assert abs(res.rate - oracle) / oracle <= 0.02
+
+    def test_lands_on_the_oracle_with_zero_residual(self, bundled):
+        # the rate of a feasible point, not of the most infeasible
+        # acceptable one
+        _, oracle, res = bundled
+        assert res.feasible
+        assert abs(res.rate - oracle) / oracle <= 1e-4
+        assert res.constraint_residual <= 1e-8
+
+
+class TestAffineResponse:
+    """The linear_additive response is affine in the control; the
+    least-norm oracle rests on this."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=st.floats(-1.0, 2.0),
+           scale=st.floats(0.0, 5.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_terminal_state_affine_in_control(self, linear_problem, alpha,
+                                              scale, seed):
+        n_steps = 30
+        rng = np.random.default_rng(seed)
+        k1, k2 = scale * rng.standard_normal((2, n_steps, 1))
+        template = zero_control(n_steps, 1, linear_problem.horizon)
+
+        def u0(values):
+            return _solution_values(linear_problem,
+                                    template.with_values(values), 1e4)
+
+        mixed = u0(alpha * k1 + (1.0 - alpha) * k2)
+        np.testing.assert_allclose(
+            mixed, alpha * u0(k1) + (1.0 - alpha) * u0(k2),
+            rtol=0.0, atol=1e-10)
 
 
 class TestConditionII:
