@@ -28,7 +28,7 @@ from .skeleton import (Control, solve_penalized, solve_skeleton,  # noqa: F401
 from .spde import sample_terminal_states
 from .stepping import march
 
-OPT_KEYS = ("n_steps", "penalty_n", "max_iters", "feasibility_tol")
+OPT_KEYS = ("n_steps", "penalty_n", "max_iters")
 FD_REL_STEP = 1e-6     # forward finite-difference step, relative to max(1, |k|)
 SLSQP_FTOL = 1e-10     # SLSQP's accuracy target (its `ftol`)
 
@@ -102,10 +102,10 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent,
     control.  The action gradient is analytic; the constraint Jacobian is
     one batched march of forward finite differences (relative step 1e-6).
     A start inside the ball has rate 0 and needs no solve.  Returns the
-    infeasibility sentinel (rate = +inf) unless SLSQP reports success and
-    the final residual is within the feasibility tolerance.  `opt_config`
-    may set `n_steps` (50), `penalty_n` (1e4), `max_iters` (80, SLSQP's
-    iteration limit) and `feasibility_tol` (1e-3).
+    infeasibility sentinel (rate = +inf) unless SLSQP reports success, which
+    it does only with the constraint met to its accuracy `SLSQP_FTOL`.
+    `opt_config` may set `n_steps` (50), `penalty_n` (1e4) and `max_iters`
+    (80, SLSQP's iteration limit).
     """
     cfg = dict(opt_config or {})
     unknown = sorted(set(cfg) - set(OPT_KEYS))
@@ -118,7 +118,6 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent,
     shape = init.values.shape
     dim = init.values.size
     penalty_n = cfg.get("penalty_n", 1e4)
-    feas_tol = cfg.get("feasibility_tol", 1e-3)
     last = {}
 
     def excess(x: np.ndarray) -> float:
@@ -163,7 +162,7 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent,
                             "ftol": SLSQP_FTOL})
     k_final = init.with_values(sol.x.reshape(shape))
     residual = max(0.0, excess(sol.x))
-    feasible = bool(sol.success) and residual <= feas_tol
+    feasible = bool(sol.success)
     rate = rate_functional(k_final) if feasible else math.inf
     return RateResult(k_final, rate, residual, feasible, history, sol.message)
 

@@ -92,6 +92,15 @@ class TestConfigValidation:
             cfg, tmp_path / "mc", monkeypatch,
             r"opt_config: .*'n_steps' was unexpected")
 
+    def test_feasibility_tol_rejected_before_any_solve(
+            self, tmp_path, monkeypatch):
+        # feasibility is SLSQP's own success test; no tolerance is read
+        cfg = load_config("rate_minimize")
+        cfg["params"]["opt_config"] = {"feasibility_tol": 1e-3}
+        self._rejected_before_any_solve(
+            cfg, tmp_path / "rate", monkeypatch,
+            r"opt_config: .*'feasibility_tol' was unexpected")
+
     def test_ball_without_radius_rejected_before_any_solve(
             self, tmp_path, monkeypatch):
         cfg = load_config("rate_minimize")

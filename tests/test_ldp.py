@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obslab.ldp
-from obslab.families import heat_obstacle, linear_additive, make_problem
+from obslab.families import (heat_obstacle, linear_additive, make_problem,
+                             quasilinear_full)
 from obslab.grid import Field, h_norm_array
 from obslab.ldp import (TargetEvent, _batched_hinges, _solution_values,
                         condition_ii_test, mc_ldp_compare, minimize_rate,
@@ -199,8 +200,8 @@ class TestMinimizeRate:
 
     def test_iteration_limit_is_never_feasible(self, problem, bundled):
         event, _, _ = bundled
-        # one SQP iteration gets close to the ball (residual about 1e-5,
-        # inside the default feasibility_tol) but is not a solution
+        # one SQP iteration gets close to the ball (residual about 1e-5)
+        # but is not a solution
         res = minimize_rate(problem, event,
                             opt_config={"n_steps": 50, "penalty_n": 1e4,
                                         "max_iters": 1})
@@ -239,6 +240,61 @@ class TestMinimizeRate:
         assert res.feasible
         assert abs(res.rate - oracle) / oracle <= 1e-4
         assert res.constraint_residual <= 1e-8
+
+
+class TestBindingBarrier:
+    """A reachable event on quasilinear_full whose minimizer presses the
+    state into the barrier.  The penalty term makes the terminal map kinked
+    there, so the forward-difference Jacobian is inexact; the solve must
+    still come back feasible and optimal."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        problem = quasilinear_full(n_nodes=101, obstacle_amplitude=0.8)
+        n_steps = 20
+        generator = constant_control(n_steps, problem.coefficients.n_modes,
+                                     problem.horizon, -2.0)
+        shifted = solve_penalized(problem, generator, 1e4, n_steps=n_steps)
+        event = TargetEvent(center=Field(shifted.traj.values[0],
+                                         problem.grid),
+                            radius=0.02)
+        res = minimize_rate(problem, event,
+                            opt_config={"n_steps": n_steps,
+                                        "penalty_n": 1e4})
+        return problem, event, generator, res
+
+    def test_barrier_binds_at_the_minimizer(self, solved):
+        problem, _, _, res = solved
+        sol = solve_penalized(problem, res.minimizer, 1e4,
+                              n_steps=res.minimizer.n_steps)
+        # the state dips below the obstacle, so the penalty density
+        # n (u - L)^- exceeds 1 somewhere
+        assert sol.diagnostics.min_gap < -1e-4
+
+    def test_feasible_with_zero_residual(self, solved):
+        problem, event, generator, res = solved
+        assert res.feasible
+        assert res.message == "Optimization terminated successfully"
+        assert res.constraint_residual <= 1e-8
+        # the generating control is feasible, so it bounds the rate
+        assert 0.0 < res.rate < rate_functional(generator)
+
+    def test_kkt_alignment(self, solved):
+        # at the constrained minimum the action gradient dt k is a
+        # nonnegative multiple of -grad d; the gradient here is a central
+        # difference with a step 100 times the solver's
+        problem, event, _, res = solved
+        k = res.minimizer
+        x = k.values.ravel()
+        dim, step = x.size, 1e-4
+        shift = step * np.eye(dim)
+        plus = _batched_hinges(problem, k, (x + shift).reshape((dim,)
+                               + k.values.shape), event, 1e4)
+        minus = _batched_hinges(problem, k, (x - shift).reshape((dim,)
+                                + k.values.shape), event, 1e4)
+        grad = (plus - minus) / (2.0 * step)
+        cosine = -float(x @ grad) / (np.linalg.norm(x) * np.linalg.norm(grad))
+        assert cosine >= 1.0 - 1e-6
 
 
 class TestAffineResponse:
