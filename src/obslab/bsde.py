@@ -10,7 +10,7 @@ flux term of that recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,10 +39,6 @@ class PathEnsemble:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    @property
-    def start_points(self) -> np.ndarray:
-        return self.paths[:, 0]
 
 
 def sample_paths(n_paths: int, n_steps: int, horizon: float, grid: Grid,
@@ -82,12 +78,6 @@ def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
                         ensemble.seed)
 
 
-def _interp_levels(level_values: np.ndarray, grid: Grid,
-                   positions: np.ndarray) -> np.ndarray:
-    """Linear interpolation of one grid level at arbitrary positions."""
-    return np.interp(positions, grid.x, level_values)
-
-
 def bsde_residual(sol: PenalizedSolution, ensemble: PathEnsemble,
                   control: Optional[Control] = None) -> float:
     """RMS one-step residual of the backward recursion, per sqrt(dt).
@@ -124,21 +114,21 @@ def bsde_residual(sol: PenalizedSolution, ensemble: PathEnsemble,
 
         u_level = traj.values[i]
         ux_level = gradient_array(u_level, grid.h)
-        Y = _interp_levels(u_level, grid, w_i)
-        Y_next = _interp_levels(traj.values[i + 1], grid, w_ip)
-        Z = _interp_levels(ux_level, grid, w_i)
+        Y = np.interp(w_i, x, u_level)
+        Y_next = np.interp(w_ip, x, traj.values[i + 1])
+        Z = np.interp(w_i, x, ux_level)
 
         fval = np.asarray(co.f(t, w_i, Y, Z), dtype=float) + np.zeros_like(Y)
         hval = np.asarray(co.h_shape(t, w_i, Y, Z), dtype=float) + np.zeros_like(Y)
         hk = hval * float(weights @ control.values[i])
-        S = np.asarray(problem.obstacle.value(t, w_i), dtype=float) + np.zeros_like(Y)
+        S = np.asarray(problem.obstacle(t, w_i), dtype=float) + np.zeros_like(Y)
         pen = sol.n * np.maximum(S - Y, 0.0)
 
         # Flux correction: x-derivative of x -> g(t, x, u, u_x) along the
         # grid, sampled at the path position.
         g_nodes = np.asarray(co.g(t, x, u_level, ux_level), dtype=float) \
             + np.zeros_like(x)
-        div_g = _interp_levels(gradient_array(g_nodes, grid.h), grid, w_i)
+        div_g = np.interp(w_i, x, gradient_array(g_nodes, grid.h))
 
         r = Y - Y_next - dt * (fval + hk + pen) + dt * div_g + Z * dW
         residuals.append(r)
@@ -183,45 +173,3 @@ def star_integral_check(J_field: Callable[[float, np.ndarray], np.ndarray],
         "n_paths_used": int(len(g)),
     }
 
-
-def path_energy_bounds(sol_family: Sequence[PenalizedSolution],
-                   ensemble: PathEnsemble) -> dict:
-    """Path-ensemble energy statistics of a penalized-solution family.
-
-    For each member: ensemble averages of sup_t Y^2, the time integral of
-    Z^2, and the squared penalty mass (n * integral of the barrier gap).
-    The family max/min ratios quantify uniform boundedness.
-    """
-    stats = []
-    for sol in sol_family:
-        traj = sol.traj
-        grid = sol.problem.grid
-        n_steps = len(traj.times) - 1
-        dt = ensemble.dt
-        sup_y2 = np.zeros(ensemble.n_paths)
-        int_z2 = np.zeros(ensemble.n_paths)
-        pen_mass = np.zeros(ensemble.n_paths)
-        for i in range(n_steps + 1):
-            use = ensemble.alive[:, i]
-            w = ensemble.paths[:, i]
-            Y = _interp_levels(traj.values[i], grid, w)
-            Z = _interp_levels(gradient_array(traj.values[i], grid.h), grid, w)
-            S = np.asarray(sol.problem.obstacle.value(float(traj.times[i]), w),
-                           dtype=float) + np.zeros_like(w)
-            sup_y2 = np.maximum(sup_y2, np.where(use, Y**2, 0.0))
-            if i < n_steps:
-                int_z2 += np.where(use, Z**2, 0.0) * dt
-                pen_mass += np.where(use, sol.n * np.maximum(S - Y, 0.0), 0.0) * dt
-        stats.append({
-            "n": float(sol.n),
-            "sup_y_sq": float(np.mean(sup_y2)),
-            "int_z_sq": float(np.mean(int_z2)),
-            "penalty_mass_sq": float(np.mean(pen_mass**2)),
-        })
-    report = {"family": stats}
-    for key in ("sup_y_sq", "int_z_sq", "penalty_mass_sq"):
-        vals = np.array([s[key] for s in stats])
-        lo = float(np.min(vals))
-        hi = float(np.max(vals))
-        report[f"{key}_ratio"] = hi / lo if lo > 0 else (1.0 if hi == 0 else np.inf)
-    return report

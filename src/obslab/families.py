@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Grid
-from .problem import CoefficientSet, LipschitzInfo, Obstacle, ProblemSpec
+from .problem import CoefficientSet, LipschitzInfo, ProblemSpec
 
 FAMILY_NAMES = ("heat_obstacle", "linear_additive", "quasilinear_full")
 
@@ -40,7 +40,7 @@ def heat_obstacle(n_nodes: int = 201, horizon: float = 1.0) -> ProblemSpec:
     def terminal(x):
         return 1.0 - 2.0 * np.exp(-x**2 / 0.05)
 
-    def obs_value(t, x):
+    def obstacle(t, x):
         x = np.asarray(x, dtype=float)
         if t >= horizon:
             return np.minimum(0.0, terminal(x))
@@ -51,12 +51,6 @@ def heat_obstacle(n_nodes: int = 201, horizon: float = 1.0) -> ProblemSpec:
         mode_weights=np.array([1.0]),
         lipschitz=LipschitzInfo(c_f=0.0, c_h=0.0, c_g=0.0, alpha=1e-6, beta=1e-6),
         hbar=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-    obstacle = Obstacle(
-        value=obs_value,
-        dt=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        grad=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        lap=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
     )
     return ProblemSpec(coeffs, obstacle, terminal, horizon, grid, name="heat_obstacle")
 
@@ -79,12 +73,9 @@ def linear_additive(n_nodes: int = 201, horizon: float = 0.5,
         lipschitz=LipschitzInfo(c_f=0.0, c_h=0.0, c_g=0.0, alpha=1e-6, beta=1e-6),
         hbar=lambda x: np.full_like(np.asarray(x, dtype=float), sigma),
     )
-    obstacle = Obstacle(
-        value=lambda t, x: np.full_like(np.asarray(x, dtype=float), -50.0),
-        dt=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        grad=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        lap=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
+
+    def obstacle(t, x):
+        return np.full_like(np.asarray(x, dtype=float), -50.0)
 
     def terminal(x):
         return np.exp(-x**2 / 0.1)
@@ -137,16 +128,8 @@ def quasilinear_full(n_nodes: int = 201, horizon: float = 0.3,
 
     A, T = obstacle_amplitude, horizon
 
-    def bump(x):
-        return np.exp(-np.asarray(x, dtype=float)**2 / 0.5)
-
-    obstacle = Obstacle(
-        value=lambda t, x: A * bump(x) * (1.0 - t / T),
-        dt=lambda t, x: -A * bump(x) / T,
-        grad=lambda t, x: A * (1.0 - t / T) * bump(x) * (-2.0 * np.asarray(x, dtype=float) / 0.5),
-        lap=lambda t, x: A * (1.0 - t / T) * bump(x)
-        * ((2.0 * np.asarray(x, dtype=float) / 0.5)**2 - 2.0 / 0.5),
-    )
+    def obstacle(t, x):
+        return A * np.exp(-np.asarray(x, dtype=float)**2 / 0.5) * (1.0 - t / T)
 
     def terminal(x):
         return np.exp(-np.asarray(x, dtype=float)**2 / 0.2)

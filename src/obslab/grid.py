@@ -1,9 +1,11 @@
-"""Uniform 1-D spatial grid, grid functions, and the discrete norms.
+"""Uniform 1-D spatial grid, grid functions, stencils and discrete norms.
 
-All solvers in the package act on `Field` / `Trajectory` objects built on a
-`Grid`. Boundary nodes carry homogeneous Dirichlet data (the unbounded
-domain is truncated to a box), and every differential operator returns a new
-field, leaving its input untouched.
+`Field` and `Trajectory` carry values on a `Grid`; boundary nodes hold
+homogeneous Dirichlet data (the unbounded domain is truncated to a box).
+The solvers march raw arrays, so the stencils and norms act on arrays,
+batched over any leading axes, and return new arrays.  `ht_distance` is the
+path-space metric between two trajectories, and a trajectory round-trips
+through CSV.
 """
 from __future__ import annotations
 
@@ -90,9 +92,6 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def field(self, i: int) -> Field:
-        return Field(self.values[i], self.grid)
-
     # -- CSV round trip: header row of x-coordinates, one row per time node --
 
     def to_csv(self, path):
@@ -113,14 +112,8 @@ class Trajectory:
         return cls(times=times, values=vals, grid=grid)
 
 
-def _check_same_grid(a: Field, b: Field):
-    if a.grid != b.grid:
-        raise GridMismatchError("fields live on different grids")
-
-
 # ---------------------------------------------------------------------------
-# Array-level stencils. The solvers use these directly on raw arrays; the
-# Field wrappers below are the public single-field interface.
+# Stencils and norms on raw arrays, batched over any leading axes.
 # ---------------------------------------------------------------------------
 
 def laplacian_array(v: np.ndarray, h: float) -> np.ndarray:
@@ -137,27 +130,6 @@ def gradient_array(v: np.ndarray, h: float) -> np.ndarray:
     out[..., 0] = (v[..., 1] - v[..., 0]) / h
     out[..., -1] = (v[..., -1] - v[..., -2]) / h
     return out
-
-
-def laplacian(f: Field) -> Field:
-    """Second difference; zero at the boundary nodes."""
-    return Field(laplacian_array(f.values, f.grid.h), f.grid)
-
-
-def gradient(f: Field) -> Field:
-    """Centered difference in the interior, one-sided at the boundary."""
-    return Field(gradient_array(f.values, f.grid.h), f.grid)
-
-
-def h_norm(f: Field) -> float:
-    """Discrete L2 norm, h-weighted."""
-    return float(np.sqrt(f.grid.h * np.sum(f.values**2)))
-
-
-def v_norm(f: Field) -> float:
-    """Discrete first-order Sobolev norm: L2 of the field plus its gradient."""
-    g = gradient_array(f.values, f.grid.h)
-    return float(np.sqrt(f.grid.h * np.sum(f.values**2 + g**2)))
 
 
 def h_norm_array(v: np.ndarray, h: float) -> np.ndarray:

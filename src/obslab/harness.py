@@ -27,10 +27,6 @@ from .skeleton import (Control, complementarity_residual, constant_control,
                        zero_control)
 from .spde import condition_i_distance
 
-EXPERIMENT_KINDS = ("penalization_study", "skeleton_solve", "condition_i",
-                    "condition_ii", "bsde_check", "star_check",
-                    "rate_minimize", "mc_compare")
-
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed."""
@@ -50,8 +46,6 @@ def validate_config(config: dict) -> None:
         messages.append(f"config field {path}: {err.message}")
     if messages:
         raise ConfigError("; ".join(messages))
-    if config["experiment"] not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment kind {config['experiment']!r}")
 
 
 def config_hash(config: dict) -> str:
@@ -60,12 +54,22 @@ def config_hash(config: dict) -> str:
 
 
 def _problem_from(config: dict):
+    """Build the configured family and validate it; a builder that rejects
+    `problem.params` raises ConfigError."""
     pc = config["problem"]
-    problem = make_problem(pc["family"], **pc.get("params", {}))
+    try:
+        problem = make_problem(pc["family"], **pc.get("params", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"problem.params rejected by family "
+                          f"{pc['family']!r}: {exc}") from exc
     report = validate(problem)
     if not report.passed:
         raise ConfigError(f"problem fails validation:\n{report.summary()}")
     return problem
+
+
+def _penalty_n(config: dict) -> float:
+    return config["solver"].get("penalty_n", 1e4)
 
 
 def _control_from(config: dict, problem, n_steps: int) -> Control:
@@ -83,7 +87,7 @@ def _event_from(config: dict, problem, n_steps: int) -> TargetEvent:
     spec = config["event"]
     k = constant_control(n_steps, problem.coefficients.n_modes,
                          problem.horizon, spec.get("center_control", 0.0))
-    sol = solve_penalized(problem, k, config["solver"].get("penalty_n", 1e4))
+    sol = solve_penalized(problem, k, _penalty_n(config))
     return TargetEvent(center=Field(sol.traj.values[0], problem.grid),
                        radius=spec["radius"])
 
@@ -93,7 +97,7 @@ def _opt_config_from(config: dict) -> dict:
     penalty."""
     return {**config["params"].get("opt_config", {}),
             "n_steps": config["mesh"]["n_steps"],
-            "penalty_n": config["solver"].get("penalty_n", 1e4)}
+            "penalty_n": _penalty_n(config)}
 
 
 # --------------------------------------------------------------------------
@@ -127,11 +131,10 @@ def _run_penalization_study(config, problem):
 
 def _run_skeleton_solve(config, problem):
     n_steps = config["mesh"]["n_steps"]
-    solver = config["solver"]
     control = _control_from(config, problem, n_steps)
-    sk = solve_skeleton(problem, control, tol=solver.get("tol", 1e-3),
-                        n0=solver.get("n0", 1000),
-                        n_max=solver.get("n_max", 1e7))
+    sk = solve_skeleton(problem, control,
+                        **{k: v for k, v in config["solver"].items()
+                           if k in ("tol", "n0", "n_max")})
     proj = solve_projected(problem, control)
     dist = float(ht_distance(sk.traj, proj.traj))
     report = {
@@ -153,7 +156,7 @@ def _run_condition_i(config, problem):
     control = _control_from(config, problem, n_steps)
     report = condition_i_distance(
         problem, p.get("epsilon_list", [0.1, 0.05, 0.025, 0.0125]),
-        [control], config["solver"].get("penalty_n", 1e4), n_steps,
+        [control], _penalty_n(config), n_steps,
         p.get("n_samples", 200), config["seed"],
         deltas=p.get("deltas", [0.1]))
     slope = report["loglog_slope"]
@@ -169,7 +172,7 @@ def _run_condition_ii(config, problem):
                                p.get("amplitude", 1.0),
                                p.get("frequencies", [1, 2, 4, 8, 16]),
                                ball_radius=p.get("ball_radius"),
-                               penalty_n=config["solver"].get("penalty_n", 1e4))
+                               penalty_n=_penalty_n(config))
     passed = report["monotone_decreasing"] and report["final_over_initial"] <= 0.25
     return report, passed, {}
 
@@ -192,8 +195,7 @@ def _run_bsde_check(config, problem):
     for n_steps, n_nodes in levels:
         prob = make_problem(family, **{**params, "n_nodes": n_nodes})
         control = _control_from(config, prob, n_steps)
-        sol = solve_penalized(prob, control,
-                              config["solver"].get("penalty_n", 1e4),
+        sol = solve_penalized(prob, control, _penalty_n(config),
                               n_steps=n_steps)
         ens = coarsen(fine_ens, finest // n_steps)
         rows.append({"n_steps": int(n_steps), "n_nodes": int(n_nodes),
@@ -268,6 +270,7 @@ _RUNNERS = {
     "rate_minimize": _run_rate_minimize,
     "mc_compare": _run_mc_compare,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run(config: dict, out_dir) -> dict:
@@ -277,9 +280,9 @@ def run(config: dict, out_dir) -> dict:
     manifest.json, and any trajectory CSVs into `out_dir`.
     """
     validate_config(config)
+    problem = _problem_from(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    problem = _problem_from(config)
     t0 = time.monotonic()
     report, passed, trajectories = _RUNNERS[config["experiment"]](
         config, problem)

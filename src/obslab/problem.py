@@ -2,8 +2,8 @@
 
 A `ProblemSpec` bundles the drift/flux/noise coefficients with their declared
 Lipschitz constants, the barrier, and the terminal condition. `validate`
-spot-checks the declarations on a quasi-random probe set; it does not certify
-them globally.
+spot-checks the declarations on a fixed-seed random probe set; it does not
+certify them globally.
 """
 from __future__ import annotations
 
@@ -11,20 +11,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .grid import Field, Grid
 
 # Coefficient signature: (t, x, y, z) -> array broadcast over x/y/z.
 CoefFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-PROBE_COUNT = 1024  # power of two keeps the Sobol sequence balanced
+PROBE_COUNT = 1024  # uniform (t, x, y, z) probes per validate call
 PROBE_YZ_BOX = 5.0
 LIPSCHITZ_SLACK = 1.01
-
-
-class EvaluationError(ValueError):
-    """A coefficient produced a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -72,19 +67,9 @@ class CoefficientSet:
 
 
 @dataclass(frozen=True)
-class Obstacle:
-    """Barrier L(t, x) with its time derivative, gradient and Laplacian maps."""
-
-    value: Callable[[float, np.ndarray], np.ndarray]
-    dt: Callable[[float, np.ndarray], np.ndarray]
-    grad: Callable[[float, np.ndarray], np.ndarray]
-    lap: Callable[[float, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
     coefficients: CoefficientSet
-    obstacle: Obstacle
+    obstacle: Callable[[float, np.ndarray], np.ndarray]  # barrier L(t, x)
     terminal: Callable[[np.ndarray], np.ndarray]
     horizon: float
     grid: Grid
@@ -103,7 +88,7 @@ class ProblemSpec:
 
     def obstacle_values(self, t: float) -> np.ndarray:
         x = self.grid.x
-        return np.asarray(self.obstacle.value(t, x), dtype=float) + np.zeros_like(x)
+        return np.asarray(self.obstacle(t, x), dtype=float) + np.zeros_like(x)
 
 
 @dataclass(frozen=True)
@@ -136,13 +121,12 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _probe_points(problem: ProblemSpec, count: int = PROBE_COUNT) -> np.ndarray:
-    """Quasi-random (t, x, y, z) probes over the grid box times [-5, 5]^2."""
-    sampler = qmc.Sobol(d=4, scramble=True, seed=20260826)
-    pts = sampler.random(count)
+def _probe_points(problem: ProblemSpec) -> np.ndarray:
+    """Fixed-seed uniform (t, x, y, z) probes over the grid box times [-5, 5]^2."""
     lo = np.array([0.0, problem.grid.x_min, -PROBE_YZ_BOX, -PROBE_YZ_BOX])
     hi = np.array([problem.horizon, problem.grid.x_max, PROBE_YZ_BOX, PROBE_YZ_BOX])
-    return qmc.scale(pts, lo, hi)
+    gen = np.random.Generator(np.random.Philox(key=[20260826, 0]))
+    return gen.uniform(lo, hi, size=(PROBE_COUNT, 4))
 
 
 def _coef_at(fn: CoefFn, pts: np.ndarray) -> np.ndarray:
@@ -217,56 +201,4 @@ def validate(problem: ProblemSpec) -> ValidationReport:
     m = float(np.min(env - hvals))
     checks.append(CheckResult("hbar_envelope", m >= -1e-10, m))
 
-    # Obstacle derivative maps vs central finite differences of L.
-    checks.append(_obstacle_derivative_check(problem, pts))
-
     return ValidationReport(tuple(checks))
-
-
-def _obstacle_derivative_check(problem: ProblemSpec, pts: np.ndarray) -> CheckResult:
-    # Probes kept strictly inside [0, T) x (x_min, x_max) so the one-sided
-    # terminal slice never enters the stencils.
-    obs = problem.obstacle
-    T = problem.horizon
-    dt = 1e-4 * T
-    dx = 1e-4 * (problem.grid.x_max - problem.grid.x_min)
-    ts = np.clip(pts[:, 0], 2 * dt, T - 3 * dt)
-    xs = np.clip(pts[:, 1], problem.grid.x_min + 2 * dx, problem.grid.x_max - 2 * dx)
-    worst = 0.0
-    for t, x in zip(ts[:200], xs[:200]):
-        xa = np.array([x])
-        fd_t = (obs.value(t + dt, xa) - obs.value(t - dt, xa)) / (2 * dt)
-        fd_x = (obs.value(t, xa + dx) - obs.value(t, xa - dx)) / (2 * dx)
-        fd_xx = (obs.value(t, xa + dx) - 2 * obs.value(t, xa) + obs.value(t, xa - dx)) / dx**2
-        worst = max(worst,
-                    float(np.max(np.abs(fd_t - obs.dt(t, xa)))),
-                    float(np.max(np.abs(fd_x - obs.grad(t, xa)))),
-                    float(np.max(np.abs(fd_xx - obs.lap(t, xa)))))
-    tol = 1e-4
-    return CheckResult("obstacle_derivatives", worst <= tol, tol - worst,
-                       f"max FD mismatch {worst:.3e}")
-
-
-@dataclass(frozen=True)
-class CoefficientValues:
-    fval: Field
-    gval: Field
-    hvals: np.ndarray  # (J, n_nodes), row j = c_j * h_shape
-
-
-def eval_all(problem: ProblemSpec, t: float, u: Field, grad_u: Field) -> CoefficientValues:
-    """Nodewise evaluation of f, g and all noise modes at the given state."""
-    if u.grid != problem.grid or grad_u.grid != problem.grid:
-        raise ValueError("fields do not live on the problem grid")
-    x = problem.grid.x
-    co = problem.coefficients
-    zeros = np.zeros_like(x)
-    fv = np.asarray(co.f(t, x, u.values, grad_u.values), dtype=float) + zeros
-    gv = np.asarray(co.g(t, x, u.values, grad_u.values), dtype=float) + zeros
-    hs = np.asarray(co.h_shape(t, x, u.values, grad_u.values), dtype=float) + zeros
-    for nm, arr in (("f", fv), ("g", gv), ("h_shape", hs)):
-        if not np.all(np.isfinite(arr)):
-            idx = int(np.argmax(~np.isfinite(arr)))
-            raise EvaluationError(f"{nm} non-finite at node {idx} (t={t})")
-    hvals = co.mode_weights[:, None] * hs[None, :]
-    return CoefficientValues(Field(fv, problem.grid), Field(gv, problem.grid), hvals)

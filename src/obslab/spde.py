@@ -1,13 +1,16 @@
-"""Small-noise stochastic obstacle problem and the coupling experiment.
+"""Small-noise stochastic obstacle problem: noise and the noisy marches.
 
-`solve_spde` adds an explicit Brownian forcing sqrt(eps) * sum_j h_j dB^j
-(and, when a control is present, the shifted drift sum_j h_j k^j dt) to the
-shared reversed-time marcher.  With eps = 0 and a control it degenerates to
-the deterministic controlled solver bit-for-bit.
+The noisy solution is the shared reversed-time march (`stepping.march`) with
+an explicit Brownian forcing sqrt(eps) * sum_j h_j dB^j added to each step
+(and, when a control is present, the shifted drift sum_j h_j k^j dt).  With
+eps = 0 it degenerates to the deterministic controlled solver bit-for-bit.
+This module draws the increments, streams batches of noisy terminal states
+for the rare-event estimators, and runs the coupling-distance sweep in eps
+(condition (i)).
 
 Noise comes from a counter-based generator (Philox) keyed by the user seed
 and a sample counter, so Monte Carlo substreams are reproducible regardless
-of execution order or worker count.
+of execution order or batch size.
 """
 from __future__ import annotations
 
@@ -16,14 +19,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grid import Trajectory
 from .problem import ProblemSpec
-from .skeleton import Control, solve_penalized, zero_control
+from .skeleton import Control, solve_penalized
 from .stepping import march
 
 # Samples are drawn in fixed-size blocks, each from its own (seed, block)
 # key, so parallel workers produce byte-identical streams.
 NOISE_BLOCK = 1024
+# Rows per unstored Monte Carlo march; the finals do not depend on it.
+MC_BATCH = 2048
 
 
 @dataclass(frozen=True)
@@ -39,16 +43,6 @@ class NoisePath:
             raise ValueError("increments must be (n_steps, J)")
         inc = inc.copy(); inc.flags.writeable = False
         object.__setattr__(self, "increments", inc)
-
-
-@dataclass(frozen=True)
-class StochasticSolution:
-    traj: Trajectory
-    penalty_density: Trajectory
-    epsilon: float
-    control: Optional[Control]
-    noise_seed: int
-    problem: ProblemSpec
 
 
 def _block_normals(seed: int, block_index: int, shape) -> np.ndarray:
@@ -82,26 +76,6 @@ def sample_noise_batch(n_samples: int, n_steps: int, n_modes: int, dt: float,
         s1 = min(hi, (b + 1) * NOISE_BLOCK)
         out[s0 - lo:s1 - lo] = z[s0 - b * NOISE_BLOCK:s1 - b * NOISE_BLOCK]
     return np.sqrt(dt) * out
-
-
-def solve_spde(problem: ProblemSpec, epsilon: float, n: float,
-               noise: NoisePath,
-               control: Optional[Control] = None) -> StochasticSolution:
-    """Euler-Maruyama noise on top of the semi-implicit barrier march."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    n_steps, J = noise.increments.shape
-    if J != problem.coefficients.n_modes:
-        raise ValueError("noise mode count does not match the problem")
-    if control is None:
-        control = zero_control(n_steps, J, problem.horizon)
-    elif control.n_steps != n_steps:
-        raise ValueError("control and noise meshes differ")
-    res = march(problem, n_steps, penalty_n=n, control_values=control.values,
-                epsilon=epsilon, noise_increments=noise.increments)
-    traj = Trajectory(control.times, res.traj, problem.grid)
-    dens = Trajectory(control.times, res.density, problem.grid)
-    return StochasticSolution(traj, dens, epsilon, control, noise.seed, problem)
 
 
 def condition_i_distance(problem: ProblemSpec, epsilon_list: Sequence[float],
@@ -156,8 +130,7 @@ def condition_i_distance(problem: ProblemSpec, epsilon_list: Sequence[float],
 
 def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
                            n_steps: int, n_samples: int, seed: int,
-                           control: Optional[Control] = None,
-                           batch_size: int = 2048):
+                           control: Optional[Control] = None):
     """Generator of (states at forward time 0, their noise increments).
 
     Streams Monte Carlo batches without storing trajectories; used by the
@@ -168,7 +141,7 @@ def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
     values = None if control is None else control.values
     done = 0
     while done < n_samples:
-        count = min(batch_size, n_samples - done)
+        count = min(MC_BATCH, n_samples - done)
         inc = sample_noise_batch(count, n_steps, J, dt, seed, first_sample=done)
         res = march(problem, n_steps, penalty_n=n, control_values=values,
                     epsilon=epsilon, noise_increments=inc, store=False)

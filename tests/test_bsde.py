@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from obslab.bsde import (bsde_residual, coarsen, path_energy_bounds,
-                         sample_paths, star_integral_check)
+from obslab.bsde import (bsde_residual, coarsen, sample_paths,
+                         star_integral_check)
 from obslab.families import quasilinear_full
 from obslab.grid import Grid, Trajectory
 from obslab.skeleton import solve_penalized
@@ -122,16 +122,3 @@ class TestStarIntegral:
         rep = star_integral_check(J, dJ, ens)
         assert abs(rep["mean_gap"]) <= 3.0 * rep["std_error"]
 
-
-class TestPathEnergyBounds:
-    def test_family_stats_uniformly_bounded_in_n(self, heat_problem):
-        sols = [solve_penalized(heat_problem, None, n, n_steps=100)
-                for n in (1e3, 1e4, 1e5)]
-        ens = sample_paths(500, 100, heat_problem.horizon,
-                           heat_problem.grid, seed=5)
-        rep = path_energy_bounds(sols, ens)
-        assert len(rep["family"]) == 3
-        for key in ("sup_y_sq", "int_z_sq", "penalty_mass_sq"):
-            vals = [s[key] for s in rep["family"]]
-            assert all(np.isfinite(vals))
-            assert rep[f"{key}_ratio"] < 10.0

@@ -1,13 +1,15 @@
 """Experiment harness: config validation, runs, baselines, CLI."""
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from obslab.cli import main
-from obslab.harness import (ConfigError, compare_baseline, config_hash, run,
-                            validate_config)
+from obslab.harness import (_RUNNERS, ConfigError, compare_baseline,
+                            config_hash, load_schema, run, validate_config)
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -118,6 +120,39 @@ class TestConfigValidation:
             cfg, tmp_path / "rate", monkeypatch,
             r"<root>: 'params' is a required property")
 
+    @staticmethod
+    def _params_rejected_before_any_solve(cfg, out, monkeypatch, match):
+        # the family builder runs; nothing after it may
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started before the config check")
+
+        for name in ("solve_penalized", "solve_skeleton", "minimize_rate"):
+            monkeypatch.setattr(f"obslab.harness.{name}", no_solve)
+        with pytest.raises(ConfigError, match=match):
+            run(cfg, out)
+        assert not out.exists()
+
+    def test_unknown_family_param_rejected_before_any_solve(
+            self, tmp_path, monkeypatch):
+        cfg = load_config("rate_minimize")
+        cfg["problem"]["params"] = {"n_node": 101}
+        self._params_rejected_before_any_solve(
+            cfg, tmp_path / "rate", monkeypatch,
+            r"problem.params rejected by family 'linear_additive': .*n_node")
+
+    def test_bad_family_param_value_rejected_before_any_solve(
+            self, tmp_path, monkeypatch):
+        cfg = load_config("skeleton_solve")
+        cfg["problem"]["params"] = {"n_modes": 0}
+        self._params_rejected_before_any_solve(
+            cfg, tmp_path / "skel", monkeypatch,
+            r"problem.params rejected by family 'quasilinear_full': "
+            r"mode_weights must be a nonempty vector")
+
+    def test_schema_experiment_kinds_are_the_runners(self):
+        kinds = load_schema()["properties"]["experiment"]["enum"]
+        assert sorted(kinds) == sorted(_RUNNERS)
+
     def test_rate_experiment_without_event_rejected(self):
         cfg = load_config("rate_minimize")
         del cfg["event"]
@@ -203,3 +238,13 @@ class TestCli:
     def test_missing_config_errors(self, tmp_path):
         res = CliRunner().invoke(main, ["run", str(tmp_path / "no.json")])
         assert res.exit_code != 0
+
+
+def test_harness_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone took most of a second of every process's start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import obslab.harness; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -3,18 +3,16 @@ import numpy as np
 import pytest
 
 from obslab.families import make_problem
-from obslab.grid import Field, Grid
-from obslab.problem import (CoefficientSet, LipschitzInfo, Obstacle,
-                            ProblemSpec, eval_all, validate)
+from obslab.grid import Grid
+from obslab.problem import CoefficientSet, LipschitzInfo, ProblemSpec, validate
 
 
 def _zeros(t, x, y, z):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def _zero_obstacle():
-    z = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-    return Obstacle(value=z, dt=z, grad=z, lap=z)
+def _zero_obstacle(t, x):
+    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def _basic_problem(**kw):
@@ -30,7 +28,7 @@ def _basic_problem(**kw):
                     lambda x: np.zeros_like(np.asarray(x, dtype=float))),
     )
     terminal = kw.get("terminal", lambda x: np.exp(-np.asarray(x, float)**2))
-    return ProblemSpec(coeffs, kw.get("obstacle", _zero_obstacle()),
+    return ProblemSpec(coeffs, kw.get("obstacle", _zero_obstacle),
                        terminal, 0.5, grid, name="test")
 
 
@@ -76,21 +74,11 @@ class TestValidation:
 
     def test_terminal_compatibility_flagged(self):
         # obstacle above the terminal datum at the horizon
-        one = lambda t, x: np.ones_like(np.asarray(x, dtype=float))
-        zero = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
         bad = _basic_problem(
-            obstacle=Obstacle(value=one, dt=zero, grad=zero, lap=zero),
+            obstacle=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
             terminal=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
         report = validate(bad)
         assert not report.check("terminal_compatibility").passed
-
-    def test_wrong_obstacle_gradient_flagged(self):
-        zero = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-        val = lambda t, x: np.sin(np.asarray(x, dtype=float)) - 2.0
-        bad = _basic_problem(
-            obstacle=Obstacle(value=val, dt=zero, grad=zero, lap=zero))
-        report = validate(bad)
-        assert not report.check("obstacle_derivatives").passed
 
     def test_noise_envelope_violation_flagged(self):
         def h_shape(t, x, y, z):
@@ -108,16 +96,6 @@ class TestValidation:
 
 
 class TestEvaluation:
-    def test_eval_all_shapes(self, quasilinear_problem):
-        p = quasilinear_problem
-        u = Field(np.cos(p.grid.x), p.grid)
-        du = Field(-np.sin(p.grid.x), p.grid)
-        vals = eval_all(p, 0.1, u, du)
-        n = p.grid.n_nodes
-        assert vals.fval.values.shape == (n,)
-        assert vals.gval.values.shape == (n,)
-        assert vals.hvals.shape == (p.coefficients.n_modes, n)
-
     def test_terminal_field_zeroes_boundaries(self, linear_problem):
         phi = linear_problem.terminal_field()
         assert phi.values[0] == 0.0 and phi.values[-1] == 0.0

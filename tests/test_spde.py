@@ -6,8 +6,8 @@ from obslab.families import linear_additive
 from obslab.kernels import thomas_batch
 from obslab.skeleton import constant_control, solve_penalized, zero_control
 from obslab.spde import (condition_i_distance, sample_noise,
-                         sample_noise_batch, sample_terminal_states,
-                         solve_spde)
+                         sample_noise_batch, sample_terminal_states)
+from obslab.stepping import march
 
 
 class TestNoiseSampling:
@@ -34,16 +34,19 @@ class TestNoiseSampling:
 class TestDegenerateCoupling:
     def test_zero_epsilon_bit_identical(self, linear_problem):
         noise = sample_noise(100, 1, linear_problem.horizon / 100, seed=2)
-        sto = solve_spde(linear_problem, 0.0, 1e4, noise)
+        sto = march(linear_problem, 100, penalty_n=1e4, epsilon=0.0,
+                    noise_increments=noise.increments)
         det = solve_penalized(linear_problem, None, 1e4, n_steps=100)
-        assert np.array_equal(sto.traj.values, det.traj.values)
+        assert np.array_equal(sto.traj, det.traj.values)
 
     def test_zero_noise_shape_ignores_seed(self, heat_problem):
         n1 = sample_noise(100, 1, heat_problem.horizon / 100, seed=1)
         n2 = sample_noise(100, 1, heat_problem.horizon / 100, seed=99)
-        a = solve_spde(heat_problem, 0.5, 1e4, n1)
-        b = solve_spde(heat_problem, 0.5, 1e4, n2)
-        assert np.array_equal(a.traj.values, b.traj.values)
+        a = march(heat_problem, 100, penalty_n=1e4, epsilon=0.5,
+                  noise_increments=n1.increments)
+        b = march(heat_problem, 100, penalty_n=1e4, epsilon=0.5,
+                  noise_increments=n2.increments)
+        assert np.array_equal(a.traj, b.traj)
 
 
 class TestVarianceScaling:

@@ -6,17 +6,14 @@ from hypothesis import given, settings, strategies as st
 from obslab.families import (FAMILY_NAMES, heat_obstacle, linear_additive,
                              make_problem)
 from obslab.grid import Grid, Trajectory, ht_distance
-from obslab.problem import (CoefficientSet, LipschitzInfo, Obstacle,
-                            ProblemSpec)
+from obslab.problem import CoefficientSet, LipschitzInfo, ProblemSpec
 from obslab.skeleton import solve_penalized, zero_control
 from obslab.stepping import (DivergenceError, StabilityError, march,
                              stability_limit)
 
 
 def _const_obstacle(level):
-    val = lambda t, x: np.full_like(np.asarray(x, dtype=float), level)
-    zero = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-    return Obstacle(value=val, dt=zero, grad=zero, lap=zero)
+    return lambda t, x: np.full_like(np.asarray(x, dtype=float), level)
 
 
 def free_heat_problem(n_nodes, terminal, horizon=1.0):
