@@ -51,6 +51,7 @@ def heat_obstacle(n_nodes: int = 201, horizon: float = 1.0) -> ProblemSpec:
         mode_weights=np.array([1.0]),
         lipschitz=LipschitzInfo(c_f=0.0, c_h=0.0, c_g=0.0, alpha=1e-6, beta=1e-6),
         hbar=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        state_free=True,
     )
     return ProblemSpec(coeffs, obstacle, terminal, horizon, grid, name="heat_obstacle")
 
@@ -72,6 +73,7 @@ def linear_additive(n_nodes: int = 201, horizon: float = 0.5,
         mode_weights=np.array([1.0]),
         lipschitz=LipschitzInfo(c_f=0.0, c_h=0.0, c_g=0.0, alpha=1e-6, beta=1e-6),
         hbar=lambda x: np.full_like(np.asarray(x, dtype=float), sigma),
+        state_free=True,
     )
 
     def obstacle(t, x):

@@ -14,7 +14,8 @@ import numpy as np
 
 from .grid import Field, Grid
 
-# Coefficient signature: (t, x, y, z) -> array broadcast over x/y/z.
+# Coefficient signature: (t, x, y, z) -> array broadcast over t/x/y/z.  The
+# march passes a scalar t; `validate` passes one array of probe times.
 CoefFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 PROBE_COUNT = 1024  # uniform (t, x, y, z) probes per validate call
@@ -39,7 +40,12 @@ class LipschitzInfo:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Drift f, flux g, and the separable noise family h_j = c_j * h_shape."""
+    """Drift f, flux g, and the separable noise family h_j = c_j * h_shape.
+
+    `state_free` declares that f, g and h_shape ignore the state (y, z):
+    the march then evaluates them once per step on one zero row instead of
+    on the whole batch, and `validate` checks the declaration.
+    """
 
     f: CoefFn
     g: CoefFn
@@ -47,6 +53,7 @@ class CoefficientSet:
     mode_weights: np.ndarray  # c_j, length J, sum of squares <= 1
     lipschitz: LipschitzInfo
     hbar: Callable[[np.ndarray], np.ndarray]
+    state_free: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.mode_weights, dtype=float)
@@ -130,10 +137,9 @@ def _probe_points(problem: ProblemSpec) -> np.ndarray:
 
 
 def _coef_at(fn: CoefFn, pts: np.ndarray) -> np.ndarray:
-    out = np.empty(len(pts))
-    for i, (t, x, y, z) in enumerate(pts):
-        out[i] = float(np.asarray(fn(float(t), np.array([x]), np.array([y]), np.array([z])))[0])
-    return out
+    """fn at every probe (t, x, y, z), in one call over the probe columns."""
+    t, x, y, z = pts.T
+    return np.asarray(fn(t, x, y, z), dtype=float) + np.zeros(len(pts))
 
 
 def _lipschitz_probe(fn: CoefFn, pts: np.ndarray, comp: int, step: float = 0.25) -> float:
@@ -189,11 +195,22 @@ def validate(problem: ProblemSpec) -> ValidationReport:
         ("lipschitz_h_y", problem.coefficients.h_shape, 2, lips.c_h, wl2),
         ("lipschitz_h_z", problem.coefficients.h_shape, 3, lips.beta, wl2),
     ]
+    moves = {}  # unscaled difference quotient per coefficient and argument
     for name, fn, comp, bound, scale in probes:
-        ratio = scale * _lipschitz_probe(fn, pts, comp)
+        q = _lipschitz_probe(fn, pts, comp)
+        moves[name[len("lipschitz_"):]] = q
+        ratio = scale * q
         margin = bound * LIPSCHITZ_SLACK - ratio
         checks.append(CheckResult(name, margin >= 0.0, margin,
                                   f"observed={ratio:.4f}, declared={bound:.4f}"))
+
+    # A state-free declaration: f, g and h_shape are exactly unchanged when
+    # y or z is shifted.
+    if problem.coefficients.state_free:
+        moved = [k for k, q in moves.items() if q != 0.0]
+        checks.append(CheckResult(
+            "state_free", not moved, -max(moves.values()),
+            f"moves in {', '.join(moved)}" if moved else ""))
 
     # l2 envelope: |h_shape| * ||c||_2 <= hbar(x) on the probe set.
     hvals = np.abs(_coef_at(problem.coefficients.h_shape, pts)) * wl2

@@ -169,19 +169,21 @@ def march(problem: ProblemSpec, n_steps: int, *,
     co = problem.coefficients
     weights = co.mode_weights
     sqrt_eps = np.sqrt(epsilon)
+    # coefficients that ignore the state are read on one zero row
+    y = z = np.zeros(nx)
 
     for m in range(n_steps):
         i_step = n_steps - 1 - m          # forward interval [t_i, t_{i+1})
         t_pre = times[i_step + 1]
 
-        grad_v = gradient_array(v, h)
-        fval = np.asarray(co.f(t_pre, x, v, grad_v), dtype=float)
+        if not co.state_free:
+            y, z = v, gradient_array(v, h)
+        fval = np.asarray(co.f(t_pre, x, y, z), dtype=float)
         # keep the flux at its natural shape: for state-independent g the
         # stencil then runs over one row, not the whole batch
-        gval = np.asarray(co.g(t_pre, x, v, grad_v), dtype=float) \
+        gval = np.asarray(co.g(t_pre, x, y, z), dtype=float) \
             + np.zeros_like(x)
-        hval = _interior(np.asarray(co.h_shape(t_pre, x, v, grad_v),
-                                    dtype=float))
+        hval = _interior(np.asarray(co.h_shape(t_pre, x, y, z), dtype=float))
         # Explicit right-hand side at the interior nodes,
         #   v + dt * (c_lap * Lap v + f + div g),
         # accumulated in one buffer: a fresh temporary per operation costs

@@ -248,3 +248,13 @@ def test_harness_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_harness_import_leaves_multiprocessing_unloaded():
+    # only a forked Monte Carlo stream needs it (about 5 ms to import)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import obslab.harness; "
+            "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

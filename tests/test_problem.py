@@ -1,8 +1,10 @@
 """Problem construction and a-priori validation checks."""
+import dataclasses
+
 import numpy as np
 import pytest
 
-from obslab.families import make_problem
+from obslab.families import linear_additive, make_problem
 from obslab.grid import Grid
 from obslab.problem import CoefficientSet, LipschitzInfo, ProblemSpec, validate
 
@@ -89,6 +91,29 @@ class TestValidation:
             hbar=lambda x: np.full_like(np.asarray(x, dtype=float), 0.5))
         report = validate(bad)
         assert not report.check("hbar_envelope").passed
+
+    @pytest.mark.parametrize("family", ["heat_obstacle", "linear_additive"])
+    def test_state_free_declaration_checked(self, family):
+        check = validate(make_problem(family)).check("state_free")
+        assert check.passed and check.margin == 0.0
+
+    def test_false_state_free_declaration_flagged(self):
+        # f moves in y (within its declared constant), yet the set claims
+        # to ignore the state
+        base = linear_additive()
+        co = dataclasses.replace(
+            base.coefficients,
+            f=lambda t, x, y, z: 0.1 * np.tanh(np.asarray(y, dtype=float)),
+            lipschitz=LipschitzInfo(c_f=0.1, c_h=0.0, c_g=0.0,
+                                    alpha=1e-6, beta=1e-6))
+        report = validate(dataclasses.replace(base, coefficients=co))
+        failing = [c.name for c in report.checks if not c.passed]
+        assert failing == ["state_free"]
+        assert "f_y" in report.check("state_free").detail
+
+    def test_undeclared_state_free_not_checked(self):
+        with pytest.raises(KeyError):
+            validate(_basic_problem()).check("state_free")
 
     def test_mode_weights_over_unit_ball_rejected(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,19 @@
 """Small-noise simulation: coupling, scaling laws, and reproducibility."""
+import multiprocessing
+import signal
+
 import numpy as np
 import pytest
 
-from obslab.families import linear_additive
+import obslab.spde
+from obslab.families import linear_additive, quasilinear_full
+from obslab.grid import Field
 from obslab.kernels import thomas_batch
+from obslab.ldp import TargetEvent, mc_ldp_compare, minimize_rate
 from obslab.skeleton import constant_control, solve_penalized, zero_control
-from obslab.spde import (condition_i_distance, sample_noise,
+from obslab.spde import (MC_BATCH, condition_i_distance, sample_noise,
                          sample_noise_batch, sample_terminal_states)
-from obslab.stepping import march
+from obslab.stepping import DivergenceError, march
 
 
 class TestNoiseSampling:
@@ -118,3 +124,104 @@ class TestConditionI:
                                    50, seed=7)
         assert rep["monotone"]
         assert 0.35 <= rep["loglog_slope"] <= 0.65
+
+
+def _cores(monkeypatch, count):
+    """Make the terminal-state stream see `count` usable cores."""
+    monkeypatch.setattr(obslab.spde.os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def _stream(problem, n_steps, n_samples, **kw):
+    """Concatenated (finals, increments) of one terminal-state stream."""
+    finals, incs = zip(*sample_terminal_states(problem, 0.2, 1e4, n_steps,
+                                               n_samples, 11, **kw))
+    return np.concatenate(finals), np.concatenate(incs)
+
+
+class TestWorkers:
+    """Sample ranges sharded over worker processes give the serial stream,
+    and no worker outlives the stream."""
+
+    N = 3 * MC_BATCH + 17  # four ranges, the last one ragged
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, rather than hang, when a stream does not end."""
+        def expire(signum, frame):
+            raise TimeoutError("the stream did not end within 60 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture(params=["linear_additive", "quasilinear_full"])
+    def case(self, request):
+        if request.param == "linear_additive":
+            return linear_additive(), 50, None
+        problem = quasilinear_full(n_nodes=101)
+        return problem, 20, constant_control(20, 4, problem.horizon, -1.0)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_forked_matches_serial(self, case, cores, monkeypatch):
+        problem, n_steps, k = case
+        _cores(monkeypatch, cores)
+        forked = _stream(problem, n_steps, self.N, control=k)
+        _cores(monkeypatch, 1)
+        serial = _stream(problem, n_steps, self.N, control=k)
+        assert np.array_equal(forked[0], serial[0])
+        assert np.array_equal(forked[1], serial[1])
+
+    def test_batch_size_leaves_finals_unchanged(self, case, monkeypatch):
+        problem, n_steps, k = case
+        assert MC_BATCH < 2048
+        n = 2048 + 100
+        small = _stream(problem, n_steps, n, control=k)
+        _cores(monkeypatch, 1)
+        monkeypatch.setattr(obslab.spde, "MC_BATCH", 2048)
+        large = _stream(problem, n_steps, n, control=k)
+        assert np.array_equal(small[0], large[0])
+        assert np.array_equal(small[1], large[1])
+
+    def test_mc_compare_report_unchanged(self, monkeypatch):
+        problem = linear_additive()
+        shifted = solve_penalized(
+            problem, constant_control(50, 1, problem.horizon, 1.2), 1e4,
+            n_steps=50)
+        event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
+        rate = minimize_rate(problem, event, opt_config={"n_steps": 50})
+
+        def report():
+            return mc_ldp_compare(problem, event, [0.4, 0.2], self.N, seed=3,
+                                  use_importance=True, rate_result=rate)
+
+        _cores(monkeypatch, 2)
+        forked = report()
+        _cores(monkeypatch, 1)
+        assert forked == report()
+
+    def test_no_worker_left_after_a_full_stream(self, linear_problem,
+                                                monkeypatch):
+        _cores(monkeypatch, 2)
+        _stream(linear_problem, 50, self.N)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller(self, linear_problem,
+                                             monkeypatch):
+        _cores(monkeypatch, 2)
+        monkeypatch.setattr(obslab.spde, "sample_noise_batch",
+                            lambda n, *a, **kw: np.full((n, 50, 1), np.nan))
+        with pytest.raises(DivergenceError):
+            _stream(linear_problem, 50, self.N)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_left_after_an_early_close(self, linear_problem,
+                                                 monkeypatch):
+        _cores(monkeypatch, 2)
+        stream = sample_terminal_states(linear_problem, 0.2, 1e4, 50, self.N,
+                                        11)
+        next(stream)
+        assert multiprocessing.active_children() != []  # the workers are live
+        stream.close()
+        assert multiprocessing.active_children() == []

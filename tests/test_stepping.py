@@ -1,4 +1,6 @@
 """Semi-implicit theta-scheme march against closed-form references."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,6 +230,36 @@ class TestLeanMarch:
         with pytest.raises(DivergenceError):
             march(prob, 20, penalty_n=1e4, epsilon=0.1,
                   noise_increments=noise, store=False)
+
+    @pytest.mark.parametrize("family", ["heat_obstacle", "linear_additive"])
+    def test_state_free_declaration_leaves_finals_unchanged(self, family):
+        prob = make_problem(family, n_nodes=101)
+        assert prob.coefficients.state_free
+        stateful = dataclasses.replace(
+            prob, coefficients=dataclasses.replace(prob.coefficients,
+                                                   state_free=False))
+        n_steps = 40
+        controls, noise = self._noisy_inputs(prob, n_steps, 6, seed=5)
+        kw = dict(penalty_n=1e4, control_values=controls, epsilon=0.1,
+                  noise_increments=noise, store=False)
+        assert np.array_equal(march(prob, n_steps, **kw).final,
+                              march(stateful, n_steps, **kw).final)
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(["heat_obstacle", "quasilinear_full"]),
+           scale=st.floats(0.0, 20.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_projection_keeps_state_above_barrier(self, family, scale, seed):
+        # the barrier at t_i is the row the step over [t_i, t_{i+1}) lands
+        # on; the pinned boundary nodes are not split
+        prob = make_problem(family, n_nodes=51)
+        n_steps = 40
+        controls, _ = self._noisy_inputs(prob, n_steps, 1, seed)
+        res = march(prob, n_steps, project=True,
+                    control_values=scale * controls[0])
+        times = np.linspace(0.0, prob.horizon, n_steps + 1)
+        table = np.array([prob.obstacle_values(t) for t in times])
+        assert np.all(res.traj[:, 1:-1] >= table[:, 1:-1])
 
     @pytest.mark.parametrize("split", [dict(penalty_n=1e3),
                                        dict(project=True)])
