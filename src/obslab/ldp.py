@@ -229,7 +229,7 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
     per_eps = []
     for i_eps, eps in enumerate(epsilon_list):
         control = k_star if use_importance else None
-        acc = np.empty(0)
+        weights = []
         for final, inc in sample_terminal_states(
                 problem, eps, penalty_n, n_steps, n_samples, seed + i_eps,
                 control=control):
@@ -240,7 +240,8 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
                 dot = np.einsum("sij,ij->s", inc, k_star.values)
                 lr = np.exp(-dot / np.sqrt(eps) - k_sq / (2.0 * eps))
                 inside = inside * lr
-            acc = np.concatenate([acc, inside])
+            weights.append(inside)
+        acc = np.concatenate(weights)
         p_hat = float(np.mean(acc))
         se = float(np.std(acc, ddof=1) / np.sqrt(len(acc)))
         entry = {

@@ -11,9 +11,10 @@ for the rare-event estimators, and runs the coupling-distance sweep in eps
 Noise comes from a counter-based generator (Philox) keyed by the user seed
 and a sample counter, so Monte Carlo substreams are reproducible regardless
 of execution order or batch size.  The terminal-state stream therefore
-shards its sample ranges over forked worker processes, one per usable core,
-and yields their results in sample order: the output does not depend on
-the number of workers.
+maps its sample ranges over a pool of forked worker processes
+(`concurrent.futures.ProcessPoolExecutor`), one per usable core, and yields
+their results in sample order: the output does not depend on the number of
+workers.
 """
 from __future__ import annotations
 
@@ -149,14 +150,18 @@ def _terminal_batch(problem: ProblemSpec, epsilon: float, n: float,
     return res.final, inc
 
 
-def _serve(batch, ranges: list, conn) -> None:
-    """Worker loop: send the result of each range in order, or the error
-    that stopped it."""
-    try:
-        for bounds in ranges:
-            conn.send(batch(bounds))
-    except Exception as exc:
-        conn.send(exc)
+# The batch function of the running stream, in a worker process only: the
+# pool's initializer sets it after the fork, and the parent never does.
+_batch = None
+
+
+def _inherit(batch) -> None:
+    global _batch
+    _batch = batch
+
+
+def _run_inherited(bounds: tuple) -> tuple:
+    return _batch(bounds)
 
 
 def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
@@ -166,8 +171,9 @@ def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
 
     Streams Monte Carlo batches of `MC_BATCH` samples, in sample order,
     without storing trajectories; used by the rare-event estimators.  The
-    batches run on forked worker processes, one per usable core (none on
-    one core); every worker is stopped and reaped however the stream ends.
+    batches run on a `ProcessPoolExecutor` of forked workers, one per usable
+    core (none on one core).  However the stream ends, the batches not yet
+    started are cancelled and the workers are joined.
     """
     values = None if control is None else control.values
     batch = functools.partial(_terminal_batch, problem, epsilon, n, n_steps,
@@ -179,30 +185,15 @@ def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
         yield from map(batch, ranges)
         return
     import multiprocessing  # about 5 ms; a process that never forks skips it
+    from concurrent.futures import ProcessPoolExecutor
     # Fork, not spawn: a ProblemSpec holds closures, so `batch` reaches the
-    # workers by inheritance rather than by pickling.  Worker w marches
-    # ranges w, w + workers, ... and owns its pipe: a worker killed
-    # mid-send holds no lock the parent needs, unlike the shared result
-    # queue of a multiprocessing.Pool, whose terminate() was seen to hang.
-    ctx = multiprocessing.get_context("fork")
-    procs, conns = [], []
-    try:
-        for w in range(workers):
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            conns.append(recv_end)
-            proc = ctx.Process(target=_serve, daemon=True,
-                               args=(batch, ranges[w::workers], send_end))
-            proc.start()
-            procs.append(proc)
-            send_end.close()
-        for i in range(len(ranges)):
-            item = conns[i % workers].recv()
-            if isinstance(item, Exception):
-                raise item
-            yield item
-    finally:
-        for proc in procs:
-            proc.kill()
-            proc.join()
-        for conn in conns:
-            conn.close()
+    # workers as inherited initargs, not by pickling.  Under fork the pool
+    # starts every worker before its own threads.  When the stream ends
+    # early or a batch raises, `map` cancels the batches not yet started and
+    # the `with` joins the workers.  No worker is killed, so none can die
+    # holding a queue lock (which hung multiprocessing.Pool's terminate()).
+    with ProcessPoolExecutor(workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit,
+                             initargs=(batch,)) as pool:
+        yield from pool.map(_run_inherited, ranges)

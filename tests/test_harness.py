@@ -149,6 +149,18 @@ class TestConfigValidation:
             r"problem.params rejected by family 'quasilinear_full': "
             r"mode_weights must be a nonempty vector")
 
+    @pytest.mark.parametrize("key, value, match", [
+        # mc_compare reads n_samples; the misspelt key would run 10 000
+        ("n_sample", 100, r"params: .*'n_sample' was unexpected"),
+        ("n_samples", 1, r"params/n_samples: 1 is less than the minimum of 2"),
+    ])
+    def test_bad_params_rejected_before_any_solve(
+            self, key, value, match, tmp_path, monkeypatch):
+        cfg = load_config("mc_compare")
+        cfg["params"][key] = value
+        self._rejected_before_any_solve(cfg, tmp_path / "mc", monkeypatch,
+                                        match)
+
     def test_schema_experiment_kinds_are_the_runners(self):
         kinds = load_schema()["properties"]["experiment"]["enum"]
         assert sorted(kinds) == sorted(_RUNNERS)

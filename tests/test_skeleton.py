@@ -1,7 +1,11 @@
 """Penalized and projected solvers, their limit, and complementarity."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from obslab.families import make_problem
 from obslab.grid import ht_distance
 from obslab.skeleton import (Control, complementarity_residual,
                              constant_control, solve_penalized,
@@ -99,3 +103,25 @@ class TestPenaltyDecay:
         assert 0.4 <= exponent <= 0.6
         scaled = ns * norms**2
         assert scaled.max() / scaled.min() < 3.0
+
+
+class TestPenaltyMonotone:
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(["heat_obstacle", "quasilinear_full"]),
+           n_nodes=st.integers(21, 201),
+           stretch=st.floats(1.0, 3.0),
+           log_n=st.lists(st.floats(1.0, 6.0), min_size=2, max_size=2,
+                          unique=True))
+    def test_solution_grows_with_the_penalty(self, family, n_nodes, stretch,
+                                             log_n):
+        # The penalty pushes u up towards the barrier, so n < n' gives
+        # u_n <= u_n'.  The scheme keeps that order when its explicit
+        # half-Laplacian weight 1 - dt/(2 h^2) is nonnegative: dt <= 2 h^2.
+        params = {"obstacle_amplitude": 0.8} \
+            if family == "quasilinear_full" else {}
+        prob = make_problem(family, n_nodes=n_nodes, **params)
+        n_steps = math.ceil(stretch * prob.horizon / (2.0 * prob.grid.h**2))
+        assert prob.horizon / n_steps <= 2.0 * prob.grid.h**2
+        low, high = (solve_penalized(prob, None, 10.0**e, n_steps=n_steps)
+                     for e in sorted(log_n))
+        assert np.all(high.traj.values >= low.traj.values - 1e-12)

@@ -1,6 +1,8 @@
 """Small-noise simulation: coupling, scaling laws, and reproducibility."""
 import multiprocessing
+import os
 import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -213,6 +215,15 @@ class TestWorkers:
         monkeypatch.setattr(obslab.spde, "sample_noise_batch",
                             lambda n, *a, **kw: np.full((n, 50, 1), np.nan))
         with pytest.raises(DivergenceError):
+            _stream(linear_problem, 50, self.N)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_without_raising_ends_the_stream(
+            self, linear_problem, monkeypatch):
+        _cores(monkeypatch, 2)
+        monkeypatch.setattr(obslab.spde, "sample_noise_batch",
+                            lambda *a, **kw: os._exit(3))
+        with pytest.raises(BrokenProcessPool):
             _stream(linear_problem, 50, self.N)
         assert multiprocessing.active_children() == []
 
