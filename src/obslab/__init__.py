@@ -10,10 +10,10 @@ from .grid import (Field, Grid, GridMismatchError, Trajectory,  # noqa: F401
 from .problem import (CoefficientSet, LipschitzInfo, ProblemSpec,  # noqa: F401
                       ValidationReport, validate)
 from .families import make_problem  # noqa: F401
-from .skeleton import (Control, PenalizedSolution,  # noqa: F401
-                       SkeletonSolution, complementarity_residual,
-                       constant_control, solve_penalized, solve_projected,
-                       solve_skeleton, zero_control)
+from .skeleton import (Control, Solution,  # noqa: F401
+                       complementarity_residual, constant_control,
+                       solve_penalized, solve_projected, solve_skeleton,
+                       zero_control)
 from .spde import (NoisePath, condition_i_distance,  # noqa: F401
                    sample_noise)
 from .bsde import (PathEnsemble, bsde_residual, sample_paths,  # noqa: F401

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import Grid, gradient_array
-from .skeleton import Control, PenalizedSolution
+from .skeleton import Control, Solution
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
                         ensemble.seed)
 
 
-def bsde_residual(sol: PenalizedSolution, ensemble: PathEnsemble,
+def bsde_residual(sol: Solution, ensemble: PathEnsemble,
                   control: Optional[Control] = None) -> float:
     """RMS one-step residual of the backward recursion, per sqrt(dt).
 

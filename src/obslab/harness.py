@@ -53,12 +53,13 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _problem_from(config: dict):
-    """Build the configured family and validate it; a builder that rejects
-    `problem.params` raises ConfigError."""
+def _problem_from(config: dict, **overrides):
+    """Build the configured family, with `overrides` over `problem.params`,
+    and validate it; a builder that rejects the params raises ConfigError."""
     pc = config["problem"]
     try:
-        problem = make_problem(pc["family"], **pc.get("params", {}))
+        problem = make_problem(pc["family"],
+                               **{**pc.get("params", {}), **overrides})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"problem.params rejected by family "
                           f"{pc['family']!r}: {exc}") from exc
@@ -111,7 +112,7 @@ def _run_penalization_study(config, problem):
     control = _control_from(config, problem, n_steps)
 
     sols = [solve_penalized(problem, control, n) for n in schedule]
-    norms = np.array([s.diagnostics.penalty_l2 for s in sols])
+    norms = np.array([s.penalty_l2 for s in sols])
     gaps = [float(ht_distance(a.traj, b.traj)) for a, b in zip(sols, sols[1:])]
     exponent = float(-np.polyfit(np.log(schedule), np.log(norms), 1)[0])
     scaled = np.array(schedule) * norms**2
@@ -122,7 +123,7 @@ def _run_penalization_study(config, problem):
         "decay_exponent": exponent,
         "n_gap_sq_ratio": float(scaled.max() / scaled.min()),
         "complementarity": [float(complementarity_residual(s)) for s in sols],
-        "min_gap": [float(s.diagnostics.min_gap) for s in sols],
+        "min_gap": [s.min_gap for s in sols],
     }
     passed = all(b <= a for a, b in zip(gaps, gaps[1:])) \
         and 0.4 <= exponent <= 0.6
@@ -138,7 +139,7 @@ def _run_skeleton_solve(config, problem):
     proj = solve_projected(problem, control)
     dist = float(ht_distance(sk.traj, proj.traj))
     report = {
-        "n_final": float(sk.n_final),
+        "n_final": float(sk.n),
         "converged": bool(sk.converged),
         "cauchy_gap": float(sk.cauchy_gap),
         "cauchy_history": [[float(n), float(g)] for n, g in sk.cauchy_history],
@@ -186,14 +187,16 @@ def _run_bsde_check(config, problem):
     p = config["params"]
     levels = p.get("levels", [[50, 51], [100, 101], [200, 201], [400, 401]])
     n_paths = p.get("n_paths", 3000)
-    family = config["problem"]["family"]
-    params = dict(config["problem"].get("params", {}))
     finest = max(lv[0] for lv in levels)
+    uneven = [n_steps for n_steps, _ in levels if finest % n_steps]
+    if uneven:
+        raise ConfigError(f"params/levels: n_steps {uneven} do not divide "
+                          f"the finest level's {finest}")
+    probs = [_problem_from(config, n_nodes=n_nodes) for _, n_nodes in levels]
     fine_ens = sample_paths(n_paths, finest, problem.horizon, problem.grid,
                             config["seed"])
     rows = []
-    for n_steps, n_nodes in levels:
-        prob = make_problem(family, **{**params, "n_nodes": n_nodes})
+    for (n_steps, n_nodes), prob in zip(levels, probs):
         control = _control_from(config, prob, n_steps)
         sol = solve_penalized(prob, control, _penalty_n(config),
                               n_steps=n_steps)
@@ -277,16 +280,17 @@ def run(config: dict, out_dir) -> dict:
     """Validate, dispatch, and persist one experiment.
 
     Returns the report (with a "passed" flag); writes report.json,
-    manifest.json, and any trajectory CSVs into `out_dir`.
+    manifest.json, and any trajectory CSVs into `out_dir`, which is made
+    only once the experiment has returned: a rejected config leaves none.
     """
     validate_config(config)
     problem = _problem_from(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     report, passed, trajectories = _RUNNERS[config["experiment"]](
         config, problem)
     wall = time.monotonic() - t0
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     report = {"experiment": config["experiment"], "passed": bool(passed),
               **report}
     with open(out / "report.json", "w") as fh:

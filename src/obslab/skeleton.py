@@ -4,12 +4,14 @@
 parameter n; `solve_projected` replaces the penalty with a nodewise
 projection onto the barrier and serves as the independent cross-check;
 `solve_skeleton` drives the penalty parameter through a doubling schedule
-until consecutive solutions are Cauchy in the path metric.
+until consecutive solutions are Cauchy in the path metric.  Each returns a
+`Solution`: the path u with the density of its reflection measure, from
+which the barrier statistics are read.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from .grid import (Trajectory, h_norm_array, ht_distance,  # noqa: F401
                    v_norm_sq_array)
 from .problem import ProblemSpec
-from .stepping import march
+from .stepping import barrier_table, march
 
 N0_DEFAULT = 1_000
 N_MAX_DEFAULT = 10_000_000
@@ -90,31 +92,38 @@ def constant_control(n_steps: int, n_modes: int, horizon: float,
 
 
 @dataclass(frozen=True)
-class Diagnostics:
-    penalty_l2: float    # L2(dt, dx) norm of the barrier gap (u - L)^-
-    min_gap: float       # min over (t, x) of u - L
+class Solution:
+    """A stored solve: the path u and the density of its reflection measure
+    (n = inf for the projection scheme), from which the barrier statistics
+    are read.  The Cauchy fields describe `solve_skeleton`'s schedule."""
 
-
-@dataclass(frozen=True)
-class PenalizedSolution:
     traj: Trajectory
-    penalty_density: Trajectory
+    density: Trajectory
     n: float
-    control: Control
-    diagnostics: Diagnostics
-    problem: ProblemSpec
-
-
-@dataclass(frozen=True)
-class SkeletonSolution:
-    traj: Trajectory
-    measure_density: Trajectory
-    n_final: float
-    cauchy_gap: float
     control: Control
     problem: ProblemSpec
     converged: bool = True
+    cauchy_gap: float = 0.0
     cauchy_history: tuple = ()
+
+    def barrier_gap(self) -> np.ndarray:
+        """u - L on the stepped rows 0 ... n_steps - 1."""
+        return self.traj.values[:-1] - barrier_table(self.problem,
+                                                     self.control.n_steps)
+
+    @property
+    def min_gap(self) -> float:
+        return float(np.min(self.barrier_gap()))
+
+    @property
+    def penalty_l2(self) -> float:
+        """L2(dt, dx) norm of the gap (u - L)^-.  The end-of-step gap alone
+        under-resolves the sub-step layer, so it is paired with the
+        pre-split gap, (1 + dt n) post = post + dt density."""
+        post = np.maximum(-self.barrier_gap(), 0.0)
+        dt = self.traj.dt
+        pre = post + dt * self.density.values[:-1]
+        return float(np.sqrt(dt * self.problem.grid.h * np.sum(post * pre)))
 
 
 def _check_control(problem: ProblemSpec, control: Optional[Control],
@@ -132,35 +141,32 @@ def _check_control(problem: ProblemSpec, control: Optional[Control],
     return control
 
 
-def solve_penalized(problem: ProblemSpec, control: Optional[Control],
-                    n: float, n_steps: Optional[int] = None) -> PenalizedSolution:
-    """Fixed-penalty march; the workhorse behind the skeleton limit."""
+def _solve(problem: ProblemSpec, control: Optional[Control],
+           n_steps: Optional[int], n: float, **split) -> Solution:
     control = _check_control(problem, control, n_steps)
-    res = march(problem, control.n_steps, penalty_n=n,
-                control_values=control.values)
-    traj = Trajectory(control.times, res.traj, problem.grid)
-    dens = Trajectory(control.times, res.density, problem.grid)
-    diag = Diagnostics(penalty_l2=float(np.sqrt(res.gap_l2_sq)),
-                       min_gap=float(res.min_gap))
-    return PenalizedSolution(traj, dens, n, control, diag, problem)
+    res = march(problem, control.n_steps, control_values=control.values,
+                **split)
+    return Solution(Trajectory(control.times, res.traj, problem.grid),
+                    Trajectory(control.times, res.density, problem.grid),
+                    n, control, problem)
+
+
+def solve_penalized(problem: ProblemSpec, control: Optional[Control],
+                    n: float, n_steps: Optional[int] = None) -> Solution:
+    """Fixed-penalty march; the workhorse behind the skeleton limit."""
+    return _solve(problem, control, n_steps, n, penalty_n=n)
 
 
 def solve_projected(problem: ProblemSpec, control: Optional[Control] = None,
-                    n_steps: Optional[int] = None) -> SkeletonSolution:
+                    n_steps: Optional[int] = None) -> Solution:
     """Projection-scheme march: the independent oracle for the same limit."""
-    control = _check_control(problem, control, n_steps)
-    res = march(problem, control.n_steps, project=True,
-                control_values=control.values)
-    traj = Trajectory(control.times, res.traj, problem.grid)
-    dens = Trajectory(control.times, res.density, problem.grid)
-    return SkeletonSolution(traj, dens, n_final=np.inf, cauchy_gap=0.0,
-                            control=control, problem=problem)
+    return _solve(problem, control, n_steps, np.inf, project=True)
 
 
 def solve_skeleton(problem: ProblemSpec, control: Optional[Control] = None,
                    n_steps: Optional[int] = None, tol: float = 1e-3,
                    n0: float = N0_DEFAULT,
-                   n_max: float = N_MAX_DEFAULT) -> SkeletonSolution:
+                   n_max: float = N_MAX_DEFAULT) -> Solution:
     """Penalty-parameter doubling until consecutive solutions are Cauchy.
 
     Returns the last penalized solution; a failure to meet `tol` before
@@ -187,28 +193,18 @@ def solve_skeleton(problem: ProblemSpec, control: Optional[Control] = None,
     if not converged:
         warnings.warn(f"penalty schedule hit n_max={n_max:g} with Cauchy gap "
                       f"{history[-1][1]:.3g} > tol={tol:g}", RuntimeWarning)
-    return SkeletonSolution(prev.traj, prev.penalty_density, n_final=n,
-                            cauchy_gap=history[-1][1], control=control,
-                            problem=problem, converged=converged,
-                            cauchy_history=tuple(history))
+    return replace(prev, converged=converged, cauchy_gap=history[-1][1],
+                   cauchy_history=tuple(history))
 
 
-def complementarity_residual(sol) -> float:
+def complementarity_residual(sol: Solution) -> float:
     """Positive-part pairing of the solution-barrier gap with the measure.
 
     Integrates (u - L)^+ against the penalty (or projection-correction)
     density over space-time.  The negative-part pairing vanishes nodewise by
     construction of the density and is asserted, not returned.
     """
-    problem: ProblemSpec = sol.problem
-    traj: Trajectory = sol.traj
-    dens = sol.penalty_density if isinstance(sol, PenalizedSolution) else sol.measure_density
-    total = 0.0
-    dt, h = traj.dt, problem.grid.h
-    for i, t in enumerate(traj.times[:-1]):
-        Lv = problem.obstacle_values(float(t))
-        gap = traj.values[i] - Lv
-        assert float(np.max(np.maximum(gap, 0.0)
-                            * np.maximum(-gap, 0.0))) == 0.0
-        total += dt * h * float(np.sum(np.maximum(gap, 0.0) * dens.values[i]))
-    return total
+    gap = sol.barrier_gap()
+    assert float(np.max(np.maximum(gap, 0.0) * np.maximum(-gap, 0.0))) == 0.0
+    return sol.traj.dt * sol.problem.grid.h * float(
+        np.sum(np.maximum(gap, 0.0) * sol.density.values[:-1]))

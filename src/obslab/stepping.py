@@ -18,9 +18,9 @@ of two splitting steps applied to the diffusion predictor p:
 * projection: v_i = max(p_i, L_i).
 
 Batched operation (leading sample axis) drives the Monte Carlo modules.
-Trajectories, the barrier density and the gap statistics are produced only
-by a stored march; Monte Carlo marches read the final state or a streamed
-path distance and skip them.
+A stored march gives the trajectory and the barrier density (the discrete
+reflection measure); Monte Carlo marches read the final state or a streamed
+path distance and store neither.
 """
 from __future__ import annotations
 
@@ -51,18 +51,16 @@ class StabilityError(ValueError):
 class MarchResult:
     """Raw output of one march (arrays in forward-time order).
 
-    `traj` and `density` are (n_steps+1, n_nodes), with a leading sample
-    axis when the march was batched.  `final` is the state at forward time
-    0.  Gap statistics are per sample (scalars for an unbatched march).
-    Everything but `final` and `distances` is None when storage was turned
-    off: an unstored march computes no barrier diagnostics.
+    A stored march gives the trajectory `traj` and the barrier density
+    `density` (n*(L - v)^+, or the projection's correction per unit time),
+    (n_steps+1, n_nodes) with a leading sample axis when the march was
+    batched; both are None when storage was turned off.  `final` is the
+    state at forward time 0.
     """
 
     final: np.ndarray
     traj: Optional[np.ndarray]
     density: Optional[np.ndarray]
-    gap_l2_sq: Optional[np.ndarray]  # layer-corrected integral of the squared gap
-    min_gap: Optional[np.ndarray]    # min over (t, x) of u - L
     distances: Optional[np.ndarray]  # per-sample ht_distance to `reference`
 
 
@@ -75,6 +73,12 @@ def stability_limit(problem: ProblemSpec) -> float:
     """
     alpha = problem.coefficients.lipschitz.alpha
     return problem.grid.h**2 / (2.0 * alpha)
+
+
+def barrier_table(problem: ProblemSpec, n_steps: int) -> np.ndarray:
+    """Row i is the barrier at t_i, where the step over [t_i, t_{i+1}) lands."""
+    times = np.linspace(0.0, problem.horizon, n_steps + 1)
+    return np.array([problem.obstacle_values(t) for t in times[:-1]])
 
 
 def march(problem: ProblemSpec, n_steps: int, *,
@@ -94,8 +98,7 @@ def march(problem: ProblemSpec, n_steps: int, *,
     the whole march.  `reference` is a forward-ordered
     (n_steps+1, n_nodes) array; when given, the per-sample path distance to
     it is accumulated without storing trajectories.  With `store=False` the
-    march keeps only the current state: `final` and `distances` are set and
-    no barrier diagnostics are computed.
+    march keeps only the current state: `final` and `distances` are set.
     """
     grid = problem.grid
     nx = grid.n_nodes
@@ -145,14 +148,11 @@ def march(problem: ProblemSpec, n_steps: int, *,
         v = np.broadcast_to(v, (batch, nx)).copy()
     shape0 = v.shape[:-1]
 
-    traj = density = gap_l2_sq = min_gap = None
+    traj = density = None
     if store:
         traj = np.empty(shape0 + (n_steps + 1, nx))
         density = np.zeros_like(traj)
         traj[..., n_steps, :] = v
-        gap_l2_sq = np.zeros(shape0)
-        min_gap = np.full(shape0, np.inf)
-        pred_full = np.zeros_like(v)   # predictor; zero at the pinned nodes
 
     sup_dist = integ_dist = None
     if reference is not None:
@@ -164,8 +164,7 @@ def march(problem: ProblemSpec, n_steps: int, *,
         integ_dist = dt * v_norm_sq_array(d, h)
 
     times = np.linspace(0.0, T, n_steps + 1)
-    # row i is the barrier at t_i, where the step over [t_i, t_{i+1}) lands
-    obstacle = np.array([problem.obstacle_values(t) for t in times[:-1]])
+    obstacle = barrier_table(problem, n_steps)
     co = problem.coefficients
     weights = co.mode_weights
     sqrt_eps = np.sqrt(epsilon)
@@ -233,18 +232,12 @@ def march(problem: ProblemSpec, n_steps: int, *,
                 f"(forward t={times[i_step]:.4g})")
         v = vnew
         if store:
-            pred_full[..., 1:-1] = pred
-            pre_gap = np.maximum(Lv - pred_full, 0.0)
-            post_diff = v - Lv
-            post_gap = np.maximum(-post_diff, 0.0)
-            # Sub-step boundary layer: the geometric mean of the pre- and
-            # post-split gaps tracks the continuum gap; the end-of-step gap
-            # alone under-resolves it.
-            gap_l2_sq += dt * h * np.sum(pre_gap * post_gap, axis=-1)
-            min_gap = np.minimum(min_gap, np.min(post_diff, axis=-1))
             traj[..., i_step, :] = v
-            density[..., i_step, :] = ((v - pred_full) / dt if project
-                                       else penalty_n * post_gap)
+            if project:
+                # v - p = max(L - p, 0); the pinned nodes are not split
+                density[..., i_step, 1:-1] = np.maximum(Li - pred, 0.0) / dt
+            else:
+                density[..., i_step, :] = penalty_n * np.maximum(Lv - v, 0.0)
         if reference is not None:
             d = v - reference[i_step]
             sup_dist = np.maximum(sup_dist, h_norm_array(d, h))
@@ -253,9 +246,7 @@ def march(problem: ProblemSpec, n_steps: int, *,
     distances = None
     if reference is not None:
         distances = sup_dist + np.sqrt(integ_dist)
-    return MarchResult(final=v, traj=traj, density=density,
-                       gap_l2_sq=gap_l2_sq, min_gap=min_gap,
-                       distances=distances)
+    return MarchResult(v, traj, density, distances)
 
 
 def _interior(a: np.ndarray) -> np.ndarray:

@@ -62,7 +62,7 @@ def test_criterion_02_penalty_decay_rate():
     prob = heat_obstacle()
     ns = np.array([1e3, 1e4, 1e5, 1e6])
     norms = np.array([solve_penalized(prob, None, n,
-                                      n_steps=200).diagnostics.penalty_l2
+                                      n_steps=200).penalty_l2
                       for n in ns])
     exponent = float(-np.polyfit(np.log(ns), np.log(norms), 1)[0])
     scaled = ns * norms**2

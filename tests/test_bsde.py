@@ -1,4 +1,6 @@
 """Backward-representation residual and stochastic-integral identities."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,8 +61,7 @@ class TestResidual:
 
         bad_vals = sol.traj.values + 0.1 * np.sin(np.pi * prob.grid.x)
         bad_traj = Trajectory(sol.traj.times, bad_vals, prob.grid)
-        bad = type(sol)(bad_traj, sol.penalty_density, sol.n, sol.control,
-                        sol.diagnostics, sol.problem)
+        bad = dataclasses.replace(sol, traj=bad_traj)
         assert bsde_residual(bad, ens) >= 5.0 * base
 
     def test_mesh_mismatch_rejected(self, linear_problem):

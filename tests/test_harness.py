@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from obslab.cli import main
 from obslab.harness import (_RUNNERS, ConfigError, compare_baseline,
                             config_hash, load_schema, run, validate_config)
+from obslab.problem import CheckResult, ValidationReport, validate
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -160,6 +161,54 @@ class TestConfigValidation:
         cfg["params"][key] = value
         self._rejected_before_any_solve(cfg, tmp_path / "mc", monkeypatch,
                                         match)
+
+    @pytest.mark.parametrize("levels, match", [
+        # one level fits an order through a single point
+        ([[50, 51]], r"params/levels: \[\[50, 51\]\] is too short"),
+        ([[50, 2], [100, 101]],
+         r"params/levels/0/1: 2 is less than the minimum of 3"),
+        ([[50.5, 51], [100, 101]],
+         r"params/levels/0/0: 50.5 is not of type 'integer'"),
+        ([[50, 51, 52], [100, 101]],
+         r"params/levels/0: Expected at most 2 items"),
+    ])
+    def test_bad_bsde_levels_rejected_before_any_solve(
+            self, levels, match, tmp_path, monkeypatch):
+        cfg = load_config("bsde_check")
+        cfg["params"]["levels"] = levels
+        self._rejected_before_any_solve(cfg, tmp_path / "bsde", monkeypatch,
+                                        match)
+
+    def test_bsde_levels_off_the_finest_mesh_rejected_before_any_solve(
+            self, tmp_path, monkeypatch):
+        # every level reads a coarsened copy of the finest level's paths
+        cfg = load_config("bsde_check")
+        cfg["params"]["levels"] = [[50, 51], [75, 76]]
+        monkeypatch.setattr("obslab.harness.sample_paths", lambda *a, **k:
+                            pytest.fail("paths sampled before the check"))
+        self._params_rejected_before_any_solve(
+            cfg, tmp_path / "bsde", monkeypatch,
+            r"params/levels: n_steps \[50\] do not divide the finest "
+            r"level's 75")
+
+    def test_bsde_level_problem_validated_before_any_solve(
+            self, tmp_path, monkeypatch):
+        # the configured problem passes; the first level's fails
+        cfg = load_config("bsde_check")
+        cfg["params"]["levels"] = [[50, 51], [100, 101]]
+        seen = []
+
+        def validate_all_but_levels(problem):
+            seen.append(problem.grid.n_nodes)
+            failed = CheckResult("level", False, -1.0)
+            return validate(problem) if len(seen) == 1 \
+                else ValidationReport((failed,))
+
+        monkeypatch.setattr("obslab.harness.validate", validate_all_but_levels)
+        self._params_rejected_before_any_solve(
+            cfg, tmp_path / "bsde", monkeypatch,
+            r"problem fails validation:\nFAIL  level")
+        assert seen == [201, 51]
 
     def test_schema_experiment_kinds_are_the_runners(self):
         kinds = load_schema()["properties"]["experiment"]["enum"]

@@ -269,7 +269,7 @@ class TestBindingBarrier:
                               n_steps=res.minimizer.n_steps)
         # the state dips below the obstacle, so the penalty density
         # n (u - L)^- exceeds 1 somewhere
-        assert sol.diagnostics.min_gap < -1e-4
+        assert sol.min_gap < -1e-4
 
     def test_feasible_with_zero_residual(self, solved):
         problem, event, generator, res = solved

@@ -65,13 +65,24 @@ class TestSkeletonLimit:
 
     def test_inactive_obstacle_converges_first_doubling(self, linear_problem):
         sk = solve_skeleton(linear_problem, None, n_steps=100, tol=1e-3)
-        assert sk.n_final == 2000
+        assert sk.n == 2000
         assert sk.cauchy_gap <= 1e-6
 
     def test_cauchy_history_decreasing(self, heat_problem):
         sk = solve_skeleton(heat_problem, None, n_steps=200, tol=1e-4)
         gaps = [g for _, g in sk.cauchy_history]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+    def test_unconverged_schedule_returns_the_last_solve(self, heat_problem):
+        with pytest.warns(RuntimeWarning, match="hit n_max=4000"):
+            sk = solve_skeleton(heat_problem, None, n_steps=200, tol=1e-6,
+                                n0=1e3, n_max=4e3)
+        assert sk.converged is False
+        assert sk.n == 4000
+        assert sk.cauchy_gap == sk.cauchy_history[-1][1]
+        assert sk.cauchy_gap > 1e-6
+        last = solve_penalized(heat_problem, None, 4000, n_steps=200)
+        assert np.array_equal(sk.density.values, last.density.values)
 
 
 class TestComplementarity:
@@ -97,12 +108,59 @@ class TestPenaltyDecay:
         ns = np.array([1e3, 1e4, 1e5, 1e6])
         norms = np.array([
             solve_penalized(heat_problem, None, n,
-                            n_steps=200).diagnostics.penalty_l2
+                            n_steps=200).penalty_l2
             for n in ns])
         exponent = -np.polyfit(np.log(ns), np.log(norms), 1)[0]
         assert 0.4 <= exponent <= 0.6
         scaled = ns * norms**2
         assert scaled.max() / scaled.min() < 3.0
+
+
+class TestGapStatistics:
+    @pytest.mark.parametrize("scheme", ["penalized", "projected"])
+    def test_min_gap_is_min_of_stored_gap(self, heat_problem, scheme):
+        n_steps = 100
+        sol = (solve_penalized(heat_problem, None, 1e3, n_steps=n_steps)
+               if scheme == "penalized"
+               else solve_projected(heat_problem, None, n_steps=n_steps))
+        times = np.linspace(0.0, heat_problem.horizon, n_steps + 1)
+        table = np.array([heat_problem.obstacle_values(t)
+                          for t in times[:-1]])
+        assert sol.min_gap == np.min(sol.traj.values[:-1] - table)
+        # the penalty lets the state dip below the barrier; projection does not
+        if scheme == "projected":
+            assert sol.min_gap >= 0.0
+        else:
+            assert sol.min_gap < 0.0
+        pinned = {"penalized": -0.06239220191781411, "projected": 0.0}
+        assert sol.min_gap == pinned[scheme]
+
+    # the values the march's step-by-step accumulation gave before the
+    # statistics were read from (u, density); min_gap is bit-identical
+    @pytest.mark.parametrize("case, n, penalty_l2, min_gap", [
+        ("heat", 1e3, 0.010367481931932923, -0.13774544207909892),
+        ("heat", 1e4, 0.0035276504146092413, -0.016205346126952815),
+        ("heat", 1e5, 0.0011254654318527733, -0.0016496460129233404),
+        ("heat", 1e6, 0.00035622352431774994, -0.00016526147819927886),
+        # L != 0 and the barrier binds under the control
+        ("quasilinear", 1e3, 0.002342630017705353, -0.004921330132886759),
+        ("quasilinear", 1e5, 0.00020537720947106478, -4.954466300810534e-05),
+    ])
+    def test_statistics_pinned(self, case, n, penalty_l2, min_gap):
+        if case == "heat":
+            prob, control, n_steps = make_problem("heat_obstacle"), None, 200
+        else:
+            prob = make_problem("quasilinear_full", n_nodes=101,
+                                obstacle_amplitude=0.8)
+            n_steps = 100
+            control = constant_control(n_steps, prob.coefficients.n_modes,
+                                       prob.horizon, -2.0, mode=0)
+        sol = solve_penalized(prob, control, n, n_steps=n_steps)
+        assert sol.penalty_l2 == pytest.approx(penalty_l2, rel=1e-12)
+        assert sol.min_gap == min_gap
+
+    def test_projection_has_no_penalty_norm(self, heat_problem):
+        assert solve_projected(heat_problem, None, n_steps=200).penalty_l2 == 0.0
 
 
 class TestPenaltyMonotone:
