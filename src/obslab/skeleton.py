@@ -107,9 +107,14 @@ class Solution:
     cauchy_history: tuple = ()
 
     def barrier_gap(self) -> np.ndarray:
-        """u - L on the stepped rows 0 ... n_steps - 1."""
-        return self.traj.values[:-1] - barrier_table(self.problem,
-                                                     self.control.n_steps)
+        """u - L on the stepped rows 0 ... n_steps - 1 at the interior
+        nodes, where the barrier split acts; the pinned nodes carry none."""
+        return self.traj.values[:-1, 1:-1] - barrier_table(
+            self.problem, self.control.n_steps)[:, 1:-1]
+
+    def barrier_density(self) -> np.ndarray:
+        """The density on the rows and nodes of `barrier_gap`."""
+        return self.density.values[:-1, 1:-1]
 
     @property
     def min_gap(self) -> float:
@@ -122,7 +127,7 @@ class Solution:
         pre-split gap, (1 + dt n) post = post + dt density."""
         post = np.maximum(-self.barrier_gap(), 0.0)
         dt = self.traj.dt
-        pre = post + dt * self.density.values[:-1]
+        pre = post + dt * self.barrier_density()
         return float(np.sqrt(dt * self.problem.grid.h * np.sum(post * pre)))
 
 
@@ -207,4 +212,4 @@ def complementarity_residual(sol: Solution) -> float:
     gap = sol.barrier_gap()
     assert float(np.max(np.maximum(gap, 0.0) * np.maximum(-gap, 0.0))) == 0.0
     return sol.traj.dt * sol.problem.grid.h * float(
-        np.sum(np.maximum(gap, 0.0) * sol.density.values[:-1]))
+        np.sum(np.maximum(gap, 0.0) * sol.barrier_density()))

@@ -35,8 +35,10 @@ NOISE_BLOCK = 1024
 # Rows per unstored Monte Carlo march; the finals do not depend on it.  256
 # rows keep a batch's state and its temporaries in a core's L2 cache.
 # Serial march time per 4096 rows (linear_additive, 201 nodes, 50 steps,
-# median of 9 on a 2-core Xeon) was 1.47 s in 2048-row batches, 1.25 s at
-# 1024, 1.07 s at 512, 1.06 s at 256 and 1.21 s at 128.
+# median of 9 on a 2-core Xeon, L D L^T kernel) was 0.47-0.50 s at 512 rows,
+# 0.47-0.49 s at 256 and 0.45-0.48 s at 128.  128 rows double the batches
+# the pool ships, and the rare_event benchmark (10 seeds) took 2.73 s
+# against 2.64 s at 256, slower on every seed.
 MC_BATCH = 256
 
 

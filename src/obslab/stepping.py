@@ -9,13 +9,18 @@ serves the deterministic, controlled, and stochastic variants alike:
                   [+ barrier term]
 
 The half-Laplacian is treated by a Crank-Nicolson (theta = 1/2) tridiagonal
-solve (interior nodes; boundaries pinned at zero), the lower-order terms
-explicitly with coefficients frozen at the step start, and the barrier by one
-of two splitting steps applied to the diffusion predictor p:
+solve (interior nodes; boundaries pinned at zero).  Its matrix is the same at
+every step, so a march factors it once (L D L^T, `kernels.ldl_factor`) and
+each step only substitutes (`kernels.thomas_batch`).  The lower-order terms
+are explicit with coefficients frozen at the step start, and the barrier is
+met by one of two splitting steps applied to the diffusion predictor p:
 
 * penalty: the stiff relation v = p + dt*n*(L - v)^+ is solved exactly
   nodewise — if p_i < L_i then v_i = (p_i + dt*n*L_i)/(1 + dt*n), else p_i;
 * projection: v_i = max(p_i, L_i).
+
+Both act on the interior nodes only; the pinned boundary nodes carry no
+reflection.
 
 Batched operation (leading sample axis) drives the Monte Carlo modules.
 A stored march gives the trajectory and the barrier density (the discrete
@@ -33,7 +38,7 @@ import numpy as np
 # the traced benchmark (perfbench/layers.py) names it as a probe site.
 from .grid import (gradient_array, h_norm_array,  # noqa: F401
                    laplacian_array, v_norm_sq_array)
-from .kernels import thomas_batch
+from .kernels import ldl_factor, thomas_batch
 from .problem import ProblemSpec
 
 _THETA = 0.5  # Crank-Nicolson weight of the implicit half-Laplacian
@@ -134,12 +139,11 @@ def march(problem: ProblemSpec, n_steps: int, *,
                 raise ValueError("control and noise batch sizes differ")
             batch = noise_increments.shape[0]
 
-    # Interior theta-system bands (constant across steps and samples).
+    # The interior theta-system is constant across steps and samples.
     kappa = _THETA * dt * 0.5 / h**2
     ni = nx - 2
-    lower = np.full(ni, -kappa)
-    upper = np.full(ni, -kappa)
-    diag = np.full(ni, 1.0 + 2.0 * kappa)
+    factor = ldl_factor(np.full(ni, 1.0 + 2.0 * kappa),
+                        np.full(ni - 1, -kappa))
     c_lap = 0.5 * (1.0 - _THETA)
     c_pen = dt * penalty_n
 
@@ -207,11 +211,11 @@ def march(problem: ProblemSpec, n_steps: int, *,
             dB = noise_increments[..., i_step, :]  # (..., J)
             rhs += sqrt_eps * hval * (dB @ weights)[..., None]
 
-        pred = thomas_batch(lower, diag, upper, rhs)
+        # `rhs` stays a keyword: perfbench's kernel probe reads it by name
+        pred = thomas_batch(factor, rhs=rhs)
 
         # barrier split of the interior predictor, written into the new state
-        Lv = obstacle[i_step]
-        Li = Lv[1:-1]
+        Li = obstacle[i_step, 1:-1]
         vnew = np.empty_like(v)
         vnew[..., 0] = 0.0
         vnew[..., -1] = 0.0
@@ -219,10 +223,16 @@ def march(problem: ProblemSpec, n_steps: int, *,
         if project:
             np.maximum(pred, Li, out=inner)
         elif penalty_n > 0.0:
-            # (p + dt*n*L) / (1 + dt*n) where p < L, else p
-            np.add(pred, c_pen * Li, out=inner)
-            inner /= 1.0 + c_pen
-            np.copyto(inner, pred, where=pred >= Li)
+            # (p + dt*n*L) / (1 + dt*n) where p < L, else p.  A step on
+            # which the barrier binds on no row copies p; a binding step
+            # pays only the `all` over the mask it needs anyway.
+            above = pred >= Li
+            if above.all():
+                inner[...] = pred
+            else:
+                np.add(pred, c_pen * Li, out=inner)
+                inner /= 1.0 + c_pen
+                np.copyto(inner, pred, where=above)
         else:
             inner[...] = pred
 
@@ -233,11 +243,13 @@ def march(problem: ProblemSpec, n_steps: int, *,
         v = vnew
         if store:
             traj[..., i_step, :] = v
+            # the pinned nodes are not split: their density stays 0
             if project:
-                # v - p = max(L - p, 0); the pinned nodes are not split
+                # v - p = max(L - p, 0)
                 density[..., i_step, 1:-1] = np.maximum(Li - pred, 0.0) / dt
             else:
-                density[..., i_step, :] = penalty_n * np.maximum(Lv - v, 0.0)
+                below = np.maximum(Li - inner, 0.0)
+                density[..., i_step, 1:-1] = penalty_n * below
         if reference is not None:
             d = v - reference[i_step]
             sup_dist = np.maximum(sup_dist, h_norm_array(d, h))

@@ -179,6 +179,16 @@ class TestConfigValidation:
         self._rejected_before_any_solve(cfg, tmp_path / "bsde", monkeypatch,
                                         match)
 
+    def test_bsde_mesh_rejected_before_any_solve(self, tmp_path, monkeypatch):
+        # the levels pick the meshes; the runner never reads mesh.n_steps
+        cfg = load_config("bsde_check")
+        cfg["mesh"] = {"n_steps": 400}
+        monkeypatch.setattr("obslab.harness.sample_paths", lambda *a, **k:
+                            pytest.fail("paths sampled before the check"))
+        self._rejected_before_any_solve(
+            cfg, tmp_path / "bsde", monkeypatch,
+            r"'mesh' should not be valid under \{'const': 'mesh'\}")
+
     def test_bsde_levels_off_the_finest_mesh_rejected_before_any_solve(
             self, tmp_path, monkeypatch):
         # every level reads a coarsened copy of the finest level's paths
@@ -265,6 +275,14 @@ class TestRuns:
         run(cfg, tmp_path / "b")
         assert (tmp_path / "a" / "report.json").read_bytes() == \
             (tmp_path / "b" / "report.json").read_bytes()
+
+    def test_one_interior_node_runs(self, tmp_path):
+        # the theta-system is then 1 x 1; the schema admits n_nodes 3
+        cfg = load_config("penalization_study")
+        cfg["problem"]["params"] = {"n_nodes": 3}
+        report = run(cfg, tmp_path / "pen")
+        assert all(g < 0.0 for g in report["min_gap"])
+        assert (tmp_path / "pen" / "final_trajectory.csv").exists()
 
     def test_experiment_mismatch_in_baseline(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 import obslab.spde
 from obslab.families import linear_additive, quasilinear_full
 from obslab.grid import Field
-from obslab.kernels import thomas_batch
+from obslab.kernels import ldl_factor, thomas_batch
 from obslab.ldp import TargetEvent, mc_ldp_compare, minimize_rate
 from obslab.skeleton import constant_control, solve_penalized, zero_control
 from obslab.spde import (MC_BATCH, condition_i_distance, sample_noise,
@@ -89,17 +89,16 @@ class TestVarianceScaling:
 
         interior = np.arange(1, n - 1)
         ni = len(interior)
-        lower = np.full(ni, -0.5 * theta * lam)
-        diag = np.full(ni, 1.0 + theta * lam)
-        upper = np.full(ni, -0.5 * theta * lam)
-        lower[0] = upper[-1] = 0.0  # boundary columns are Dirichlet-zero
+        # the boundary columns are Dirichlet-zero
+        factor = ldl_factor(np.full(ni, 1.0 + theta * lam),
+                            np.full(ni - 1, -0.5 * theta * lam))
         expl = (np.diag(np.full(ni, 1.0 - (1 - theta) * lam))
                 + np.diag(np.full(ni - 1, 0.5 * (1 - theta) * lam), 1)
                 + np.diag(np.full(ni - 1, 0.5 * (1 - theta) * lam), -1))
-        A = thomas_batch(lower, diag, upper, expl.T).T  # one-step propagator
+        A = thomas_batch(factor, expl.T).T  # one-step propagator
 
         i0 = n // 2
-        inj = thomas_batch(lower, diag, upper, np.full(ni, 1.0))
+        inj = thomas_batch(factor, np.full(ni, 1.0))
         state_cov = np.zeros((ni, ni))
         for _ in range(n_steps):
             state_cov = A @ state_cov @ A.T

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obslab import stepping
 from obslab.families import (FAMILY_NAMES, heat_obstacle, linear_additive,
-                             make_problem)
+                             make_problem, quasilinear_full)
 from obslab.grid import Grid, Trajectory, ht_distance
 from obslab.problem import CoefficientSet, LipschitzInfo, ProblemSpec
-from obslab.skeleton import solve_penalized, zero_control
+from obslab.skeleton import solve_penalized, solve_projected, zero_control
 from obslab.stepping import (DivergenceError, StabilityError, march,
                              stability_limit)
 
@@ -222,6 +223,24 @@ class TestLeanMarch:
                 np.testing.assert_allclose(batched.traj[b], single.traj,
                                            rtol=0.0, atol=1e-12)
 
+    def test_row_the_barrier_never_binds_on_is_unsplit(self):
+        # a penalty step copies the predictor when the barrier binds on no
+        # row and splits the whole batch otherwise; either way a row that
+        # never binds ends up exactly on the unsplit march
+        prob = dataclasses.replace(linear_additive(n_nodes=41),
+                                   obstacle=_const_obstacle(0.0))
+        n_steps = 20
+        controls = np.zeros((2, n_steps, 1))
+        controls[1] = -20.0
+        batched = march(prob, n_steps, penalty_n=1e3, control_values=controls)
+        assert not batched.density[0].any() and batched.density[1].any()
+        free = march(prob, n_steps, control_values=controls[0])
+        assert np.array_equal(batched.traj[0], free.traj)
+        for b in range(2):
+            single = march(prob, n_steps, penalty_n=1e3,
+                           control_values=controls[b])
+            assert np.array_equal(batched.traj[b], single.traj)
+
     def test_unstored_march_raises_on_non_finite_state(self):
         prob = linear_additive(n_nodes=101)
         noise = np.zeros((3, 20, 1))
@@ -259,3 +278,83 @@ class TestLeanMarch:
         times = np.linspace(0.0, prob.horizon, n_steps + 1)
         table = np.array([prob.obstacle_values(t) for t in times])
         assert np.all(res.traj[:, 1:-1] >= table[:, 1:-1])
+
+
+class TestOneInteriorNode:
+    """With three nodes the theta-system is the 1 x 1 system (1 + 2 kappa)."""
+
+    @staticmethod
+    def _by_hand(prob, n_steps, n, controls, epsilon, noise):
+        # both boundary nodes are pinned at 0, so the explicit half-Laplacian
+        # at the middle node is -2 v / h^2 and kappa = dt / (4 h^2)
+        dt = prob.horizon / n_steps
+        kappa = 0.25 * dt / prob.grid.h**2
+        sigma = prob.coefficients.h_shape(0.0, 0.0, 0.0, 0.0)
+        v = prob.terminal_field().values[1]
+        for i in reversed(range(n_steps)):
+            rhs = v * (1.0 - 2.0 * kappa) + dt * sigma * controls[i] \
+                + np.sqrt(epsilon) * sigma * noise[i]
+            p = rhs / (1.0 + 2.0 * kappa)
+            L = prob.obstacle_values(i * dt)[1]
+            v = (p + dt * n * L) / (1.0 + dt * n) if p < L else p
+        return v
+
+    @pytest.mark.parametrize("family", ["heat_obstacle", "linear_additive"])
+    def test_march_matches_the_one_node_update(self, family):
+        prob = make_problem(family, n_nodes=3)
+        n_steps, n, epsilon = 50, 1e3, 0.1
+        rng = np.random.default_rng(4)
+        controls = rng.standard_normal((n_steps, 1))
+        noise = np.sqrt(prob.horizon / n_steps) * rng.standard_normal(
+            (n_steps, 1))
+        res = march(prob, n_steps, penalty_n=n, control_values=controls,
+                    epsilon=epsilon, noise_increments=noise)
+        want = self._by_hand(prob, n_steps, n, controls[:, 0], epsilon,
+                             noise[:, 0])
+        assert res.final[[0, 2]].tolist() == [0.0, 0.0]
+        assert res.final[1] == pytest.approx(want, rel=1e-13, abs=1e-15)
+        batched = march(prob, n_steps, penalty_n=n,
+                        control_values=np.stack([controls] * 3),
+                        epsilon=epsilon, noise_increments=np.stack([noise] * 3))
+        assert np.array_equal(batched.final, np.stack([res.final] * 3))
+
+
+class TestFactorOnce:
+    """The theta-system is factored once per march, never per step."""
+
+    @pytest.mark.parametrize("batch", [None, 256])
+    def test_one_factorization_per_march(self, monkeypatch, batch):
+        calls = []
+        factor = stepping.ldl_factor
+
+        def counting(*args):
+            calls.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(stepping, "ldl_factor", counting)
+        prob = linear_additive()
+        n_steps = 50
+        noise = np.zeros((n_steps, 1) if batch is None
+                         else (batch, n_steps, 1))
+        res = march(prob, n_steps, penalty_n=1e4, epsilon=0.1,
+                    noise_increments=noise, store=False)
+        assert res.final.shape == ((prob.grid.n_nodes,) if batch is None
+                                   else (batch, prob.grid.n_nodes))
+        assert len(calls) == 1
+
+
+class TestPinnedNodes:
+    """The barrier split acts on the interior; the pinned nodes carry no
+    reflection even where the barrier there is positive."""
+
+    def test_penalty_density_is_zero_on_the_boundary(self):
+        prob = quasilinear_full()
+        assert prob.obstacle_values(0.0)[0] > 0.0   # about 3.8e-15
+        sol = solve_penalized(prob, None, 1e4, n_steps=200)
+        assert np.max(sol.density.values[:, 1:-1]) > 0.0
+        assert not np.any(sol.density.values[:, [0, -1]])
+
+    def test_projected_min_gap_is_nonnegative(self):
+        sol = solve_projected(quasilinear_full(), None, n_steps=200)
+        assert not np.any(sol.density.values[:, [0, -1]])
+        assert sol.min_gap >= 0.0
