@@ -1,5 +1,6 @@
 """Command-line entry points for the experiment harness."""
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -22,8 +23,15 @@ def main():
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None,
               help="Output directory (default: config out_dir under the "
                    "OBSLAB_OUT_ROOT root).")
-def run_cmd(config_file, seed, out_dir):
+@click.option("--log-level", default="WARNING", show_default=True,
+              type=click.Choice(["DEBUG", "INFO", "WARNING", "ERROR"],
+                                case_sensitive=False),
+              help="Least severity of the package's log messages written to "
+                   "standard error.")
+def run_cmd(config_file, seed, out_dir, log_level):
     """Run the experiment described by CONFIG_FILE."""
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("obslab").setLevel(log_level.upper())
     with open(config_file) as fh:
         config = json.load(fh)
     if seed is not None:

@@ -4,8 +4,8 @@
 homogeneous Dirichlet data (the unbounded domain is truncated to a box).
 The solvers march raw arrays, so the stencils and norms act on arrays,
 batched over any leading axes, and return new arrays.  `ht_distance` is the
-path-space metric between two trajectories, and a trajectory round-trips
-through CSV.
+path-space metric between two trajectories, a trajectory round-trips
+through CSV, and a `Bracket` reads grid functions at off-grid points.
 """
 from __future__ import annotations
 
@@ -95,11 +95,15 @@ class Trajectory:
     # -- CSV round trip: header row of x-coordinates, one row per time node --
 
     def to_csv(self, path):
+        """Header `t,x_0,...`, then `t_i,u_i0,...` per time node: the
+        shortest round-trip `repr` of each float, comma-separated, CRLF line
+        ends (the bytes of the `csv` module's default dialect, as no float
+        repr needs quoting).  Rows are formatted one at a time."""
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [repr(float(x)) for x in self.grid.x])
-            for t, row in zip(self.times, self.values):
-                w.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+            fh.write("t," + ",".join(map(repr, self.grid.x.tolist())) + "\r\n")
+            for t, row in zip(self.times.tolist(), self.values):
+                fh.write(repr(t) + "," + ",".join(map(repr, row.tolist()))
+                         + "\r\n")
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
@@ -155,3 +159,42 @@ def ht_distance(a: Trajectory, b: Trajectory) -> float:
     sup = float(np.max(h_norm_array(d, a.grid.h)))
     integ = float(a.dt * np.sum(v_norm_sq_array(d, a.grid.h)))
     return sup + np.sqrt(integ)
+
+
+class Bracket:
+    """The grid interval of each point of a set, found once and read many
+    times.
+
+    For uniform nodes `x` and points `w` in [x[0], x[-1]], `j` holds
+    x[j] <= w < x[j+1] (j = len(x) - 1 where w == x[-1]) and `dx` holds
+    w - x[j].  `read(fp)` is then the piecewise-linear interpolant of the
+    finite grid function fp at the points, equal bit for bit to
+    `np.interp(w, x, fp)`: one index search serves every function read at
+    the same points.  A point outside the box (or NaN) raises ValueError;
+    nothing is extrapolated.
+    """
+
+    def __init__(self, x: np.ndarray, w: np.ndarray):
+        n = len(x)
+        if w.size and not (x[0] <= w.min() and w.max() <= x[-1]):
+            raise ValueError(f"points outside the box [{x[0]}, {x[-1]}]")
+        h = (x[-1] - x[0]) / (n - 1)
+        # The guess floor((w - x0)/h) is off by at most one node where w
+        # lies within rounding of a node; one step each way settles it.
+        j = np.minimum(((w - x[0]) / h).astype(np.intp), n - 2)
+        j -= w < x.take(j)
+        j += w >= x.take(j + 1)
+        self.x = x
+        self.j = j
+        self.dx = w - x.take(j)
+        self._at_node = np.flatnonzero(self.dx == 0.0)
+
+    def read(self, fp: np.ndarray) -> np.ndarray:
+        fpj = fp.take(self.j)
+        slope = np.diff(fp) / np.diff(self.x)
+        out = slope.take(self.j, mode="clip")
+        out *= self.dx
+        out += fpj
+        # At a node np.interp returns fp itself, signed zeros included.
+        out[self._at_node] = fpj[self._at_node]
+        return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import time
 from importlib import resources
 from pathlib import Path
@@ -26,6 +27,8 @@ from .skeleton import (Control, complementarity_residual, constant_control,
                        solve_penalized, solve_projected, solve_skeleton,
                        zero_control)
 from .spde import condition_i_distance
+
+log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -307,6 +310,8 @@ def run(config: dict, out_dir) -> dict:
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    log.info("%s %s in %.2f s -> %s", config["experiment"],
+             "passed" if passed else "failed", wall, out)
     return report
 
 

@@ -167,6 +167,15 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent,
     return RateResult(k_final, rate, residual, feasible, history, sol.message)
 
 
+def kish_ess(weights: np.ndarray) -> float:
+    """Kish effective sample size (sum w)^2 / sum w^2 of nonnegative
+    weights; 0 when every weight is 0."""
+    total = float(np.sum(weights))
+    if total <= 0.0:
+        return 0.0
+    return total * total / float(np.sum(weights * weights))
+
+
 def condition_ii_test(problem: ProblemSpec, k: Control,
                       oscillation_amplitude: float,
                       frequencies: Sequence[int],
@@ -216,7 +225,10 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
     Per epsilon, p is estimated by plain Monte Carlo or, when requested, by
     importance sampling under the drift of the minimizing control with the
     exact discrete likelihood ratio.  eps * log p is extrapolated linearly
-    in eps and compared to the negated rate.
+    in eps and compared to the negated rate.  Each epsilon also reports the
+    health of its estimate: the samples inside the event (`hits`), the
+    Kish effective sample size of the weights (`ess`; equal to `hits` for
+    plain Monte Carlo) and the largest weight's share of their sum.
     """
     if use_importance:
         if rate_result is None or not rate_result.feasible:
@@ -230,10 +242,13 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
     for i_eps, eps in enumerate(epsilon_list):
         control = k_star if use_importance else None
         weights = []
+        hits = 0
         for final, inc in sample_terminal_states(
                 problem, eps, penalty_n, n_steps, n_samples, seed + i_eps,
                 control=control):
-            inside = event.contains_final(final, grid).astype(float)
+            hit = event.contains_final(final, grid)
+            hits += int(np.count_nonzero(hit))
+            inside = hit.astype(float)
             if use_importance:
                 # inc are the shifted-measure increments; the exponent is
                 # -<k*, dB>/sqrt(eps) - |k*|^2/(2 eps).
@@ -249,6 +264,10 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
             "p_hat": p_hat,
             "std_error": se,
             "reliable": p_hat > 0.0,
+            "hits": hits,
+            "ess": kish_ess(acc),
+            "max_weight_share": (float(np.max(acc) / np.sum(acc))
+                                 if p_hat > 0 else None),
         }
         entry["eps_log_p"] = float(eps * np.log(p_hat)) if p_hat > 0 else None
         per_eps.append(entry)

@@ -10,7 +10,7 @@ which the barrier statistics are read.
 """
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -23,6 +23,8 @@ from .grid import (Trajectory, h_norm_array, ht_distance,  # noqa: F401
                    v_norm_sq_array)
 from .problem import ProblemSpec
 from .stepping import barrier_table, march
+
+log = logging.getLogger(__name__)
 
 N0_DEFAULT = 1_000
 N_MAX_DEFAULT = 10_000_000
@@ -175,8 +177,8 @@ def solve_skeleton(problem: ProblemSpec, control: Optional[Control] = None,
     """Penalty-parameter doubling until consecutive solutions are Cauchy.
 
     Returns the last penalized solution; a failure to meet `tol` before
-    `n_max` is flagged on the result and warned, not raised.  The schedule
-    must allow at least one doubling (2 * n0 <= n_max).
+    `n_max` is flagged on the result and logged as a warning, not raised.
+    The schedule must allow at least one doubling (2 * n0 <= n_max).
     """
     if 2 * n0 > n_max:
         raise ValueError(f"n0={n0:g} leaves no doubling below n_max={n_max:g}; "
@@ -196,8 +198,8 @@ def solve_skeleton(problem: ProblemSpec, control: Optional[Control] = None,
             converged = True
             break
     if not converged:
-        warnings.warn(f"penalty schedule hit n_max={n_max:g} with Cauchy gap "
-                      f"{history[-1][1]:.3g} > tol={tol:g}", RuntimeWarning)
+        log.warning("penalty schedule hit n_max=%g with Cauchy gap %.3g > "
+                    "tol=%g", n_max, history[-1][1], tol)
     return replace(prev, converged=converged, cauchy_gap=history[-1][1],
                    cauchy_history=tuple(history))
 

@@ -1,10 +1,13 @@
-"""Grid containers, difference stencils, norms, and CSV round-trips."""
+"""Grid containers, difference stencils, norms, CSV round-trips, and
+read-off at off-grid points."""
+import csv
+
 import numpy as np
 import pytest
 
-from obslab.grid import (Grid, GridMismatchError, Trajectory, gradient_array,
-                         h_norm_array, ht_distance, laplacian_array,
-                         v_norm_sq_array)
+from obslab.grid import (Bracket, Grid, GridMismatchError, Trajectory,
+                         gradient_array, h_norm_array, ht_distance,
+                         laplacian_array, v_norm_sq_array)
 
 
 def observed_order(errors, factors=2.0):
@@ -102,3 +105,48 @@ class TestCsvRoundTrip:
         assert np.allclose(back.times, traj.times)
         assert np.allclose(back.values, traj.values)
         assert back.grid == traj.grid
+
+    def test_bytes_match_csv_writer_and_round_trip_exactly(self, tmp_path):
+        g = Grid(-1.0, 1.0, 5)
+        times = np.linspace(0.0, 0.3, 4)
+        values = np.array([[-0.0, 5e-324, 1e16, 1.0, 0.1 + 0.2],
+                           [1e-300, -1e300, 2.5, -7.0, 3.0],
+                           [0.0, -5e-324, -1e16, 1.0 / 3.0, 1e-5],
+                           [123456789.125, -0.5, 0.1, 0.2, 0.3]])
+        traj = Trajectory(times, values, g)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["t"] + [repr(float(x)) for x in g.x])
+            for t, row in zip(times, values):
+                w.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        assert path.read_bytes() == oracle.read_bytes()
+        back = Trajectory.from_csv(path)
+        assert back.grid == g
+        assert np.array_equal(back.times.view(np.int64), times.view(np.int64))
+        assert np.array_equal(back.values.view(np.int64),
+                              values.view(np.int64))
+
+
+class TestBracket:
+    @pytest.mark.parametrize("n_nodes", [3, 51, 401])
+    def test_reads_equal_np_interp_bit_for_bit(self, n_nodes, rng):
+        x = Grid(-4.0, 4.0, n_nodes).x
+        w = np.concatenate([rng.uniform(-4.0, 4.0, 20000), x,
+                            np.nextafter(x[1:], -np.inf),
+                            np.nextafter(x[:-1], np.inf), [-4.0, 4.0]])
+        at = Bracket(x, w)
+        signed_zeros = np.where(rng.random(n_nodes) < 0.5, -0.0, 0.0)
+        for fp in (rng.standard_normal(n_nodes), np.sin(x) * 1e-300,
+                   signed_zeros):
+            want = np.interp(w, x, fp)
+            assert np.array_equal(at.read(fp).view(np.int64),
+                                  want.view(np.int64))
+
+    @pytest.mark.parametrize("outside", [-4.0 - 1e-12, 4.0 + 1e-12, np.nan])
+    def test_point_outside_the_box_raises(self, outside):
+        x = Grid(-4.0, 4.0, 51).x
+        with pytest.raises(ValueError, match="outside the box"):
+            Bracket(x, np.array([0.0, outside]))

@@ -1,5 +1,6 @@
 """Experiment harness: config validation, runs, baselines, CLI."""
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -308,6 +309,23 @@ class TestCli:
                                     str(BASELINES / "skeleton_solve.json")])
         assert res2.exit_code == 0, res2.output
         assert "PASS" in res2.output
+
+    def test_log_level_flag(self, tmp_path, caplog):
+        pkg = logging.getLogger("obslab")
+        before = pkg.level
+        try:
+            res = CliRunner().invoke(main, [
+                "run", str(CONFIGS / "condition_ii.json"),
+                "--out-dir", str(tmp_path / "out"), "--log-level", "debug"])
+            assert res.exit_code == 0, res.output
+            assert pkg.level == logging.DEBUG
+            assert "condition_ii passed in" in caplog.text
+        finally:
+            pkg.setLevel(before)
+        res = CliRunner().invoke(main, [
+            "run", str(CONFIGS / "condition_ii.json"), "--log-level", "loud"])
+        assert res.exit_code == 2
+        assert "Invalid value for '--log-level'" in res.output
 
     def test_list_experiments(self):
         res = CliRunner().invoke(main, ["list-experiments"])

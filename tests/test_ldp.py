@@ -8,8 +8,8 @@ from obslab.families import (heat_obstacle, linear_additive, make_problem,
                              quasilinear_full)
 from obslab.grid import Field, h_norm_array
 from obslab.ldp import (TargetEvent, _batched_hinges, _solution_values,
-                        condition_ii_test, mc_ldp_compare, minimize_rate,
-                        rate_functional)
+                        condition_ii_test, kish_ess, mc_ldp_compare,
+                        minimize_rate, rate_functional)
 from obslab.skeleton import constant_control, solve_penalized, zero_control
 
 
@@ -383,6 +383,20 @@ class TestMcCompare:
                         row_w["p_hat"] * (1 - row_w["p_hat"]) / 4000)
         assert var_plain >= 10.0 * row_w["std_error"]**2
 
+    def test_weight_health_per_epsilon(self, setup):
+        problem, event, rate, n_steps = setup
+        for importance in (False, True):
+            rep = mc_ldp_compare(problem, event, [0.4], 1000, seed=6,
+                                 use_importance=importance, rate_result=rate,
+                                 n_steps=n_steps)
+            row = rep["per_epsilon"][0]
+            assert row["hits"] > 0
+            # (sum w)^2 <= hits * sum w^2, with equality for 0/1 weights
+            assert 1.0 <= row["ess"] <= row["hits"] * (1 + 1e-12)
+            assert 1.0 / row["hits"] <= row["max_weight_share"] <= 1.0
+            if not importance:
+                assert row["ess"] == pytest.approx(row["hits"], rel=1e-12)
+
     def test_whole_space_event_probability_one(self, setup):
         problem, _, _, n_steps = setup
         base = solve_penalized(problem, None, 1e4, n_steps=n_steps)
@@ -394,3 +408,12 @@ class TestMcCompare:
         for row in rep["per_epsilon"]:
             assert row["p_hat"] == 1.0
             assert row["eps_log_p"] == 0.0
+
+
+class TestKishEss:
+    def test_hand_made_weights(self):
+        assert kish_ess(np.array([1.0, 1.0, 1.0, 1.0])) == 4.0
+        assert kish_ess(np.array([3.0, 0.0, 0.0, 0.0])) == 1.0
+        # (2 + 1 + 1)^2 / (4 + 1 + 1)
+        assert kish_ess(np.array([2.0, 1.0, 1.0, 0.0])) == pytest.approx(8 / 3)
+        assert kish_ess(np.zeros(5)) == 0.0

@@ -1,4 +1,5 @@
 """Penalized and projected solvers, their limit, and complementarity."""
+import logging
 import math
 
 import numpy as np
@@ -73,10 +74,13 @@ class TestSkeletonLimit:
         gaps = [g for _, g in sk.cauchy_history]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
-    def test_unconverged_schedule_returns_the_last_solve(self, heat_problem):
-        with pytest.warns(RuntimeWarning, match="hit n_max=4000"):
+    def test_unconverged_schedule_returns_the_last_solve(self, heat_problem,
+                                                         caplog):
+        with caplog.at_level(logging.WARNING, logger="obslab.skeleton"):
             sk = solve_skeleton(heat_problem, None, n_steps=200, tol=1e-6,
                                 n0=1e3, n_max=4e3)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "hit n_max=4000" in caplog.text
         assert sk.converged is False
         assert sk.n == 4000
         assert sk.cauchy_gap == sk.cauchy_history[-1][1]
