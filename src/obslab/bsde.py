@@ -10,12 +10,12 @@ flux term of that recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .grid import Bracket, Grid, gradient_array
-from .skeleton import Control, Solution
+from .skeleton import Solution
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
                         ensemble.seed)
 
 
-def bsde_residual(sol: Solution, ensemble: PathEnsemble,
-                  control: Optional[Control] = None) -> float:
+def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
     """RMS one-step residual of the backward recursion, per sqrt(dt).
 
     At each step the recursion balances the increment of Y against the
@@ -98,8 +97,6 @@ def bsde_residual(sol: Solution, ensemble: PathEnsemble,
     if len(traj.times) != len(ensemble.times) or not np.allclose(
             traj.times, ensemble.times):
         raise ValueError("solution and ensemble time meshes differ")
-    if control is None:
-        control = sol.control
     dt = ensemble.dt
     n_steps = len(ensemble.times) - 1
     co = problem.coefficients
@@ -125,7 +122,7 @@ def bsde_residual(sol: Solution, ensemble: PathEnsemble,
 
         fval = np.asarray(co.f(t, w_i, Y, Z), dtype=float) + np.zeros_like(Y)
         hval = np.asarray(co.h_shape(t, w_i, Y, Z), dtype=float) + np.zeros_like(Y)
-        hk = hval * float(weights @ control.values[i])
+        hk = hval * float(weights @ sol.control.values[i])
         S = np.asarray(problem.obstacle(t, w_i), dtype=float) + np.zeros_like(Y)
         pen = sol.n * np.maximum(S - Y, 0.0)
 

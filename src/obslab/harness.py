@@ -160,7 +160,7 @@ def _run_condition_i(config, problem):
     control = _control_from(config, problem, n_steps)
     report = condition_i_distance(
         problem, p.get("epsilon_list", [0.1, 0.05, 0.025, 0.0125]),
-        [control], _penalty_n(config), n_steps,
+        control, _penalty_n(config), n_steps,
         p.get("n_samples", 200), config["seed"],
         deltas=p.get("deltas", [0.1]))
     slope = report["loglog_slope"]
@@ -217,14 +217,13 @@ def _run_star_check(config, problem):
     p = config["params"]
     n_steps = config["mesh"]["n_steps"]
     n_paths = p.get("n_paths", 10000)
-    scale = p.get("j_scale", 1.0)
 
     def J(t, x):
-        return scale * np.exp(-np.asarray(x, dtype=float) ** 2)
+        return np.exp(-np.asarray(x, dtype=float) ** 2)
 
     def dJ(t, x):
         x = np.asarray(x, dtype=float)
-        return scale * (-2.0 * x) * np.exp(-x**2)
+        return -2.0 * x * np.exp(-x**2)
 
     ens = sample_paths(n_paths, n_steps, problem.horizon, problem.grid,
                        config["seed"])
@@ -234,7 +233,6 @@ def _run_star_check(config, problem):
 
 
 def _run_rate_minimize(config, problem):
-    p = config["params"]
     n_steps = config["mesh"]["n_steps"]
     event = _event_from(config, problem, n_steps)
     result = minimize_rate(problem, event, opt_config=_opt_config_from(config))
@@ -247,7 +245,7 @@ def _run_rate_minimize(config, problem):
         "solver_message": result.message,
         "k_norm_sq": float(result.minimizer.k_norm_sq()),
     }
-    return report, result.feasible or p.get("expect_infeasible", False), {}
+    return report, result.feasible, {}
 
 
 def _run_mc_compare(config, problem):

@@ -230,6 +230,9 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
     Kish effective sample size of the weights (`ess`; equal to `hits` for
     plain Monte Carlo) and the largest weight's share of their sum.
     """
+    if n_samples < 2:
+        raise ValueError(f"n_samples={n_samples}: a standard error needs "
+                         "at least 2 samples")
     if use_importance:
         if rate_result is None or not rate_result.feasible:
             raise ValueError("importance sampling needs a feasible rate result")
@@ -243,10 +246,10 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
         control = k_star if use_importance else None
         weights = []
         hits = 0
-        for final, inc in sample_terminal_states(
+        for res, inc in sample_terminal_states(
                 problem, eps, penalty_n, n_steps, n_samples, seed + i_eps,
                 control=control):
-            hit = event.contains_final(final, grid)
+            hit = event.contains_final(res.final, grid)
             hits += int(np.count_nonzero(hit))
             inside = hit.astype(float)
             if use_importance:

@@ -4,14 +4,15 @@ The noisy solution is the shared reversed-time march (`stepping.march`) with
 an explicit Brownian forcing sqrt(eps) * sum_j h_j dB^j added to each step
 (and, when a control is present, the shifted drift sum_j h_j k^j dt).  With
 eps = 0 it degenerates to the deterministic controlled solver bit-for-bit.
-This module draws the increments, streams batches of noisy terminal states
-for the rare-event estimators, and runs the coupling-distance sweep in eps
-(condition (i)).
+This module draws the increments and streams batches of unstored noisy
+marches.  The stream is the one Monte Carlo path of the package: the
+rare-event estimators read its terminal states, and the coupling-distance
+sweep in eps (condition (i)) reads its path distances to the skeleton.
 
 Noise comes from a counter-based generator (Philox) keyed by the user seed
 and a sample counter, so Monte Carlo substreams are reproducible regardless
-of execution order or batch size.  The terminal-state stream therefore
-maps its sample ranges over a pool of forked worker processes
+of execution order or batch size.  The stream therefore maps its sample
+ranges over a pool of forked worker processes
 (`concurrent.futures.ProcessPoolExecutor`), one per usable core, and yields
 their results in sample order: the output does not depend on the number of
 workers.
@@ -91,34 +92,26 @@ def sample_noise_batch(n_samples: int, n_steps: int, n_modes: int, dt: float,
 
 
 def condition_i_distance(problem: ProblemSpec, epsilon_list: Sequence[float],
-                         control_family: Sequence[Control], n: float,
-                         n_steps: int, n_samples: int, seed: int,
+                         control: Control, n: float, n_steps: int,
+                         n_samples: int, seed: int,
                          deltas: Sequence[float] = (0.1,)) -> dict:
     """Couple the controlled noisy solution to its zero-noise skeleton.
 
-    For each epsilon, every sample shares its control between the noisy
-    solve and the deterministic one, and the path distance between the two
-    is aggregated.  Samples are split evenly across the control family.
+    The skeleton under `control` is solved once.  For each epsilon the
+    noisy solutions under the same control are streamed by
+    `sample_terminal_states` (seed + the epsilon's index), each marched
+    against the skeleton, and their path distances to it are aggregated.
     """
-    controls = list(control_family)
-    if not controls:
-        raise ValueError("control family is empty")
-    J = problem.coefficients.n_modes
-    dt = problem.horizon / n_steps
+    if n_samples < 2:
+        raise ValueError(f"n_samples={n_samples}: a standard error needs "
+                         "at least 2 samples")
+    det = solve_penalized(problem, control, n, n_steps=n_steps)
     per_eps = []
     for i_eps, eps in enumerate(epsilon_list):
-        dists = []
-        share = n_samples // len(controls)
-        for i_k, k in enumerate(controls):
-            det = solve_penalized(problem, k, n, n_steps=n_steps)
-            count = share if i_k < len(controls) - 1 else n_samples - share * (len(controls) - 1)
-            inc = sample_noise_batch(count, n_steps, J, dt, seed + i_eps,
-                                     first_sample=i_k * share)
-            res = march(problem, n_steps, penalty_n=n, control_values=k.values,
-                        epsilon=eps, noise_increments=inc, store=False,
-                        reference=det.traj.values)
-            dists.append(res.distances)
-        d = np.concatenate(dists)
+        stream = sample_terminal_states(problem, eps, n, n_steps, n_samples,
+                                        seed + i_eps, control=control,
+                                        reference=det.traj.values)
+        d = np.concatenate([res.distances for res, _ in stream])
         per_eps.append({
             "epsilon": float(eps),
             "mean_distance": float(np.mean(d)),
@@ -142,14 +135,15 @@ def condition_i_distance(problem: ProblemSpec, epsilon_list: Sequence[float],
 
 def _terminal_batch(problem: ProblemSpec, epsilon: float, n: float,
                     n_steps: int, seed: int, values: Optional[np.ndarray],
-                    bounds: tuple) -> tuple:
-    """Noisy finals and their increments for the samples [lo, hi)."""
+                    bounds: tuple,
+                    reference: Optional[np.ndarray] = None) -> tuple:
+    """The unstored noisy march of the samples [lo, hi), and its increments."""
     lo, hi = bounds
     inc = sample_noise_batch(hi - lo, n_steps, problem.coefficients.n_modes,
                              problem.horizon / n_steps, seed, first_sample=lo)
-    res = march(problem, n_steps, penalty_n=n, control_values=values,
-                epsilon=epsilon, noise_increments=inc, store=False)
-    return res.final, inc
+    return march(problem, n_steps, penalty_n=n, control_values=values,
+                 epsilon=epsilon, noise_increments=inc, store=False,
+                 reference=reference), inc
 
 
 # The batch function of the running stream, in a worker process only: the
@@ -168,18 +162,22 @@ def _run_inherited(bounds: tuple) -> tuple:
 
 def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
                            n_steps: int, n_samples: int, seed: int,
-                           control: Optional[Control] = None):
-    """Generator of (states at forward time 0, their noise increments).
+                           control: Optional[Control] = None,
+                           reference: Optional[np.ndarray] = None):
+    """Generator of (unstored `MarchResult`, its noise increments) batches.
 
     Streams Monte Carlo batches of `MC_BATCH` samples, in sample order,
-    without storing trajectories; used by the rare-event estimators.  The
+    without storing trajectories.  Each result holds the states at forward
+    time 0 (`final`) and, given a forward-ordered `reference` path, each
+    sample's path distance to it (`distances`): the rare-event estimators
+    read the first, the coupling sweep of condition (i) the second.  The
     batches run on a `ProcessPoolExecutor` of forked workers, one per usable
     core (none on one core).  However the stream ends, the batches not yet
     started are cancelled and the workers are joined.
     """
     values = None if control is None else control.values
     batch = functools.partial(_terminal_batch, problem, epsilon, n, n_steps,
-                              seed, values)
+                              seed, values, reference=reference)
     ranges = [(lo, min(lo + MC_BATCH, n_samples))
               for lo in range(0, n_samples, MC_BATCH)]
     workers = min(len(os.sched_getaffinity(0)), len(ranges))

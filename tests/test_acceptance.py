@@ -139,7 +139,7 @@ def test_criterion_07_small_noise_coupling():
     t0 = time.monotonic()
     prob = linear_additive()
     k = constant_control(100, 1, prob.horizon, 1.0)
-    rep = condition_i_distance(prob, [0.1, 0.05, 0.025, 0.0125], [k],
+    rep = condition_i_distance(prob, [0.1, 0.05, 0.025, 0.0125], k,
                                1e4, 100, 200, seed=7)
     elapsed = time.monotonic() - t0
     slope = rep["loglog_slope"]

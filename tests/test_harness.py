@@ -163,6 +163,43 @@ class TestConfigValidation:
         self._rejected_before_any_solve(cfg, tmp_path / "mc", monkeypatch,
                                         match)
 
+    @pytest.mark.parametrize("kind, field, value, match", [
+        # the flux test field is exp(-x^2), unscaled
+        ("star_check", "params", {"j_scale": 2.0},
+         r"params: .*'j_scale' was unexpected"),
+        # an infeasible rate fails the run
+        ("rate_minimize", "params", {"expect_infeasible": True},
+         r"params: .*'expect_infeasible' was unexpected"),
+        # only skeleton_solve reads n0 / n_max / tol, and it,
+        # penalization_study and star_check read no penalty_n
+        ("penalization_study", "solver", {"penalty_n": 1e4},
+         r"solver: .*'penalty_n' was unexpected"),
+        ("star_check", "solver", {"penalty_n": 1e4},
+         r"solver: .*'penalty_n' was unexpected"),
+        ("skeleton_solve", "solver", {"tol": 1e-3, "penalty_n": 1e4},
+         r"solver: .*'penalty_n' was unexpected"),
+        ("condition_i", "solver", {"penalty_n": 1e4, "n_max": 1e7},
+         r"solver: .*'n_max' was unexpected"),
+        ("mc_compare", "solver", {"penalty_n": 1e4, "tol": 1e-3},
+         r"solver: .*'tol' was unexpected"),
+        # the rate experiments and star_check march no configured control
+        ("star_check", "control", {"kind": "zero"},
+         r"'control' should not be valid"),
+        ("rate_minimize", "control", {"kind": "zero"},
+         r"'control' should not be valid"),
+        ("mc_compare", "control", {"kind": "constant", "value": 1.0},
+         r"'control' should not be valid"),
+    ] + [(kind, "event", {"kind": "terminal_ball", "radius": 0.02},
+          r"'event' should not be valid")
+         for kind in ("penalization_study", "skeleton_solve", "condition_i",
+                      "condition_ii", "bsde_check", "star_check")])
+    def test_unread_config_field_rejected_before_any_solve(
+            self, kind, field, value, match, tmp_path, monkeypatch):
+        cfg = load_config(kind)
+        cfg[field] = value
+        self._rejected_before_any_solve(cfg, tmp_path / kind, monkeypatch,
+                                        match)
+
     @pytest.mark.parametrize("levels, match", [
         # one level fits an order through a single point
         ([[50, 51]], r"params/levels: \[\[50, 51\]\] is too short"),

@@ -62,9 +62,9 @@ class TestVarianceScaling:
     def terminal_samples(self, linear_problem):
         def batch(eps, seed):
             outs = []
-            for final, _ in sample_terminal_states(linear_problem, eps, 1e4,
-                                                   50, 2000, seed):
-                outs.append(final)
+            for res, _ in sample_terminal_states(linear_problem, eps, 1e4,
+                                                 50, 2000, seed):
+                outs.append(res.final)
             return np.concatenate(outs)
         return batch
 
@@ -113,7 +113,7 @@ class TestVarianceScaling:
 class TestConditionI:
     def test_zero_noise_shape_distance_zero(self, heat_problem):
         k = zero_control(50, 1, heat_problem.horizon)
-        rep = condition_i_distance(heat_problem, [0.1, 0.05], [k], 1e4, 50,
+        rep = condition_i_distance(heat_problem, [0.1, 0.05], k, 1e4, 50,
                                    8, seed=0)
         for row in rep["per_epsilon"]:
             assert row["mean_distance"] == 0.0
@@ -121,10 +121,63 @@ class TestConditionI:
     def test_sqrt_epsilon_scaling(self, linear_problem):
         k = constant_control(100, 1, linear_problem.horizon, 1.0)
         rep = condition_i_distance(linear_problem,
-                                   [0.1, 0.05, 0.025, 0.0125], [k], 1e4, 100,
+                                   [0.1, 0.05, 0.025, 0.0125], k, 1e4, 100,
                                    50, seed=7)
         assert rep["monotone"]
         assert 0.35 <= rep["loglog_slope"] <= 0.65
+
+    def test_distances_are_a_direct_march_on_the_same_increments(self):
+        # two ranges of the stream, the second one ragged
+        n_steps, n, seed, eps = 20, MC_BATCH + 44, 5, 0.05
+        prob = quasilinear_full(n_nodes=101)
+        k = constant_control(n_steps, prob.coefficients.n_modes,
+                             prob.horizon, -1.0)
+        skeleton = solve_penalized(prob, k, 1e4, n_steps=n_steps)
+        streamed = np.concatenate([
+            res.distances for res, _ in sample_terminal_states(
+                prob, eps, 1e4, n_steps, n, seed, control=k,
+                reference=skeleton.traj.values)])
+        inc = sample_noise_batch(n, n_steps, prob.coefficients.n_modes,
+                                 prob.horizon / n_steps, seed)
+        direct = march(prob, n_steps, penalty_n=1e4, control_values=k.values,
+                       epsilon=eps, noise_increments=inc, store=False,
+                       reference=skeleton.traj.values).distances
+        assert np.array_equal(streamed, direct)
+        row = condition_i_distance(prob, [eps, eps / 2], k, 1e4, n_steps, n,
+                                   seed)["per_epsilon"][0]
+        assert row["mean_distance"] == float(np.mean(direct))
+        assert row["std_error"] == float(np.std(direct, ddof=1) / np.sqrt(n))
+
+    def test_skeleton_solved_once_per_sweep(self, linear_problem,
+                                            monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_penalized(*args, **kwargs)
+
+        monkeypatch.setattr(obslab.spde, "solve_penalized", counted)
+        k = constant_control(50, 1, linear_problem.horizon, 1.0)
+        condition_i_distance(linear_problem, [0.1, 0.05, 0.025], k, 1e4, 50,
+                             8, seed=0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_samples", [0, 1])
+    def test_too_few_samples_rejected_before_any_march(
+            self, linear_problem, n_samples, monkeypatch):
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march started before the sample check")
+
+        for name in ("march", "solve_penalized", "sample_noise_batch"):
+            monkeypatch.setattr(obslab.spde, name, no_march)
+        k = constant_control(50, 1, linear_problem.horizon, 1.0)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            condition_i_distance(linear_problem, [0.1], k, 1e4, 50,
+                                 n_samples, seed=0)
+        event = TargetEvent(Field(np.zeros(linear_problem.grid.n_nodes),
+                                  linear_problem.grid), 0.02)
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            mc_ldp_compare(linear_problem, event, [0.1], n_samples, seed=0)
 
 
 def _cores(monkeypatch, count):
@@ -135,9 +188,10 @@ def _cores(monkeypatch, count):
 
 def _stream(problem, n_steps, n_samples, **kw):
     """Concatenated (finals, increments) of one terminal-state stream."""
-    finals, incs = zip(*sample_terminal_states(problem, 0.2, 1e4, n_steps,
-                                               n_samples, 11, **kw))
-    return np.concatenate(finals), np.concatenate(incs)
+    results, incs = zip(*sample_terminal_states(problem, 0.2, 1e4, n_steps,
+                                                n_samples, 11, **kw))
+    return (np.concatenate([res.final for res in results]),
+            np.concatenate(incs))
 
 
 class TestWorkers:
@@ -196,6 +250,20 @@ class TestWorkers:
         def report():
             return mc_ldp_compare(problem, event, [0.4, 0.2], self.N, seed=3,
                                   use_importance=True, rate_result=rate)
+
+        _cores(monkeypatch, 2)
+        forked = report()
+        _cores(monkeypatch, 1)
+        assert forked == report()
+
+    def test_condition_i_report_unchanged(self, monkeypatch):
+        # 600 samples are three ranges of the stream
+        problem = linear_additive()
+        k = constant_control(50, 1, problem.horizon, 1.0)
+
+        def report():
+            return condition_i_distance(problem, [0.1, 0.05], k, 1e4, 50,
+                                        600, seed=7, deltas=[0.05, 0.1])
 
         _cores(monkeypatch, 2)
         forked = report()
