@@ -1,11 +1,13 @@
 """Tridiagonal solve kernel for the theta-scheme diffusion step.
 
 The diffusion step reduces to one tridiagonal solve per time step (per
-sample, for Monte Carlo batches).  Its matrix, diagonal 1 + 2*kappa and
-off-diagonals -kappa with kappa > 0, is symmetric positive definite and the
-same at every step of a march.  `ldl_factor` therefore factors it once as
-L D L^T (LAPACK's `dpttrf`), and `thomas_batch` solves each step from the
-factors (`dpttrs`), with the samples of a batch as right-hand-side columns.
+sample, for Monte Carlo batches).  Its matrix spans the whole grid: diagonal
+1 + 2*kappa and off-diagonals -kappa with kappa > 0 at the interior nodes,
+and identity rows (diagonal 1, off-diagonals 0) at the two pinned boundary
+nodes.  It is symmetric positive definite and the same at every step of a
+march.  `ldl_factor` therefore factors it once as L D L^T (LAPACK's
+`dpttrf`), and `thomas_batch` solves each step from the factors (`dpttrs`),
+with the samples of a batch as right-hand-side columns.
 The L D L^T substitution keeps the division out of its dependency chain,
 which pivoted elimination (`dgtsv`) does not; BENCH_tridiagonal.json holds
 the per-call times of both.

@@ -163,6 +163,18 @@ class TestConfigValidation:
         self._rejected_before_any_solve(cfg, tmp_path / "mc", monkeypatch,
                                         match)
 
+    @pytest.mark.parametrize("kind", ["condition_i", "mc_compare"])
+    @pytest.mark.parametrize("epsilons", [
+        [], [0.1], [0.1, 0.1], [0.1, -0.05], ["a", 0.1]])
+    def test_bad_epsilon_list_rejected_before_any_solve(
+            self, kind, epsilons, tmp_path, monkeypatch):
+        # the log-log slope and the extrapolation in epsilon need two
+        # distinct positive noise levels
+        cfg = load_config(kind)
+        cfg["params"]["epsilon_list"] = epsilons
+        self._rejected_before_any_solve(cfg, tmp_path / kind, monkeypatch,
+                                        r"params/epsilon_list")
+
     @pytest.mark.parametrize("kind, field, value, match", [
         # the flux test field is exp(-x^2), unscaled
         ("star_check", "params", {"j_scale": 2.0},

@@ -358,3 +358,86 @@ class TestPinnedNodes:
         sol = solve_projected(quasilinear_full(), None, n_steps=200)
         assert not np.any(sol.density.values[:, [0, -1]])
         assert sol.min_gap >= 0.0
+
+
+class TestDenseOracle:
+    """The march against Crank-Nicolson written out with dense interior
+    matrices: (I - kappa Lap) p = (I + kappa Lap) v + dt F, then the split."""
+
+    N_STEPS = 20
+
+    @staticmethod
+    def _oracle(prob, n_steps, split, controls, epsilon, noise):
+        grid, co = prob.grid, prob.coefficients
+        x, h, ni = grid.x, grid.h, grid.n_nodes - 2
+        dt = prob.horizon / n_steps
+        kappa = dt / (4.0 * h**2)
+        lap = (np.diag(np.full(ni, -2.0)) + np.diag(np.ones(ni - 1), 1)
+               + np.diag(np.ones(ni - 1), -1))
+        implicit = np.eye(ni) - kappa * lap
+        explicit = np.eye(ni) + kappa * lap
+        times = np.linspace(0.0, prob.horizon, n_steps + 1)
+        traj = np.zeros((n_steps + 1, grid.n_nodes))
+        v = traj[n_steps] = prob.terminal_field().values
+        for i in reversed(range(n_steps)):
+            z = np.empty_like(v)
+            z[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+            z[0], z[-1] = (v[1] - v[0]) / h, (v[-1] - v[-2]) / h
+            f, g, hs = (np.asarray(c(times[i + 1], x, v, z)) + np.zeros_like(x)
+                        for c in (co.f, co.g, co.h_shape))
+            force = f[1:-1] + (g[2:] - g[:-2]) / (2.0 * h) \
+                + hs[1:-1] * (controls[i] @ co.mode_weights)
+            rhs = explicit @ v[1:-1] + dt * force
+            if noise is not None:
+                rhs += np.sqrt(epsilon) * hs[1:-1] * (noise[i] @ co.mode_weights)
+            p = np.linalg.solve(implicit, rhs)
+            L = prob.obstacle_values(times[i])[1:-1]
+            if split == "projection":
+                p = np.maximum(p, L)
+            elif split == "penalty":
+                c = dt * 1e3
+                p = np.where(p < L, (p + c * L) / (1.0 + c), p)
+            v = traj[i]
+            v[1:-1] = p
+        return traj
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("split", ["penalty", "projection", "plain"])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_march_matches_dense_crank_nicolson(self, family, split, batch,
+                                                noisy):
+        params = {"obstacle_amplitude": 0.8} \
+            if family == "quasilinear_full" else {}
+        prob = make_problem(family, n_nodes=21, **params)
+        n_steps, J = self.N_STEPS, prob.coefficients.n_modes
+        rows = 1 if batch is None else batch
+        # control -2 on mode 0 pushes the state onto the barrier
+        controls = np.zeros((rows, n_steps, J))
+        controls[:, :, 0] = -2.0 + np.arange(rows)[:, None]
+        rng = np.random.default_rng(7)
+        noise = np.sqrt(prob.horizon / n_steps) \
+            * rng.standard_normal((rows, n_steps, J)) if noisy else None
+        epsilon = 0.1 if noisy else 0.0
+        kw = {"penalty": dict(penalty_n=1e3), "projection": dict(project=True),
+              "plain": {}}[split]
+        squeeze = (lambda a: a[0]) if batch is None else (lambda a: a)
+        ks = squeeze(controls)
+        dBs = None if noise is None else squeeze(noise)
+        res = march(prob, n_steps, control_values=ks, epsilon=epsilon,
+                    noise_increments=dBs, **kw)
+        lean = march(prob, n_steps, control_values=ks, epsilon=epsilon,
+                     noise_increments=dBs, store=False, **kw)
+        want = np.stack([self._oracle(prob, n_steps, split, controls[b],
+                                      epsilon,
+                                      None if noise is None else noise[b])
+                         for b in range(rows)])
+        got = res.traj.reshape(want.shape)
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(lean.final.reshape(rows, -1), want[:, 0],
+                                   rtol=1e-12, atol=1e-12 * scale)
+        for arr in (res.traj, res.final, lean.final):
+            assert not np.any(arr[..., [0, -1]])
+        if split != "plain" and family != "linear_additive":
+            assert res.density.any()   # the barrier binds: the split acts
