@@ -10,7 +10,7 @@ through CSV, and a `Bracket` reads grid functions at off-grid points.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,25 +21,28 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform nodes on [x_min, x_max] with zero-Dirichlet boundaries."""
+    """Uniform nodes on [x_min, x_max] with zero-Dirichlet boundaries.
+
+    `x`, the read-only node array, is built once; equality and hashing read
+    the three defining fields only."""
 
     x_min: float
     x_max: float
     n_nodes: int
+    x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes < 3:
             raise ValueError(f"n_nodes must be >= 3, got {self.n_nodes}")
         if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
+        x = np.linspace(self.x_min, self.x_max, self.n_nodes)
+        x.flags.writeable = False
+        object.__setattr__(self, "x", x)
 
     @property
     def h(self) -> float:
         return (self.x_max - self.x_min) / (self.n_nodes - 1)
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_nodes)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Monte Carlo rare-event comparison.
 The action of a control is half its squared Cameron-Martin norm; the rate of
 a target event is the least action over controls steering the deterministic
 solver into the event.  Minimization is sequential quadratic programming
-(SLSQP) on that constrained problem, with an analytic action gradient and a
-batched finite-difference Jacobian of the terminal distance.  The
+(SLSQP) on that constrained problem, with an analytic action gradient and
+the terminal distance's gradient from a discrete adjoint of the march.  The
 rare-event module estimates small-noise probabilities (optionally under an
 importance-sampling drift at the minimizer) and compares eps * log p to the
 negated rate.
@@ -26,10 +26,9 @@ from .problem import ProblemSpec
 from .skeleton import (Control, solve_penalized, solve_skeleton,  # noqa: F401
                        zero_control)
 from .spde import sample_terminal_states
-from .stepping import march
+from .stepping import MarchResult, march, march_adjoint
 
 OPT_KEYS = ("n_steps", "penalty_n", "max_iters")
-FD_REL_STEP = 1e-6     # forward finite-difference step, relative to max(1, |k|)
 SLSQP_FTOL = 1e-10     # SLSQP's accuracy target (its `ftol`)
 
 
@@ -77,6 +76,8 @@ def rate_functional(k: Control) -> float:
     return 0.5 * k.k_norm_sq()
 
 
+# _solution_values and _batched_hinges are not called by the solver, but stay:
+# the traced benchmark (perfbench/layers.py) names them as probe sites.
 def _solution_values(problem: ProblemSpec, k: Control,
                      penalty_n: float) -> np.ndarray:
     """State at forward time 0 of the penalized solve under control k."""
@@ -93,17 +94,37 @@ def _batched_hinges(problem: ProblemSpec, template: Control,
     return event.excess(res.final, problem.grid)
 
 
+def _excess_gradient(problem: ProblemSpec, event: TargetEvent,
+                     res: MarchResult, control_values: np.ndarray,
+                     penalty_n: float) -> np.ndarray:
+    """Gradient of the event excess over the control values, from the
+    stored march `res` under those values.
+
+    The excess |d|_H - radius, d = u(0) - center, has the cotangent
+    h d / |d|_H on u(0); at d = 0, where it has no gradient, the result is
+    0.
+    """
+    h = problem.grid.h
+    d = res.final - event.center.values
+    norm = float(h_norm_array(d, h))
+    if norm == 0.0:
+        return np.zeros_like(control_values, dtype=float)
+    return march_adjoint(problem, res, h * d / norm, penalty_n=penalty_n,
+                         control_values=control_values)
+
+
 def minimize_rate(problem: ProblemSpec, event: TargetEvent,
                   opt_config: Optional[dict] = None) -> RateResult:
     """Least action over controls whose terminal state lies in the event.
 
     Solves  min 1/2 dt |k|^2  subject to  radius - |u(0; k) - center|_H >= 0
     by sequential quadratic programming (SLSQP, Kraft 1988), from the zero
-    control.  The action gradient is analytic; the constraint Jacobian is
-    one batched march of forward finite differences (relative step 1e-6).
-    A start inside the ball has rate 0 and needs no solve.  Returns the
-    infeasibility sentinel (rate = +inf) unless SLSQP reports success, which
-    it does only with the constraint met to its accuracy `SLSQP_FTOL`.
+    control.  The action gradient is analytic; the constraint gradient is
+    one backward sweep (`stepping.march_adjoint`) through the stored march
+    that evaluated the constraint at the same point.  A start inside the
+    ball has rate 0 and needs no solve.  Returns the infeasibility sentinel
+    (rate = +inf) unless SLSQP reports success, which it does only with the
+    constraint met to its accuracy `SLSQP_FTOL`.
     `opt_config` may set `n_steps` (50), `penalty_n` (1e4) and `max_iters`
     (80, SLSQP's iteration limit).
     """
@@ -116,28 +137,23 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent,
     init = zero_control(n_steps, problem.coefficients.n_modes, problem.horizon)
     dt = init.dt
     shape = init.values.shape
-    dim = init.values.size
     penalty_n = cfg.get("penalty_n", 1e4)
     last = {}
 
     def excess(x: np.ndarray) -> float:
-        # SLSQP asks for the constraint and then its Jacobian at the same
-        # point; the cache spares the Jacobian a second march there.
+        # SLSQP asks for the constraint and then its gradient at the same
+        # point; the gradient sweeps back through the march cached here.
         if "x" not in last or not np.array_equal(last["x"], x):
-            final = _solution_values(problem, init.with_values(x.reshape(shape)),
-                                     penalty_n)
-            last["x"], last["e"] = x.copy(), float(event.excess(final,
-                                                                problem.grid))
+            res = march(problem, n_steps, penalty_n=penalty_n,
+                        control_values=x.reshape(shape))
+            last.update(x=x.copy(), march=res,
+                        e=float(event.excess(res.final, problem.grid)))
         return last["e"]
 
-    def excess_jacobian(x: np.ndarray) -> np.ndarray:
-        e0 = excess(x)
-        steps = FD_REL_STEP * np.maximum(1.0, np.abs(x))
-        perts = np.broadcast_to(x, (dim, dim)).copy()
-        perts[np.arange(dim), np.arange(dim)] += steps
-        e1 = _batched_hinges(problem, init, perts.reshape((dim,) + shape),
-                             event, penalty_n)
-        return (e1 - e0) / steps
+    def excess_gradient(x: np.ndarray) -> np.ndarray:
+        excess(x)
+        return _excess_gradient(problem, event, last["march"],
+                                x.reshape(shape), penalty_n).ravel()
 
     def action(x: np.ndarray):
         return 0.5 * dt * float(x @ x), dt * x
@@ -156,7 +172,7 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent,
     sol = minimize(action, x0, jac=True, method="SLSQP",
                    constraints={"type": "ineq",
                                 "fun": lambda x: -excess(x),
-                                "jac": lambda x: -excess_jacobian(x)[None, :]},
+                                "jac": lambda x: -excess_gradient(x)[None, :]},
                    callback=record,
                    options={"maxiter": cfg.get("max_iters", 80),
                             "ftol": SLSQP_FTOL})

@@ -32,7 +32,9 @@ pinned boundary nodes to -inf, so they carry no reflection.
 Batched operation (leading sample axis) drives the Monte Carlo modules.
 A stored march gives the trajectory and the barrier density (the discrete
 reflection measure); Monte Carlo marches read the final state or a streamed
-path distance and store neither.
+path distance and store neither.  `march_adjoint` runs the transposed steps
+back through a stored march: the gradient over the control values of a
+linear functional of the final state, as the rate minimizer needs it.
 """
 from __future__ import annotations
 
@@ -47,6 +49,10 @@ from .grid import (gradient_array, h_norm_array,  # noqa: F401
                    laplacian_array, v_norm_sq_array)
 from .kernels import ldl_factor, thomas_batch
 from .problem import ProblemSpec
+
+# Nodewise central-difference step of the coefficients' state derivatives in
+# `march_adjoint`, relative to max(1, |y|) or max(1, |z|)
+COEF_DIFF_STEP = 1e-5
 
 
 class DivergenceError(RuntimeError):
@@ -147,14 +153,7 @@ def march(problem: ProblemSpec, n_steps: int, *,
                 raise ValueError("control and noise batch sizes differ")
             batch = noise_increments.shape[0]
 
-    # M = I - kappa Lap_h at full width, identity rows at the pinned nodes;
-    # constant across steps and samples
-    kappa = dt / (4.0 * h**2)
-    diag = np.full(nx, 1.0 + 2.0 * kappa)
-    off = np.full(nx - 1, -kappa)
-    diag[[0, -1]] = 1.0
-    off[[0, -1]] = 0.0
-    factor = ldl_factor(diag, off)
+    factor = _diffusion_factor(nx, dt / (4.0 * h**2))
     c_pen = dt * penalty_n
 
     v = problem.terminal_field().values.copy()
@@ -263,6 +262,123 @@ def march(problem: ProblemSpec, n_steps: int, *,
     if reference is not None:
         distances = sup_dist + np.sqrt(integ_dist)
     return MarchResult(v, traj, density, distances)
+
+
+def march_adjoint(problem: ProblemSpec, result: MarchResult,
+                  cotangent: np.ndarray, *, penalty_n: float,
+                  control_values: np.ndarray) -> np.ndarray:
+    """Gradient of <cotangent, final> over the control values, by one
+    backward sweep through a stored march.
+
+    `result` is the stored single-system
+    `march(problem, n_steps, penalty_n=penalty_n, control_values=...)` with
+    the (n_steps, J) `control_values` given here; the gradient has their
+    shape.  The sweep transposes each step, last step first.  With mu the
+    cotangent of the step's output:
+
+    * the penalty split scales mu by 1/(1 + dt*n) where it acted.  It acts
+      where p < L, which is where the output is below L, i.e. where the
+      stored density is > 0;
+    * q = M^-1 mu (M is symmetric), the cotangent of 2 v + dt F;
+    * entry (i, j) of the gradient is dt w_j <h_shape * interior, q>;
+    * the cotangent of the step's input is 2 q - mu, plus, unless the
+      coefficients are `state_free`, the transposed state derivatives of
+      f, div g and h_shape (`_coefficient_adjoint`).
+    """
+    traj, density = result.traj, result.density
+    if traj is None or traj.ndim != 2:
+        raise ValueError("the adjoint needs a stored single-system march")
+    n_steps = traj.shape[0] - 1
+    grid = problem.grid
+    nx, x, h = grid.n_nodes, grid.x, grid.h
+    dt = problem.horizon / n_steps
+    co = problem.coefficients
+    weights = co.mode_weights
+    control_values = np.asarray(control_values, dtype=float)
+    if control_values.shape != (n_steps, co.n_modes):
+        raise ValueError(f"control shape {control_values.shape} does not "
+                         f"match the march ({n_steps}, {co.n_modes})")
+    factor = _diffusion_factor(nx, dt / (4.0 * h**2))
+    split = 1.0 / (1.0 + dt * penalty_n)
+    times = np.linspace(0.0, problem.horizon, n_steps + 1)
+    drives = dt * (control_values @ weights)
+    interior = np.ones(nx)
+    interior[[0, -1]] = 0.0
+    zero = np.zeros(nx)
+
+    mu = np.array(cotangent, dtype=float)
+    if mu.shape != (nx,):
+        raise ValueError("the cotangent must be one value per node")
+    sens = np.empty(n_steps)   # d<cotangent, final> / d drive, per step
+    for i_step in range(n_steps):
+        t_pre = times[i_step + 1]
+        mu[density[i_step] > 0.0] *= split
+        q = thomas_batch(factor, rhs=mu)
+        mu = 2.0 * q - mu
+        if co.state_free:
+            hval = np.asarray(co.h_shape(t_pre, x, zero, zero), dtype=float)
+        else:
+            hval, dmu = _coefficient_adjoint(
+                co, t_pre, x, traj[i_step + 1], h,
+                dt * q * interior, drives[i_step] * q * interior)
+            mu += dmu
+        sens[i_step] = np.dot(hval * interior, q)
+    return dt * sens[:, None] * weights[None, :]
+
+
+def _coefficient_adjoint(co, t: float, x: np.ndarray, y: np.ndarray,
+                         h: float, c_force: np.ndarray,
+                         c_h: np.ndarray) -> tuple:
+    """h_shape at the state y, and the transposed state derivative of the
+    explicit terms of one step.
+
+    The step adds dt (f + div g) with cotangent `c_force` (zero at the
+    pinned nodes) and h_shape * drive with cotangent `c_h`.  Each callable
+    is read once on five rows, (y, z) and its central shifts in y and in
+    z = gradient_array(y): the partials are nodewise.  div g reads g at the
+    pinned nodes too, and z carries gradient_array's one-sided ends, so
+    both transposes span the full width.
+    """
+    z = gradient_array(y, h)
+    dy = COEF_DIFF_STEP * np.maximum(1.0, np.abs(y))
+    dz = COEF_DIFF_STEP * np.maximum(1.0, np.abs(z))
+    ys = np.stack([y, y + dy, y - dy, y, y])
+    zs = np.stack([z, z, z, z + dz, z - dz])
+    span_y = ys[1] - ys[2]
+    span_z = zs[3] - zs[4]
+    # div g at the interior node i is gradient_array's row i; c_force is 0
+    # on the one-sided end rows, so gradient_array's transpose maps it to g
+    c_g = _gradient_transpose(c_force, h)
+    cy = np.zeros_like(y)
+    cz = np.zeros_like(y)
+    vals = [np.asarray(fn(t, x, ys, zs), dtype=float) + np.zeros_like(ys)
+            for fn in (co.f, co.g, co.h_shape)]
+    for val, c in zip(vals, (c_force, c_g, c_h)):
+        cy += c * (val[1] - val[2]) / span_y
+        cz += c * (val[3] - val[4]) / span_z
+    return vals[2][0], cy + _gradient_transpose(cz, h)
+
+
+def _gradient_transpose(c: np.ndarray, h: float) -> np.ndarray:
+    """The transpose of `gradient_array` applied to c."""
+    out = np.zeros_like(c)
+    out[2:] += c[1:-1]
+    out[:-2] -= c[1:-1]
+    out /= 2.0 * h
+    out[[0, 1]] += np.array([-c[0], c[0]]) / h
+    out[[-2, -1]] += np.array([-c[-1], c[-1]]) / h
+    return out
+
+
+def _diffusion_factor(nx: int, kappa: float) -> tuple:
+    """L D L^T factors of M = I - kappa Lap_h at full width, with identity
+    rows at the pinned nodes; one march, or its adjoint, reuses them on
+    every step and sample."""
+    diag = np.full(nx, 1.0 + 2.0 * kappa)
+    off = np.full(nx - 1, -kappa)
+    diag[[0, -1]] = 1.0
+    off[[0, -1]] = 0.0
+    return ldl_factor(diag, off)
 
 
 def _interior(a: np.ndarray) -> np.ndarray:

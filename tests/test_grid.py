@@ -22,6 +22,18 @@ class TestGrid:
         assert g.x[0] == -4.0 and g.x[-1] == 4.0
         assert len(g.x) == 201
 
+    def test_nodes_built_once_and_read_only(self):
+        g = Grid(-4.0, 4.0, 201)
+        assert np.array_equal(g.x, np.linspace(-4.0, 4.0, 201))
+        assert g.x is g.x
+        assert not g.x.flags.writeable
+        with pytest.raises(ValueError):
+            g.x[0] = 0.0
+        # equality and hashing read the three defining fields only
+        twin = Grid(-4.0, 4.0, 201)
+        assert twin == g and hash(twin) == hash(g) and twin.x is not g.x
+        assert Grid(-4.0, 4.0, 101) != g
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             Grid(1.0, -1.0, 11)

@@ -1,4 +1,6 @@
 """Rate functional, constrained minimization, and rare-event Monte Carlo."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +9,11 @@ import obslab.ldp
 from obslab.families import (heat_obstacle, linear_additive, make_problem,
                              quasilinear_full)
 from obslab.grid import Field, h_norm_array
-from obslab.ldp import (TargetEvent, _batched_hinges, _solution_values,
-                        condition_ii_test, kish_ess, mc_ldp_compare,
-                        minimize_rate, rate_functional)
+from obslab.ldp import (TargetEvent, _batched_hinges, _excess_gradient,
+                        _solution_values, condition_ii_test, kish_ess,
+                        mc_ldp_compare, minimize_rate, rate_functional)
 from obslab.skeleton import constant_control, solve_penalized, zero_control
+from obslab.stepping import march
 
 
 def least_norm_oracle(problem, event, n_steps, penalty_n=1e4):
@@ -118,8 +121,9 @@ class TestTerminalBall:
                                               ("linear_additive", 0.0),
                                               ("quasilinear_full", 1e-12)])
     def test_gradient_rows_match_objective_solves(self, family, atol):
-        # the finite-difference gradient and the objective evaluate the
-        # same function of the control
+        # the batched excess (the gradient tests' central-difference
+        # oracle) and single solves evaluate the same function of the
+        # control
         problem = make_problem(family, n_nodes=101)
         n_steps = 40
         J = problem.coefficients.n_modes
@@ -140,6 +144,96 @@ class TestTerminalBall:
         else:
             # the batched and single mode sums may round differently
             np.testing.assert_allclose(batched, single, rtol=0.0, atol=atol)
+
+
+def binding_event(n_steps):
+    """quasilinear_full (101 nodes, obstacle amplitude 0.8) and the ball of
+    radius 0.02 about the terminal state under the constant control -2:
+    its minimizer presses the state into the barrier."""
+    problem = quasilinear_full(n_nodes=101, obstacle_amplitude=0.8)
+    generator = constant_control(n_steps, problem.coefficients.n_modes,
+                                 problem.horizon, -2.0)
+    shifted = solve_penalized(problem, generator, 1e4, n_steps=n_steps)
+    event = TargetEvent(center=Field(shifted.traj.values[0], problem.grid),
+                        radius=0.02)
+    return problem, event, generator
+
+
+class TestExcessGradient:
+    """The adjoint gradient of the event excess against a central-difference
+    oracle over every control entry."""
+
+    PENALTY = 1e4
+
+    def _both(self, problem, event, values, step=1e-5):
+        res = march(problem, len(values), penalty_n=self.PENALTY,
+                    control_values=values)
+        adjoint = _excess_gradient(problem, event, res, values, self.PENALTY)
+        dim = values.size
+        shift = (step * np.eye(dim)).reshape((dim,) + values.shape)
+        template = zero_control(len(values), values.shape[1], problem.horizon)
+        plus, minus = (_batched_hinges(problem, template, values + s * shift,
+                                       event, self.PENALTY) for s in (1, -1))
+        oracle = ((plus - minus) / (2.0 * step)).reshape(values.shape)
+        return res, adjoint, oracle
+
+    @staticmethod
+    def _far_event(problem, values):
+        final = march(problem, len(values), penalty_n=1e4,
+                      control_values=values, store=False).final
+        return TargetEvent(center=Field(0.9 * final, problem.grid),
+                           radius=1e-3)
+
+    def _check(self, adjoint, oracle):
+        assert adjoint.shape == oracle.shape
+        scale = np.max(np.abs(oracle))
+        assert scale > 0.0
+        assert np.max(np.abs(adjoint - oracle)) <= 1e-7 * scale
+
+    def test_heat_obstacle_gradient_is_zero(self):
+        # no noise mode acts on heat_obstacle: no control moves u
+        problem = heat_obstacle(n_nodes=101)
+        values = np.random.default_rng(1).standard_normal((20, 1))
+        event = self._far_event(problem, np.zeros_like(values))
+        _, adjoint, oracle = self._both(problem, event, values)
+        assert not np.any(adjoint) and not np.any(oracle)
+
+    def test_linear_additive(self):
+        problem = linear_additive(n_nodes=101)
+        rng = np.random.default_rng(2)
+        event = self._far_event(problem, rng.standard_normal((50, 1)))
+        self._check(*self._both(problem, event,
+                                rng.standard_normal((50, 1)))[1:])
+
+    def test_quasilinear_barrier_inactive(self):
+        # the barrier lowered to -50: the split never acts, but f, g and
+        # h_shape depend on the state
+        problem = dataclasses.replace(
+            quasilinear_full(n_nodes=101),
+            obstacle=lambda t, x: np.full_like(x, -50.0))
+        rng = np.random.default_rng(3)
+        event = self._far_event(problem, 0.5 * rng.standard_normal((20, 4)))
+        res, adjoint, oracle = self._both(
+            problem, event, 0.5 * rng.standard_normal((20, 4)))
+        assert not res.density.any()
+        self._check(adjoint, oracle)
+
+    def test_quasilinear_binding_event(self):
+        problem, event, generator = binding_event(20)
+        values = generator.values \
+            + 0.3 * np.random.default_rng(4).standard_normal((20, 4))
+        res, adjoint, oracle = self._both(problem, event, values)
+        assert res.density.any()   # the penalty split acts
+        self._check(adjoint, oracle)
+
+    def test_zero_distance_gives_zero_gradient(self):
+        problem = quasilinear_full(n_nodes=101)
+        values = np.random.default_rng(5).standard_normal((20, 4))
+        res = march(problem, 20, penalty_n=1e4, control_values=values)
+        event = TargetEvent(center=Field(res.final, problem.grid), radius=0.1)
+        grad = _excess_gradient(problem, event, res, values, 1e4)
+        assert grad.shape == values.shape
+        assert np.all(np.isfinite(grad)) and not np.any(grad)
 
 
 class TestMinimizeRate:
@@ -198,6 +292,28 @@ class TestMinimizeRate:
         assert res.constraint_residual == 0.0
         assert not np.any(res.minimizer.values)
 
+    def test_gradient_adds_no_march(self, problem, bundled, monkeypatch):
+        # each point SLSQP visits costs one stored single-system march; its
+        # gradient sweeps back through that march
+        event, _, res = bundled
+        marches = []
+        real_march = obslab.ldp.march
+
+        def recording_march(*args, **kwargs):
+            # SLSQP updates its iterate in place: keep a copy of the point
+            marches.append(dict(kwargs,
+                                control_values=kwargs["control_values"].copy()))
+            return real_march(*args, **kwargs)
+
+        monkeypatch.setattr("obslab.ldp.march", recording_march)
+        again = minimize_rate(problem, event,
+                              opt_config={"n_steps": 50, "penalty_n": 1e4})
+        assert again.rate == res.rate
+        points = [kw["control_values"] for kw in marches]
+        assert all(p.shape == (50, 1) for p in points)
+        assert all(kw.get("store", True) for kw in marches)
+        assert len({p.tobytes() for p in points}) == len(points)
+
     def test_iteration_limit_is_never_feasible(self, problem, bundled):
         event, _, _ = bundled
         # one SQP iteration gets close to the ball (residual about 1e-5)
@@ -244,23 +360,15 @@ class TestMinimizeRate:
 
 class TestBindingBarrier:
     """A reachable event on quasilinear_full whose minimizer presses the
-    state into the barrier.  The penalty term makes the terminal map kinked
-    there, so the forward-difference Jacobian is inexact; the solve must
-    still come back feasible and optimal."""
+    state into the barrier.  The penalty split makes the terminal map
+    kinked where it starts to act, so the solve's gradient changes
+    abruptly there; the solve must still come back feasible and optimal."""
 
     @pytest.fixture(scope="class")
     def solved(self):
-        problem = quasilinear_full(n_nodes=101, obstacle_amplitude=0.8)
-        n_steps = 20
-        generator = constant_control(n_steps, problem.coefficients.n_modes,
-                                     problem.horizon, -2.0)
-        shifted = solve_penalized(problem, generator, 1e4, n_steps=n_steps)
-        event = TargetEvent(center=Field(shifted.traj.values[0],
-                                         problem.grid),
-                            radius=0.02)
+        problem, event, generator = binding_event(20)
         res = minimize_rate(problem, event,
-                            opt_config={"n_steps": n_steps,
-                                        "penalty_n": 1e4})
+                            opt_config={"n_steps": 20, "penalty_n": 1e4})
         return problem, event, generator, res
 
     def test_barrier_binds_at_the_minimizer(self, solved):
@@ -295,6 +403,23 @@ class TestBindingBarrier:
         grad = (plus - minus) / (2.0 * step)
         cosine = -float(x @ grad) / (np.linalg.norm(x) * np.linalg.norm(grad))
         assert cosine >= 1.0 - 1e-6
+
+
+    def test_rate_converges_under_refinement(self):
+        # first order in dt: the gaps between successive levels halve
+        # (measured rates 0.252063 / 0.251983 / 0.251947)
+        rates = []
+        for n_steps in (20, 40, 80):
+            problem, event, _ = binding_event(n_steps)
+            res = minimize_rate(problem, event,
+                                opt_config={"n_steps": n_steps,
+                                            "penalty_n": 1e4})
+            assert res.feasible
+            rates.append(res.rate)
+        gaps = -np.diff(rates)
+        assert np.all(gaps > 0.0)
+        assert 1.5 <= gaps[0] / gaps[1] <= 3.0
+        assert (max(rates) - min(rates)) / min(rates) <= 1e-3
 
 
 class TestAffineResponse:

@@ -12,7 +12,7 @@ from obslab.grid import Grid, Trajectory, ht_distance
 from obslab.problem import CoefficientSet, LipschitzInfo, ProblemSpec
 from obslab.skeleton import solve_penalized, solve_projected, zero_control
 from obslab.stepping import (DivergenceError, StabilityError, march,
-                             stability_limit)
+                             march_adjoint, stability_limit)
 
 
 def _const_obstacle(level):
@@ -341,6 +341,56 @@ class TestFactorOnce:
         assert res.final.shape == ((prob.grid.n_nodes,) if batch is None
                                    else (batch, prob.grid.n_nodes))
         assert len(calls) == 1
+
+
+class TestMarchAdjoint:
+    """The backward sweep against the forward march it transposes."""
+
+    def test_transposes_the_affine_response(self):
+        # linear_additive answers the control affinely and its barrier never
+        # binds, so <mu, u(k + d) - u(k)> = <gradient, d> up to rounding
+        prob = linear_additive(n_nodes=101)
+        n_steps = 30
+        rng = np.random.default_rng(11)
+        k, direction = rng.standard_normal((2, n_steps, 1))
+        mu = rng.standard_normal(prob.grid.n_nodes)
+        res = march(prob, n_steps, penalty_n=1e4, control_values=k)
+        grad = march_adjoint(prob, res, mu, penalty_n=1e4, control_values=k)
+        moved = march(prob, n_steps, penalty_n=1e4,
+                      control_values=k + direction, store=False).final
+        assert float(np.sum(grad * direction)) == pytest.approx(
+            float(mu @ (moved - res.final)), rel=1e-10)
+
+    def test_one_factorization_per_sweep(self, monkeypatch):
+        prob = quasilinear_full(n_nodes=51)
+        k = np.zeros((20, prob.coefficients.n_modes))
+        res = march(prob, 20, penalty_n=1e4, control_values=k)
+        calls = []
+        factor = stepping.ldl_factor
+
+        def counting(*args):
+            calls.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(stepping, "ldl_factor", counting)
+        march_adjoint(prob, res, np.ones(51), penalty_n=1e4, control_values=k)
+        assert len(calls) == 1
+
+    def test_needs_a_stored_single_system_march(self):
+        prob = linear_additive(n_nodes=51)
+        k = np.zeros((20, 1))
+        lean = march(prob, 20, penalty_n=1e4, control_values=k, store=False)
+        with pytest.raises(ValueError, match="stored single-system"):
+            march_adjoint(prob, lean, np.ones(51), penalty_n=1e4,
+                          control_values=k)
+        batched = march(prob, 20, penalty_n=1e4, control_values=k[None])
+        with pytest.raises(ValueError, match="stored single-system"):
+            march_adjoint(prob, batched, np.ones(51), penalty_n=1e4,
+                          control_values=k)
+        res = march(prob, 20, penalty_n=1e4, control_values=k)
+        with pytest.raises(ValueError, match="control shape"):
+            march_adjoint(prob, res, np.ones(51), penalty_n=1e4,
+                          control_values=np.zeros((10, 1)))
 
 
 class TestPinnedNodes:
