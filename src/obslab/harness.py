@@ -58,7 +58,8 @@ def config_hash(config: dict) -> str:
 
 def _problem_from(config: dict, **overrides):
     """Build the configured family, with `overrides` over `problem.params`,
-    and validate it; a builder that rejects the params raises ConfigError."""
+    and validate it; a builder that rejects the params, a failed check or a
+    control mode the family does not have raises ConfigError."""
     pc = config["problem"]
     try:
         problem = make_problem(pc["family"],
@@ -69,6 +70,12 @@ def _problem_from(config: dict, **overrides):
     report = validate(problem)
     if not report.passed:
         raise ConfigError(f"problem fails validation:\n{report.summary()}")
+    J = problem.coefficients.n_modes
+    mode = config.get("control", {}).get("mode", 0)
+    if mode >= J:
+        raise ConfigError(f"control/mode: {mode} is out of range; family "
+                          f"{pc['family']!r} has {J} noise mode(s), "
+                          f"numbered from 0")
     return problem
 
 

@@ -25,7 +25,7 @@ from .problem import ProblemSpec
 # the traced benchmark (perfbench/layers.py) names it as a probe site.
 from .skeleton import (Control, solve_penalized, solve_skeleton,  # noqa: F401
                        zero_control)
-from .spde import sample_terminal_states
+from .spde import sample_terminal_states, stream_table
 from .stepping import MarchResult, march, march_adjoint
 
 OPT_KEYS = ("n_steps", "penalty_n", "max_iters")
@@ -258,13 +258,15 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
         k_sq = k_star.k_norm_sq()
     grid = problem.grid
     per_eps = []
+    control = k_star if use_importance else None
+    # the streams' response table does not depend on eps: one per sweep
+    table = stream_table(problem, penalty_n, n_steps, n_samples, control)
     for i_eps, eps in enumerate(epsilon_list):
-        control = k_star if use_importance else None
         weights = []
         hits = 0
         for res, inc in sample_terminal_states(
                 problem, eps, penalty_n, n_steps, n_samples, seed + i_eps,
-                control=control):
+                control=control, table=table):
             hit = event.contains_final(res.final, grid)
             hits += int(np.count_nonzero(hit))
             inside = hit.astype(float)

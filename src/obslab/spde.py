@@ -4,18 +4,28 @@ The noisy solution is the shared reversed-time march (`stepping.march`) with
 an explicit Brownian forcing sqrt(eps) * sum_j h_j dB^j added to each step
 (and, when a control is present, the shifted drift sum_j h_j k^j dt).  With
 eps = 0 it degenerates to the deterministic controlled solver bit-for-bit.
-This module draws the increments and streams batches of unstored noisy
-marches.  The stream is the one Monte Carlo path of the package: the
-rare-event estimators read its terminal states, and the coupling-distance
-sweep in eps (condition (i)) reads its path distances to the skeleton.
+This module draws the increments and streams batches of noisy marches.  The
+stream is the one Monte Carlo path of the package: the rare-event
+estimators read its terminal states, and the coupling-distance sweep in eps
+(condition (i)) reads its path distances to the skeleton.
 
 Noise comes from a counter-based generator (Philox) keyed by the user seed
 and a sample counter, so Monte Carlo substreams are reproducible regardless
-of execution order or batch size.  The stream therefore maps its sample
-ranges over a pool of forked worker processes
-(`concurrent.futures.ProcessPoolExecutor`), one per usable core, and yields
-their results in sample order: the output does not depend on the number of
-workers.
+of execution order or batch size.
+
+A stream of final states on a `state_free` problem evaluates them from a
+`ResponseTable` where it can: wherever the barrier split does not act,
+such a march is affine in its noise, so two marches give every final as
+the base final plus the noise drives times the per-interval responses, and
+a bound on each sample's distance from the base path certifies that its
+split never acts; the uncertified samples take the step march.  Such a
+stream runs in-process when the table certifies most of its samples.
+Every other stream (one that leaves many samples uncertified,
+state-dependent coefficients, path distances, a barrier the base path
+touches, too few samples to pay for the table) maps its sample ranges over
+a pool of forked worker processes (`concurrent.futures.ProcessPoolExecutor`),
+one per usable core, and yields their results in sample order: the output
+does not depend on the number of workers.
 """
 from __future__ import annotations
 
@@ -28,19 +38,24 @@ import numpy as np
 
 from .problem import ProblemSpec
 from .skeleton import Control, solve_penalized
-from .stepping import march
+from .stepping import MarchResult, march
 
 # Samples are drawn in fixed-size blocks, each from its own (seed, block)
 # key, so parallel workers produce byte-identical streams.
 NOISE_BLOCK = 1024
-# Rows per unstored Monte Carlo march; the finals do not depend on it.  256
-# rows keep a batch's state and its temporaries in a core's L2 cache.
-# Serial march time per 4096 rows (linear_additive, 201 nodes, 50 steps,
-# 2-core Xeon, the p = M^-1 (2 v + dt F) - v step; BENCH_step.json) was
-# 0.60 s at 512 rows, 0.69 s at 256 and 0.76 s at 128, but four runs of the
-# tool spread over 0.52-0.63, 0.59-0.69 and 0.62-0.76 s: no size wins
-# reliably.  128 rows also double the batches the pool ships.
-MC_BATCH = 256
+# Rows per Monte Carlo batch: one noise block, so a stream draws each block
+# once (a smaller batch would draw its whole block again for every range it
+# covers).  The finals do not depend on it.  The serial step march loses
+# about nothing: over three runs of tools/bench_step.py (2 cores), the
+# 4096-sample stream (linear_additive, 201 nodes, 50 steps) took
+# 0.63-0.67 s at 256 rows and 0.64-0.68 s at 1024.  On the pool, few ranges
+# balance worse: 3000 samples of quasilinear_full (101 nodes, 20 steps)
+# took 0.28 s at 1024 rows against 0.24 s at 256 (4096: 0.30 against 0.31).
+MC_BATCH = NOISE_BLOCK
+# Relative rounding margin of the response certificate: the limit on a
+# row's deviation from the base path is taken 1e-9 of the path's scale
+# inside the barrier gap, far above the march's rounding (about 1e-15).
+RESPONSE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,17 +148,141 @@ def condition_i_distance(problem: ProblemSpec, epsilon_list: Sequence[float],
     }
 
 
+@dataclass(frozen=True)
+class ResponseTable:
+    """The final state of a `state_free` march as an affine map of its noise.
+
+    Row i of `responses` is G_i, the change of the final state under a unit
+    drive (h_shape * 1) on the forward interval i, and `reach[i]` bounds
+    sup_m ||G_i at step m||_H.  A noisy march whose barrier split never acts
+    ends at base + sum_i D_i G_i, with D_i = sqrt(eps) (dB_i . w) its noise
+    drive on interval i.  Its state at step m lies within
+    sum_i |D_i| reach[i] of the base path in the H norm, so within that
+    over sqrt(h) at every node.  Below `limit` (sqrt(h) times the base
+    path's least gap to the barrier, less a rounding margin) no split acts,
+    and the affine map is the march.
+    """
+
+    base: np.ndarray       # (nx,) final state of the noise-free march
+    responses: np.ndarray  # (n_steps, nx)
+    reach: np.ndarray      # (n_steps,)
+    limit: float
+    weights: np.ndarray    # (J,) the mode weights
+
+    def finals(self, epsilon: float, increments: np.ndarray) -> tuple:
+        """(finals, certified) for (S, n_steps, J) increments.
+
+        `certified[s]` says that row s provably keeps off the barrier at
+        every node and step and that its final is finite; the other rows'
+        finals mean nothing.  The stacked product, one row at a time, gives
+        each row the same bits in a batch of any size.
+        """
+        drive = np.sqrt(epsilon) * (increments @ self.weights)  # (S, n_steps)
+        finals = np.matmul(drive[:, None, :], self.responses)[:, 0]
+        finals += self.base
+        certified = np.sum(np.abs(drive) * self.reach, axis=-1) < self.limit
+        return finals, certified & np.isfinite(finals).all(axis=-1)
+
+    def certifies_most(self, epsilon: float, dt: float) -> bool:
+        """Whether at least 16 in 17 Brownian rows are certified.
+
+        The drives D_i are independent N(0, sigma^2), sigma^2 = eps dt |w|^2,
+        so a row's certificate sum S = sum_i |D_i| reach[i] has mean
+        sigma sqrt(2/pi) sum_i reach[i] and variance
+        sigma^2 (1 - 2/pi) sum_i reach[i]^2.  By Cantelli's inequality at
+        most 1/17 of the rows reach the mean plus four standard deviations.
+        """
+        sigma = np.sqrt(epsilon * dt) * np.linalg.norm(self.weights)
+        mean = sigma * np.sqrt(2.0 / np.pi) * np.sum(self.reach)
+        sd = sigma * np.sqrt((1.0 - 2.0 / np.pi) * np.sum(self.reach ** 2))
+        return mean + 4.0 * sd < self.limit
+
+
+def _response_table(problem: ProblemSpec, n: float, n_steps: int,
+                    control: Optional[Control]) -> Optional[ResponseTable]:
+    """The response table of a `state_free` problem's noisy march under
+    `control` (zero when None), or None where it cannot be certified.
+
+    Two marches build it.  The penalized solve under the control (no
+    noise) must keep a positive least gap to the barrier (`min_gap`), so
+    its barrier density is 0.  One unstored march of n_steps rows then adds
+    to row i a unit drive on interval i (mode argmax |w_j|, value
+    1 / (dt w_j)), marched against the solve's path: its finals less the
+    base final are the responses, its path distances bound their reach.
+    If a split had acted on an impulse row, that row would end the step
+    more than the gap below the base path at some node, so its reach would
+    be at least sqrt(h) times the gap.  Every reach below the limit
+    therefore proves the impulse march linear.
+    """
+    weights = problem.coefficients.mode_weights
+    j = int(np.argmax(np.abs(weights)))
+    if weights[j] == 0.0:
+        return None  # no noise reaches the state
+    base = solve_penalized(problem, control, n, n_steps=n_steps)
+    path = base.traj.values
+    scale = 1.0 + np.max(np.abs(path))
+    limit = np.sqrt(problem.grid.h) * (base.min_gap - RESPONSE_MARGIN * scale)
+    if not limit > 0.0:
+        return None
+    rows = np.arange(n_steps)
+    impulses = np.repeat(base.control.values[None], n_steps, axis=0)
+    impulses[rows, rows, j] += 1.0 / (problem.horizon / n_steps * weights[j])
+    kicked = march(problem, n_steps, penalty_n=n, control_values=impulses,
+                   store=False, reference=path)
+    if not np.max(kicked.distances) < limit:
+        return None
+    return ResponseTable(path[0], kicked.final - path[0], kicked.distances,
+                         float(limit), weights)
+
+
+def stream_table(problem: ProblemSpec, n: float, n_steps: int,
+                 n_samples: int, control: Optional[Control] = None,
+                 reference: Optional[np.ndarray] = None
+                 ) -> Optional[ResponseTable]:
+    """The response table of a `sample_terminal_states` stream of these
+    arguments, or None where the stream takes the step march throughout.
+
+    A table applies to a `state_free` problem without a `reference` whose
+    samples outnumber the table's n_steps + 1 marched rows.  It does not
+    depend on eps, so a sweep in eps builds it once and hands it to each
+    stream.
+    """
+    if (problem.coefficients.state_free and reference is None
+            and n_samples > n_steps + 1):
+        return _response_table(problem, n, n_steps, control)
+    return None
+
+
 def _terminal_batch(problem: ProblemSpec, epsilon: float, n: float,
                     n_steps: int, seed: int, values: Optional[np.ndarray],
                     bounds: tuple,
-                    reference: Optional[np.ndarray] = None) -> tuple:
-    """The unstored noisy march of the samples [lo, hi), and its increments."""
+                    reference: Optional[np.ndarray] = None,
+                    table: Optional[ResponseTable] = None) -> tuple:
+    """The noisy finals of the samples [lo, hi), and their increments.
+
+    Given a response `table`, the rows it certifies take their finals from
+    it.  Every other row takes the unstored step march, which also gives
+    the path distances to a `reference`; a row with non-finite increments
+    raises `DivergenceError` there.
+    """
     lo, hi = bounds
     inc = sample_noise_batch(hi - lo, n_steps, problem.coefficients.n_modes,
                              problem.horizon / n_steps, seed, first_sample=lo)
-    return march(problem, n_steps, penalty_n=n, control_values=values,
-                 epsilon=epsilon, noise_increments=inc, store=False,
-                 reference=reference), inc
+    if table is None:
+        return march(problem, n_steps, penalty_n=n, control_values=values,
+                     epsilon=epsilon, noise_increments=inc, store=False,
+                     reference=reference), inc
+    finals, certified = table.finals(epsilon, inc)
+    if not certified.all():
+        finals[~certified] = march(
+            problem, n_steps, penalty_n=n, control_values=values,
+            epsilon=epsilon, noise_increments=inc[~certified],
+            store=False).final
+    return MarchResult(finals, None, None, None), inc
+
+
+# The default `table` of `sample_terminal_states`: build the stream's own.
+_OWN_TABLE = object()
 
 
 # The batch function of the running stream, in a worker process only: the
@@ -163,24 +302,38 @@ def _run_inherited(bounds: tuple) -> tuple:
 def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
                            n_steps: int, n_samples: int, seed: int,
                            control: Optional[Control] = None,
-                           reference: Optional[np.ndarray] = None):
+                           reference: Optional[np.ndarray] = None,
+                           table=_OWN_TABLE):
     """Generator of (unstored `MarchResult`, its noise increments) batches.
 
     Streams Monte Carlo batches of `MC_BATCH` samples, in sample order,
     without storing trajectories.  Each result holds the states at forward
     time 0 (`final`) and, given a forward-ordered `reference` path, each
     sample's path distance to it (`distances`): the rare-event estimators
-    read the first, the coupling sweep of condition (i) the second.  The
-    batches run on a `ProcessPoolExecutor` of forked workers, one per usable
-    core (none on one core).  However the stream ends, the batches not yet
-    started are cancelled and the workers are joined.
+    read the first, the coupling sweep of condition (i) the second.
+
+    Where `stream_table` gives a `ResponseTable` (pass its result as
+    `table` to share it over a sweep in eps; by default the stream builds
+    its own), each sample the table certifies takes its final from it and
+    the others take the step march.  The batches run in-process when the
+    table certifies most samples (`ResponseTable.certifies_most`), and
+    otherwise on a `ProcessPoolExecutor` of forked workers, one per usable
+    core (none on one core); a sample's final is the same either way.
+    However the stream ends, the batches not yet started are cancelled and
+    the workers are joined.
     """
     values = None if control is None else control.values
+    if table is _OWN_TABLE:
+        table = stream_table(problem, n, n_steps, n_samples, control,
+                             reference)
     batch = functools.partial(_terminal_batch, problem, epsilon, n, n_steps,
-                              seed, values, reference=reference)
+                              seed, values, reference=reference, table=table)
     ranges = [(lo, min(lo + MC_BATCH, n_samples))
               for lo in range(0, n_samples, MC_BATCH)]
     workers = min(len(os.sched_getaffinity(0)), len(ranges))
+    if table is not None and table.certifies_most(epsilon,
+                                                  problem.horizon / n_steps):
+        workers = 1  # a few step-marched rows do not pay for the pool
     if workers <= 1:
         yield from map(batch, ranges)
         return

@@ -151,6 +151,27 @@ class TestConfigValidation:
             r"problem.params rejected by family 'quasilinear_full': "
             r"mode_weights must be a nonempty vector")
 
+    @pytest.mark.parametrize("kind, control, match", [
+        ("condition_ii", {"kind": "constant", "value": 1.0, "mode": 3},
+         r"control/mode: 3 is out of range; family 'linear_additive' has "
+         r"1 noise mode\(s\)"),
+        ("skeleton_solve", {"kind": "constant", "value": 1.0, "mode": 7},
+         r"control/mode: 7 is out of range; family 'quasilinear_full' has "
+         r"4 noise mode\(s\)"),
+    ])
+    def test_control_mode_out_of_range_rejected_before_any_march(
+            self, kind, control, match, tmp_path, monkeypatch):
+        # an unchecked mode fell through to an IndexError in the control
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march started before the mode check")
+
+        for module in ("skeleton", "ldp", "spde"):
+            monkeypatch.setattr(f"obslab.{module}.march", no_march)
+        cfg = load_config(kind)
+        cfg["control"] = control
+        self._params_rejected_before_any_solve(cfg, tmp_path / kind,
+                                               monkeypatch, match)
+
     @pytest.mark.parametrize("key, value, match", [
         # mc_compare reads n_samples; the misspelt key would run 10 000
         ("n_sample", 100, r"params: .*'n_sample' was unexpected"),

@@ -1,4 +1,5 @@
 """Small-noise simulation: coupling, scaling laws, and reproducibility."""
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -7,13 +8,15 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+import obslab.skeleton
 import obslab.spde
-from obslab.families import linear_additive, quasilinear_full
+from obslab.families import heat_obstacle, linear_additive, quasilinear_full
 from obslab.grid import Field
 from obslab.kernels import ldl_factor, thomas_batch
 from obslab.ldp import TargetEvent, mc_ldp_compare, minimize_rate
 from obslab.skeleton import constant_control, solve_penalized, zero_control
-from obslab.spde import (MC_BATCH, condition_i_distance, sample_noise,
+from obslab.spde import (MC_BATCH, NOISE_BLOCK, _response_table,
+                         condition_i_distance, sample_noise,
                          sample_noise_batch, sample_terminal_states)
 from obslab.stepping import DivergenceError, march
 
@@ -37,6 +40,24 @@ class TestNoiseSampling:
         c = sample_noise_batch(8, 20, 1, 0.01, seed=6)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("path", ["response", "step"])
+    def test_stream_draws_each_block_once(self, path, monkeypatch):
+        # the step-march stream runs serially here, so that its draws are
+        # seen; three blocks, the last one ragged
+        problem, n_steps, k = (_forking_case() if path == "step"
+                               else (linear_additive(), 50, None))
+        _cores(monkeypatch, 1)
+        drawn = []
+        block_normals = obslab.spde._block_normals
+
+        def counted(seed, block_index, shape):
+            drawn.append((seed, block_index))
+            return block_normals(seed, block_index, shape)
+
+        monkeypatch.setattr(obslab.spde, "_block_normals", counted)
+        _stream(problem, n_steps, 2 * NOISE_BLOCK + 17, control=k)
+        assert drawn == [(11, 0), (11, 1), (11, 2)]
 
 
 class TestDegenerateCoupling:
@@ -180,6 +201,158 @@ class TestConditionI:
             mc_ldp_compare(linear_problem, event, [0.1], n_samples, seed=0)
 
 
+class TestResponseTable:
+    """A final-state stream on a `state_free` problem evaluates the samples
+    its response table certifies as base + D G, and marches the rest."""
+
+    N = MC_BATCH + 300  # two ranges, the last one ragged
+
+    @staticmethod
+    def _counted_marches(monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("noise_increments") is None)
+            return march(*args, **kwargs)
+
+        # the table's base path is a penalized solve
+        for module in (obslab.spde, obslab.skeleton):
+            monkeypatch.setattr(module, "march", counted)
+        return calls
+
+    @pytest.mark.parametrize("eps", [0.4, 0.05])
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_finals_match_the_step_march(self, eps, controlled,
+                                         monkeypatch):
+        problem = linear_additive()
+        k = constant_control(50, 1, problem.horizon, 1.2) if controlled \
+            else None
+        calls = self._counted_marches(monkeypatch)
+        results, incs = zip(*sample_terminal_states(
+            problem, eps, 1e4, 50, self.N, 5, control=k))
+        # the table's two noise-free marches, and no step march
+        assert calls == [True, True]
+        inc = np.concatenate(incs)
+        assert np.array_equal(inc, sample_noise_batch(
+            self.N, 50, 1, problem.horizon / 50, 5))
+        direct = march(problem, 50, penalty_n=1e4,
+                       control_values=None if k is None else k.values,
+                       epsilon=eps, noise_increments=inc, store=False)
+        finals = np.concatenate([res.final for res in results])
+        assert np.max(np.abs(finals - direct.final)) <= 1e-12
+
+    def test_uncertified_rows_take_the_step_march(self, monkeypatch):
+        # a state-free problem with its barrier at -10, far enough below
+        # the base path for a table; every third sample's noise is scaled
+        # up so far that the barrier binds for some of them
+        problem = dataclasses.replace(
+            linear_additive(),
+            obstacle=lambda t, x: np.full_like(np.asarray(x, float), -10.0))
+        eps, boost = 0.05, 200.0
+        draw = obslab.spde.sample_noise_batch
+
+        def boosted(n, *args, first_sample=0, **kwargs):
+            inc = draw(n, *args, first_sample=first_sample, **kwargs)
+            inc[(first_sample + np.arange(n)) % 3 == 0] *= boost
+            return inc
+
+        monkeypatch.setattr(obslab.spde, "sample_noise_batch", boosted)
+        calls = self._counted_marches(monkeypatch)
+        results, incs = zip(*sample_terminal_states(problem, eps, 1e4, 50,
+                                                    self.N, 5))
+        assert calls == [True, True, False, False]  # one step march a range
+        inc = np.concatenate(incs)
+        finals = np.concatenate([res.final for res in results])
+        direct = march(problem, 50, penalty_n=1e4, epsilon=eps,
+                       noise_increments=inc, store=False).final
+        free = march(problem, 50, epsilon=eps, noise_increments=inc,
+                     store=False).final
+        binds = np.any(direct != free, axis=1)
+        boosted_rows = np.arange(self.N) % 3 == 0
+        assert binds.any() and not binds[~boosted_rows].any()
+        assert np.array_equal(finals[boosted_rows], direct[boosted_rows])
+        assert np.max(np.abs(finals - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("eps, most", [(0.4, True), (4.0, False)])
+    def test_certifies_most_matches_the_certified_share(self, eps, most):
+        problem = linear_additive()
+        dt = problem.horizon / 50
+        table = _response_table(problem, 1e4, 50, None)
+        _, certified = table.finals(eps, sample_noise_batch(4096, 50, 1, dt,
+                                                            3))
+        assert table.certifies_most(eps, dt) == most
+        assert (certified.mean() >= 16 / 17) == most
+
+    def test_sweep_in_eps_builds_one_table(self, monkeypatch):
+        problem = linear_additive()
+        shifted = solve_penalized(
+            problem, constant_control(50, 1, problem.horizon, 1.2), 1e4,
+            n_steps=50)
+        event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
+        built = []
+        build = obslab.spde._response_table
+
+        def counted(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(obslab.spde, "_response_table", counted)
+        report = mc_ldp_compare(problem, event, [0.4, 0.2, 0.1], self.N,
+                                seed=3)
+        assert len(built) == 1
+        assert len(report["per_epsilon"]) == 3
+
+    def test_non_finite_noise_raises_from_the_step_march(self, monkeypatch):
+        # no row with NaN increments is certified; its step march diverges
+        monkeypatch.setattr(obslab.spde, "sample_noise_batch",
+                            lambda n, *a, **kw: np.full((n, 50, 1), np.nan))
+        calls = self._counted_marches(monkeypatch)
+        with pytest.raises(DivergenceError):
+            _stream(linear_additive(), 50, self.N)
+        assert calls == [True, True, False]
+
+    @pytest.mark.parametrize("problem", [
+        heat_obstacle(),  # the barrier binds at zero noise
+        # the base path clears the barrier, but a unit impulse would not
+        dataclasses.replace(
+            linear_additive(),
+            obstacle=lambda t, x: np.full_like(np.asarray(x, float), -5.0)),
+    ], ids=["heat_obstacle", "near_barrier"])
+    def test_no_table_where_it_cannot_be_certified(self, problem,
+                                                   monkeypatch):
+        assert _response_table(problem, 1e4, 50, None) is None
+        _cores(monkeypatch, 1)
+        finals, inc = _stream(problem, 50, self.N)
+        direct = march(problem, 50, penalty_n=1e4, epsilon=0.2,
+                       noise_increments=inc, store=False).final
+        assert np.array_equal(finals, direct)
+
+    @pytest.mark.parametrize("n_samples, with_reference", [
+        (51, False),  # no more samples than the table's 51 rows
+        (MC_BATCH + 300, True),  # path distances need every state
+    ])
+    def test_no_table_where_it_does_not_apply(self, n_samples,
+                                              with_reference, monkeypatch):
+        problem = linear_additive()
+        monkeypatch.setattr(obslab.spde, "_response_table",
+                            lambda *a, **kw: pytest.fail("table built"))
+        reference = None
+        if with_reference:
+            reference = solve_penalized(problem, None, 1e4,
+                                        n_steps=50).traj.values
+        _cores(monkeypatch, 1)
+        results = list(sample_terminal_states(problem, 0.2, 1e4, 50,
+                                              n_samples, 5,
+                                              reference=reference))
+        assert sum(len(res.final) for res, _ in results) == n_samples
+
+
+def _forking_case():
+    """A stream that runs on the pool: its coefficients read the state."""
+    problem = quasilinear_full(n_nodes=101)
+    return problem, 20, constant_control(20, 4, problem.horizon, -1.0)
+
+
 def _cores(monkeypatch, count):
     """Make the terminal-state stream see `count` usable cores."""
     monkeypatch.setattr(obslab.spde.os, "sched_getaffinity",
@@ -257,48 +430,91 @@ class TestWorkers:
         assert forked == report()
 
     def test_condition_i_report_unchanged(self, monkeypatch):
-        # 600 samples are three ranges of the stream
+        # three ranges of the stream, the last one ragged
         problem = linear_additive()
         k = constant_control(50, 1, problem.horizon, 1.0)
 
         def report():
             return condition_i_distance(problem, [0.1, 0.05], k, 1e4, 50,
-                                        600, seed=7, deltas=[0.05, 0.1])
+                                        2 * MC_BATCH + 17, seed=7,
+                                        deltas=[0.05, 0.1])
 
         _cores(monkeypatch, 2)
         forked = report()
         _cores(monkeypatch, 1)
         assert forked == report()
 
-    def test_no_worker_left_after_a_full_stream(self, linear_problem,
-                                                monkeypatch):
+    def test_condition_i_report_unchanged_on_a_state_dependent_problem(
+            self, monkeypatch):
+        problem, n_steps, k = _forking_case()
+
+        def report():
+            return condition_i_distance(problem, [0.2, 0.1], k, 1e4, n_steps,
+                                        2 * MC_BATCH + 17, seed=7,
+                                        deltas=[0.05, 0.1])
+
         _cores(monkeypatch, 2)
-        _stream(linear_problem, 50, self.N)
+        forked = report()
+        _cores(monkeypatch, 1)
+        assert forked == report()
+
+    def test_mostly_uncertified_stream_forks(self, monkeypatch):
+        # at eps = 4 the table certifies about a quarter of the samples:
+        # the stream runs on the pool, the workers use the table too
+        problem, eps = linear_additive(), 4.0
+        table = _response_table(problem, 1e4, 50, None)
+        assert not table.certifies_most(eps, problem.horizon / 50)
+        _cores(monkeypatch, 2)
+        stream = sample_terminal_states(problem, eps, 1e4, 50, self.N, 11)
+        first = [next(stream)]
+        assert multiprocessing.active_children() != []  # the workers are live
+        results, incs = zip(*(first + list(stream)))
+        forked = np.concatenate([res.final for res in results])
+        inc = np.concatenate(incs)
+        _, certified = table.finals(eps, inc)
+        assert 0.1 < certified.mean() < 0.5
+        _cores(monkeypatch, 1)
+        results, _ = zip(*sample_terminal_states(problem, eps, 1e4, 50,
+                                                 self.N, 11))
+        assert np.array_equal(forked,
+                              np.concatenate([res.final for res in results]))
+        direct = march(problem, 50, penalty_n=1e4, epsilon=eps,
+                       noise_increments=inc, store=False).final
+        assert np.array_equal(forked[~certified], direct[~certified])
+        assert np.max(np.abs(forked - direct)) <= 1e-12
+
+    def test_no_worker_left_after_a_full_stream(self, monkeypatch):
+        problem, n_steps, k = _forking_case()
+        _cores(monkeypatch, 2)
+        _stream(problem, n_steps, self.N, control=k)
         assert multiprocessing.active_children() == []
 
-    def test_worker_error_reaches_the_caller(self, linear_problem,
-                                             monkeypatch):
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        problem, n_steps, k = _forking_case()
         _cores(monkeypatch, 2)
         monkeypatch.setattr(obslab.spde, "sample_noise_batch",
-                            lambda n, *a, **kw: np.full((n, 50, 1), np.nan))
+                            lambda n, steps, modes, *a, **kw:
+                            np.full((n, steps, modes), np.nan))
         with pytest.raises(DivergenceError):
-            _stream(linear_problem, 50, self.N)
+            _stream(problem, n_steps, self.N, control=k)
         assert multiprocessing.active_children() == []
 
     def test_worker_that_dies_without_raising_ends_the_stream(
-            self, linear_problem, monkeypatch):
+            self, monkeypatch):
+        # a stream that forks: in-process, os._exit would end pytest itself
+        problem, n_steps, k = _forking_case()
         _cores(monkeypatch, 2)
         monkeypatch.setattr(obslab.spde, "sample_noise_batch",
                             lambda *a, **kw: os._exit(3))
         with pytest.raises(BrokenProcessPool):
-            _stream(linear_problem, 50, self.N)
+            _stream(problem, n_steps, self.N, control=k)
         assert multiprocessing.active_children() == []
 
-    def test_no_worker_left_after_an_early_close(self, linear_problem,
-                                                 monkeypatch):
+    def test_no_worker_left_after_an_early_close(self, monkeypatch):
+        problem, n_steps, k = _forking_case()
         _cores(monkeypatch, 2)
-        stream = sample_terminal_states(linear_problem, 0.2, 1e4, 50, self.N,
-                                        11)
+        stream = sample_terminal_states(problem, 0.2, 1e4, n_steps, self.N,
+                                        11, control=k)
         next(stream)
         assert multiprocessing.active_children() != []  # the workers are live
         stream.close()

@@ -17,8 +17,16 @@ checkout's src/:
   finiteness check.  The phases are read from timestamps taken by wrappers
   around the coefficient functions and the kernel, so they time either
   tree's own `march`; each wrapper adds about a microsecond to its phase;
+* one 1024-row Monte Carlo batch of that stream (`spde._terminal_batch`,
+  linear_additive, 50 steps, no control, eps = 0.05, its noise drawn): by
+  the step march on both sides, and, where the tree has a response table
+  (`spde._response_table`), by the table, whose build is timed as well;
+* a state-dependent stream on the forked pool, with every usable core:
+  quasilinear_full (101 nodes), 20 steps, constant control -1 on its 4
+  modes, eps = 0.2, 3000 and 4096 samples, in 256- and 1024-row batches
+  (spde.MC_BATCH), on both sides;
 * the serial 4096-sample Monte Carlo stream of tools/bench_tridiagonal.py in
-  128-, 256- and 512-row batches (spde.MC_BATCH), this checkout only.
+  256-, 512- and 1024-row batches (spde.MC_BATCH), this checkout only.
 
 Each side, and each stream batch size, runs in its own interpreter with its
 src/ first on the path, in alternating rounds; each figure is the median
@@ -113,6 +121,30 @@ for _ in range(repeats):
     phases["kernel"].append(per_step(t["kernel"], t["rhs"]))
     phases["split"].append(per_step(t["step"][1:], t["kernel"]))
 out["mc_step_phases_us"] = {k: statistics.median(v) for k, v in phases.items()}
+
+from obslab import spde
+batch = (0, 1024)
+out["mc_batch_1024_s"] = {"step_march": median_time(
+    lambda: spde._terminal_batch(mc, 0.05, 1e4, steps, 0, None, batch))}
+if hasattr(spde, "_response_table"):
+    table = spde._response_table(mc, 1e4, steps, None)
+    assert table is not None
+    out["mc_batch_1024_s"]["response_table_build"] = median_time(
+        lambda: spde._response_table(mc, 1e4, steps, None))
+    out["mc_batch_1024_s"]["response"] = median_time(
+        lambda: spde._terminal_batch(mc, 0.05, 1e4, steps, 0, None, batch,
+                                     table=table))
+
+from obslab.families import quasilinear_full
+from obslab.skeleton import constant_control
+ql = quasilinear_full(n_nodes=101)
+k = constant_control(20, 4, ql.horizon, -1.0)
+out["pool_stream_s"] = {}
+for rows in (256, 1024):
+    spde.MC_BATCH = rows
+    out["pool_stream_s"][str(rows)] = {str(n): median_time(
+        lambda: sum(1 for _ in spde.sample_terminal_states(
+            ql, 0.2, 1e4, 20, n, 0, control=k))) for n in (3000, 4096)}
 print(json.dumps(out))
 """ % (FAMILIES,)
 
@@ -153,7 +185,7 @@ def main(argv=None) -> int:
     }
     result.update({side: pooled(r) for side, r in runs.items()})
     streams = [{str(rows): stream_time(ROOT / "src", rows)
-                for rows in (128, 256, 512)} for _ in range(ROUNDS)]
+                for rows in (256, 512, 1024)} for _ in range(ROUNDS)]
     result["stream_by_mc_batch_s"] = pooled(streams)
     json.dump(result, sys.stdout, indent=2)
     sys.stdout.write("\n")
