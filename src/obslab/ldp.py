@@ -26,7 +26,7 @@ from .problem import ProblemSpec
 from .skeleton import (Control, solve_penalized, solve_skeleton,  # noqa: F401
                        zero_control)
 from .spde import sample_terminal_states, stream_table
-from .stepping import MarchResult, march, march_adjoint
+from .stepping import MarchResult, control_drive, march, march_adjoint
 
 OPT_KEYS = ("n_steps", "penalty_n", "max_iters")
 SLSQP_FTOL = 1e-10     # SLSQP's accuracy target (its `ftol`)
@@ -82,7 +82,7 @@ def _solution_values(problem: ProblemSpec, k: Control,
                      penalty_n: float) -> np.ndarray:
     """State at forward time 0 of the penalized solve under control k."""
     return march(problem, k.n_steps, penalty_n=penalty_n,
-                 control_values=k.values, store=False).final
+                 drive=control_drive(problem, k.values), store=False).final
 
 
 def _batched_hinges(problem: ProblemSpec, template: Control,
@@ -90,7 +90,7 @@ def _batched_hinges(problem: ProblemSpec, template: Control,
                     penalty_n: float) -> np.ndarray:
     """Event excess for a batch of control value matrices in one march."""
     res = march(problem, template.n_steps, penalty_n=penalty_n,
-                control_values=value_batch, store=False)
+                drive=control_drive(problem, value_batch), store=False)
     return event.excess(res.final, problem.grid)
 
 
@@ -102,15 +102,18 @@ def _excess_gradient(problem: ProblemSpec, event: TargetEvent,
 
     The excess |d|_H - radius, d = u(0) - center, has the cotangent
     h d / |d|_H on u(0); at d = 0, where it has no gradient, the result is
-    0.
+    0.  The march's drive gradient reaches the values through
+    drive_i = dt sum_j c_j k_ij.
     """
     h = problem.grid.h
     d = res.final - event.center.values
     norm = float(h_norm_array(d, h))
     if norm == 0.0:
         return np.zeros_like(control_values, dtype=float)
-    return march_adjoint(problem, res, h * d / norm, penalty_n=penalty_n,
-                         control_values=control_values)
+    sens = march_adjoint(problem, res, h * d / norm, penalty_n=penalty_n,
+                         drive=control_drive(problem, control_values))
+    dt = problem.horizon / len(sens)
+    return dt * sens[:, None] * problem.coefficients.mode_weights[None, :]
 
 
 def minimize_rate(problem: ProblemSpec, event: TargetEvent,
@@ -145,7 +148,7 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent,
         # point; the gradient sweeps back through the march cached here.
         if "x" not in last or not np.array_equal(last["x"], x):
             res = march(problem, n_steps, penalty_n=penalty_n,
-                        control_values=x.reshape(shape))
+                        drive=control_drive(problem, x.reshape(shape)))
             last.update(x=x.copy(), march=res,
                         e=float(event.excess(res.final, problem.grid)))
         return last["e"]

@@ -22,7 +22,7 @@ import numpy as np
 from .grid import (Trajectory, h_norm_array, ht_distance,  # noqa: F401
                    v_norm_sq_array)
 from .problem import ProblemSpec
-from .stepping import barrier_table, march
+from .stepping import barrier_table, control_drive, march
 
 log = logging.getLogger(__name__)
 
@@ -151,8 +151,8 @@ def _check_control(problem: ProblemSpec, control: Optional[Control],
 def _solve(problem: ProblemSpec, control: Optional[Control],
            n_steps: Optional[int], n: float, **split) -> Solution:
     control = _check_control(problem, control, n_steps)
-    res = march(problem, control.n_steps, control_values=control.values,
-                **split)
+    res = march(problem, control.n_steps,
+                drive=control_drive(problem, control.values), **split)
     return Solution(Trajectory(control.times, res.traj, problem.grid),
                     Trajectory(control.times, res.density, problem.grid),
                     n, control, problem)

@@ -1,9 +1,9 @@
 """Small-noise stochastic obstacle problem: noise and the noisy marches.
 
-The noisy solution is the shared reversed-time march (`stepping.march`) with
-an explicit Brownian forcing sqrt(eps) * sum_j h_j dB^j added to each step
-(and, when a control is present, the shifted drift sum_j h_j k^j dt).  With
-eps = 0 it degenerates to the deterministic controlled solver bit-for-bit.
+The noisy solution is the shared reversed-time march (`stepping.march`)
+under the drive of its Brownian increments, sqrt(eps) sum_j c_j dB^j per
+step (`stepping.noise_drive`), plus, when a control is present, the
+control's drive dt sum_j c_j k^j (`stepping.control_drive`).
 This module draws the increments and streams batches of noisy marches.  The
 stream is the one Monte Carlo path of the package: the rare-event
 estimators read its terminal states, and the coupling-distance sweep in eps
@@ -15,7 +15,7 @@ of execution order or batch size.
 
 A stream of final states on a `state_free` problem evaluates them from a
 `ResponseTable` where it can: wherever the barrier split does not act,
-such a march is affine in its noise, so two marches give every final as
+such a march is affine in its drive, so two marches give every final as
 the base final plus the noise drives times the per-interval responses, and
 a bound on each sample's distance from the base path certifies that its
 split never acts; the uncertified samples take the step march.  Such a
@@ -38,7 +38,7 @@ import numpy as np
 
 from .problem import ProblemSpec
 from .skeleton import Control, solve_penalized
-from .stepping import MarchResult, march
+from .stepping import MarchResult, control_drive, march, noise_drive
 
 # Samples are drawn in fixed-size blocks, each from its own (seed, block)
 # key, so parallel workers produce byte-identical streams.
@@ -153,10 +153,11 @@ class ResponseTable:
     """The final state of a `state_free` march as an affine map of its noise.
 
     Row i of `responses` is G_i, the change of the final state under a unit
-    drive (h_shape * 1) on the forward interval i, and `reach[i]` bounds
+    drive on the forward interval i, and `reach[i]` bounds
     sup_m ||G_i at step m||_H.  A noisy march whose barrier split never acts
-    ends at base + sum_i D_i G_i, with D_i = sqrt(eps) (dB_i . w) its noise
-    drive on interval i.  Its state at step m lies within
+    ends at base + sum_i D_i G_i, with D_i = sqrt(eps) sum_j c_j dB^j_i its
+    noise drive on interval i (`stepping.noise_drive`).  Its state at step
+    m lies within
     sum_i |D_i| reach[i] of the base path in the H norm, so within that
     over sqrt(h) at every node.  Below `limit` (sqrt(h) times the base
     path's least gap to the barrier, less a rounding margin) no split acts,
@@ -167,32 +168,30 @@ class ResponseTable:
     responses: np.ndarray  # (n_steps, nx)
     reach: np.ndarray      # (n_steps,)
     limit: float
-    weights: np.ndarray    # (J,) the mode weights
 
-    def finals(self, epsilon: float, increments: np.ndarray) -> tuple:
-        """(finals, certified) for (S, n_steps, J) increments.
+    def finals(self, drive: np.ndarray) -> tuple:
+        """(finals, certified) for (S, n_steps) noise drives.
 
         `certified[s]` says that row s provably keeps off the barrier at
         every node and step and that its final is finite; the other rows'
         finals mean nothing.  The stacked product, one row at a time, gives
         each row the same bits in a batch of any size.
         """
-        drive = np.sqrt(epsilon) * (increments @ self.weights)  # (S, n_steps)
         finals = np.matmul(drive[:, None, :], self.responses)[:, 0]
         finals += self.base
         certified = np.sum(np.abs(drive) * self.reach, axis=-1) < self.limit
         return finals, certified & np.isfinite(finals).all(axis=-1)
 
-    def certifies_most(self, epsilon: float, dt: float) -> bool:
+    def certifies_most(self, sigma: float) -> bool:
         """Whether at least 16 in 17 Brownian rows are certified.
 
-        The drives D_i are independent N(0, sigma^2), sigma^2 = eps dt |w|^2,
-        so a row's certificate sum S = sum_i |D_i| reach[i] has mean
+        The noise drives D_i are independent N(0, sigma^2), with
+        sigma = sqrt(eps dt) |c| for the mode weights c, so a row's
+        certificate sum S = sum_i |D_i| reach[i] has mean
         sigma sqrt(2/pi) sum_i reach[i] and variance
         sigma^2 (1 - 2/pi) sum_i reach[i]^2.  By Cantelli's inequality at
         most 1/17 of the rows reach the mean plus four standard deviations.
         """
-        sigma = np.sqrt(epsilon * dt) * np.linalg.norm(self.weights)
         mean = sigma * np.sqrt(2.0 / np.pi) * np.sum(self.reach)
         sd = sigma * np.sqrt((1.0 - 2.0 / np.pi) * np.sum(self.reach ** 2))
         return mean + 4.0 * sd < self.limit
@@ -206,18 +205,14 @@ def _response_table(problem: ProblemSpec, n: float, n_steps: int,
     Two marches build it.  The penalized solve under the control (no
     noise) must keep a positive least gap to the barrier (`min_gap`), so
     its barrier density is 0.  One unstored march of n_steps rows then adds
-    to row i a unit drive on interval i (mode argmax |w_j|, value
-    1 / (dt w_j)), marched against the solve's path: its finals less the
-    base final are the responses, its path distances bound their reach.
+    to row i's control drive a unit drive on interval i, marched against
+    the solve's path: its finals less the base final are the responses, its
+    path distances bound their reach.
     If a split had acted on an impulse row, that row would end the step
     more than the gap below the base path at some node, so its reach would
     be at least sqrt(h) times the gap.  Every reach below the limit
     therefore proves the impulse march linear.
     """
-    weights = problem.coefficients.mode_weights
-    j = int(np.argmax(np.abs(weights)))
-    if weights[j] == 0.0:
-        return None  # no noise reaches the state
     base = solve_penalized(problem, control, n, n_steps=n_steps)
     path = base.traj.values
     scale = 1.0 + np.max(np.abs(path))
@@ -225,14 +220,15 @@ def _response_table(problem: ProblemSpec, n: float, n_steps: int,
     if not limit > 0.0:
         return None
     rows = np.arange(n_steps)
-    impulses = np.repeat(base.control.values[None], n_steps, axis=0)
-    impulses[rows, rows, j] += 1.0 / (problem.horizon / n_steps * weights[j])
-    kicked = march(problem, n_steps, penalty_n=n, control_values=impulses,
-                   store=False, reference=path)
+    drives = np.repeat(control_drive(problem, base.control.values)[None],
+                       n_steps, axis=0)
+    drives[rows, rows] += 1.0
+    kicked = march(problem, n_steps, penalty_n=n, drive=drives, store=False,
+                   reference=path)
     if not np.max(kicked.distances) < limit:
         return None
     return ResponseTable(path[0], kicked.final - path[0], kicked.distances,
-                         float(limit), weights)
+                         float(limit))
 
 
 def stream_table(problem: ProblemSpec, n: float, n_steps: int,
@@ -261,28 +257,25 @@ def _terminal_batch(problem: ProblemSpec, epsilon: float, n: float,
     """The noisy finals of the samples [lo, hi), and their increments.
 
     Given a response `table`, the rows it certifies take their finals from
-    it.  Every other row takes the unstored step march, which also gives
-    the path distances to a `reference`; a row with non-finite increments
-    raises `DivergenceError` there.
+    their noise drives (the table's base carries the control).  Every other
+    row takes the unstored step march under the control's drive plus its
+    noise drive, which also gives the path distances to a `reference`; a
+    row with non-finite increments raises `DivergenceError` there.
     """
     lo, hi = bounds
     inc = sample_noise_batch(hi - lo, n_steps, problem.coefficients.n_modes,
                              problem.horizon / n_steps, seed, first_sample=lo)
+    noise = noise_drive(problem, epsilon, inc)
+    base = 0.0 if values is None else control_drive(problem, values)
     if table is None:
-        return march(problem, n_steps, penalty_n=n, control_values=values,
-                     epsilon=epsilon, noise_increments=inc, store=False,
-                     reference=reference), inc
-    finals, certified = table.finals(epsilon, inc)
+        return march(problem, n_steps, penalty_n=n, drive=base + noise,
+                     store=False, reference=reference), inc
+    finals, certified = table.finals(noise)
     if not certified.all():
-        finals[~certified] = march(
-            problem, n_steps, penalty_n=n, control_values=values,
-            epsilon=epsilon, noise_increments=inc[~certified],
-            store=False).final
+        finals[~certified] = march(problem, n_steps, penalty_n=n,
+                                   drive=base + noise[~certified],
+                                   store=False).final
     return MarchResult(finals, None, None, None), inc
-
-
-# The default `table` of `sample_terminal_states`: build the stream's own.
-_OWN_TABLE = object()
 
 
 # The batch function of the running stream, in a worker process only: the
@@ -303,7 +296,7 @@ def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
                            n_steps: int, n_samples: int, seed: int,
                            control: Optional[Control] = None,
                            reference: Optional[np.ndarray] = None,
-                           table=_OWN_TABLE):
+                           table: Optional[ResponseTable] = None):
     """Generator of (unstored `MarchResult`, its noise increments) batches.
 
     Streams Monte Carlo batches of `MC_BATCH` samples, in sample order,
@@ -312,10 +305,10 @@ def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
     sample's path distance to it (`distances`): the rare-event estimators
     read the first, the coupling sweep of condition (i) the second.
 
-    Where `stream_table` gives a `ResponseTable` (pass its result as
-    `table` to share it over a sweep in eps; by default the stream builds
-    its own), each sample the table certifies takes its final from it and
-    the others take the step march.  The batches run in-process when the
+    Given a `table` (`stream_table` of the same arguments, built once per
+    sweep in eps), each sample the table certifies takes its final from it
+    and the others take the step march; with none (the default) every
+    sample takes the step march.  The batches run in-process when the
     table certifies most samples (`ResponseTable.certifies_most`), and
     otherwise on a `ProcessPoolExecutor` of forked workers, one per usable
     core (none on one core); a sample's final is the same either way.
@@ -323,16 +316,15 @@ def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
     the workers are joined.
     """
     values = None if control is None else control.values
-    if table is _OWN_TABLE:
-        table = stream_table(problem, n, n_steps, n_samples, control,
-                             reference)
     batch = functools.partial(_terminal_batch, problem, epsilon, n, n_steps,
                               seed, values, reference=reference, table=table)
     ranges = [(lo, min(lo + MC_BATCH, n_samples))
               for lo in range(0, n_samples, MC_BATCH)]
     workers = min(len(os.sched_getaffinity(0)), len(ranges))
-    if table is not None and table.certifies_most(epsilon,
-                                                  problem.horizon / n_steps):
+    # the noise drive's standard deviation per interval, sqrt(eps dt) |c|
+    sigma = (np.sqrt(epsilon * (problem.horizon / n_steps))
+             * problem.coefficients.weight_l2)
+    if table is not None and table.certifies_most(sigma):
         workers = 1  # a few step-marched rows do not pay for the pool
     if workers <= 1:
         yield from map(batch, ranges)

@@ -14,13 +14,16 @@ and the constant matrix M = I - kappa Lap_h, a step solves
     M p = (2I - M) v + dt F,   i.e.   p = M^-1 (2 v + dt F) - v,
 
 so the explicit half-Laplacian (I + kappa Lap_h) v is never formed.  dt F =
-dt (f + div g + sum_j h_j k^j) [+ sqrt(eps) sum_j h_j dB^j] is explicit, with
-coefficients frozen at the step start.  M spans the whole grid, with identity
-rows at the two pinned boundary nodes: their right-hand side 2*0 gives
-exactly 0, and they do not couple to the interior.  A march factors M once
-(L D L^T, `kernels.ldl_factor`) and each step only substitutes
-(`kernels.thomas_batch`).  The barrier is met by one of two splitting steps
-applied to the diffusion predictor p:
+dt (f + div g) + h_shape * D is explicit, with coefficients frozen at the
+step start.  The noise coefficients are the separable family
+h_j = c_j h_shape, so a control k and a Brownian path B reach a step only
+through its scalar drive D = sum_j c_j (k^j dt + sqrt(eps) dB^j), one per
+sample: `control_drive` and `noise_drive` form it, and `march` takes it.
+M spans the whole grid, with identity rows at the two pinned boundary
+nodes: their right-hand side 2*0 gives exactly 0, and they do not couple
+to the interior.  A march factors M once (L D L^T, `kernels.ldl_factor`)
+and each step only substitutes (`kernels.thomas_batch`).  The barrier is
+met by one of two splitting steps applied to the diffusion predictor p:
 
 * penalty: the stiff relation v = p + dt*n*(L - v)^+ is solved exactly
   nodewise — if p_i < L_i then v_i = (p_i + dt*n*L_i)/(1 + dt*n), else p_i;
@@ -33,8 +36,8 @@ Batched operation (leading sample axis) drives the Monte Carlo modules.
 A stored march gives the trajectory and the barrier density (the discrete
 reflection measure); Monte Carlo marches read the final state or a streamed
 path distance and store neither.  `march_adjoint` runs the transposed steps
-back through a stored march: the gradient over the control values of a
-linear functional of the final state, as the rate minimizer needs it.
+back through a stored march: the gradient over the drive of a linear
+functional of the final state, as the rate minimizer needs it.
 """
 from __future__ import annotations
 
@@ -97,21 +100,37 @@ def barrier_table(problem: ProblemSpec, n_steps: int) -> np.ndarray:
     return np.array([problem.obstacle_values(t) for t in times[:-1]])
 
 
+def control_drive(problem: ProblemSpec, values: np.ndarray) -> np.ndarray:
+    """The drive dt * sum_j c_j k^j of control values (..., n_steps, J).
+
+    dt is the march's own T / n_steps.
+    """
+    values = np.asarray(values, dtype=float)
+    dt = problem.horizon / values.shape[-2]
+    return dt * (values @ problem.coefficients.mode_weights)
+
+
+def noise_drive(problem: ProblemSpec, epsilon: float,
+                increments: np.ndarray) -> np.ndarray:
+    """The drive sqrt(eps) * sum_j c_j dB^j of Brownian increments
+    (..., n_steps, J)."""
+    return np.sqrt(epsilon) * (np.asarray(increments, dtype=float)
+                               @ problem.coefficients.mode_weights)
+
+
 def march(problem: ProblemSpec, n_steps: int, *,
           penalty_n: float = 0.0,
           project: bool = False,
-          control_values: Optional[np.ndarray] = None,
-          epsilon: float = 0.0,
-          noise_increments: Optional[np.ndarray] = None,
+          drive: Optional[np.ndarray] = None,
           store: bool = True,
           reference: Optional[np.ndarray] = None) -> MarchResult:
     """March the reversed-time scheme from the terminal datum to time 0.
 
-    `control_values` is (n_steps, J) — row i covers the forward interval
-    [t_i, t_{i+1}) — or (batch, n_steps, J) to march one control per
-    sample.  `noise_increments` is (n_steps, J) or (batch, n_steps, J) of
-    Brownian increments over those intervals; a leading batch axis batches
-    the whole march.  `reference` is a forward-ordered
+    `drive` is (n_steps,), entry i the scalar drive of the forward interval
+    [t_i, t_{i+1}) (a control's and a noise path's, summed), or
+    (batch, n_steps) to march one drive per sample; a leading batch axis
+    batches the whole march.  Each step adds h_shape * drive[..., i] at the
+    interior nodes.  `reference` is a forward-ordered
     (n_steps+1, n_nodes) array; when given, the per-sample path distance to
     it is accumulated without storing trajectories.  With `store=False` the
     march keeps only the current state: `final` and `distances` are set.
@@ -131,34 +150,18 @@ def march(problem: ProblemSpec, n_steps: int, *,
             f"{stability_limit(problem):.3g}; increase n_steps")
     if penalty_n and project:
         raise ValueError("choose either the penalty or the projection step")
-
-    J = problem.coefficients.n_modes
-    batch = None
-    if control_values is not None:
-        control_values = np.asarray(control_values, dtype=float)
-        if control_values.shape[-2:] != (n_steps, J) \
-                or control_values.ndim not in (2, 3):
-            raise ValueError(f"control shape {control_values.shape} incompatible "
-                             f"with ({n_steps}, {J})")
-        if control_values.ndim == 3:
-            batch = control_values.shape[0]
-    if noise_increments is not None:
-        noise_increments = np.asarray(noise_increments, dtype=float)
-        if noise_increments.shape[-2:] != (n_steps, J):
-            raise ValueError("noise increments do not match the mesh")
-        if noise_increments.ndim not in (2, 3):
-            raise ValueError("noise increments must be 2-D or 3-D")
-        if noise_increments.ndim == 3:
-            if batch is not None and noise_increments.shape[0] != batch:
-                raise ValueError("control and noise batch sizes differ")
-            batch = noise_increments.shape[0]
+    if drive is not None:
+        drive = np.asarray(drive, dtype=float)
+        if drive.ndim not in (1, 2) or drive.shape[-1] != n_steps:
+            raise ValueError(f"drive shape {drive.shape} is neither "
+                             f"({n_steps},) nor (batch, {n_steps})")
 
     factor = _diffusion_factor(nx, dt / (4.0 * h**2))
     c_pen = dt * penalty_n
 
     v = problem.terminal_field().values.copy()
-    if batch is not None:
-        v = np.broadcast_to(v, (batch, nx)).copy()
+    if drive is not None and drive.ndim == 2:
+        v = np.broadcast_to(v, (len(drive), nx)).copy()
     buf = np.empty_like(v)
     shape0 = v.shape[:-1]
 
@@ -183,8 +186,6 @@ def march(problem: ProblemSpec, n_steps: int, *,
     interior = np.ones(nx)
     interior[[0, -1]] = 0.0
     co = problem.coefficients
-    weights = co.mode_weights
-    sqrt_eps = np.sqrt(epsilon)
     # coefficients that ignore the state are read on one zero row
     y = z = np.zeros(nx)
 
@@ -204,15 +205,6 @@ def march(problem: ProblemSpec, n_steps: int, *,
         fg = _interior(fval) + (gval[..., 2:] - gval[..., :-2]) / (2.0 * h)
         force = np.zeros(fg.shape[:-1] + (nx,))
         np.multiply(fg, dt, out=force[..., 1:-1])
-        # sum_j h_j k^j dt [+ sqrt(eps) sum_j h_j dB^j] = h_shape * drive,
-        # with one drive per sample
-        drive = None
-        if control_values is not None:
-            drive = dt * (control_values[..., i_step, :] @ weights)[..., None]
-        if epsilon > 0.0 and noise_increments is not None:
-            dB = noise_increments[..., i_step, :]  # (..., J)
-            noise = sqrt_eps * (dB @ weights)[..., None]
-            drive = noise if drive is None else drive + noise
 
         # 2 v + dt F into the previous state's array.  The whole width is
         # written: contiguous rows cost less than the interior view, and the
@@ -220,7 +212,7 @@ def march(problem: ProblemSpec, n_steps: int, *,
         np.multiply(v, 2.0, out=buf)
         buf += force
         if drive is not None:
-            buf += (hval * interior) * drive
+            buf += (hval * interior) * drive[..., i_step, None]
 
         # `rhs` stays a keyword: perfbench's kernel probe reads it by name
         pred = thomas_batch(factor, rhs=buf)
@@ -266,21 +258,21 @@ def march(problem: ProblemSpec, n_steps: int, *,
 
 def march_adjoint(problem: ProblemSpec, result: MarchResult,
                   cotangent: np.ndarray, *, penalty_n: float,
-                  control_values: np.ndarray) -> np.ndarray:
-    """Gradient of <cotangent, final> over the control values, by one
-    backward sweep through a stored march.
+                  drive: np.ndarray) -> np.ndarray:
+    """Gradient of <cotangent, final> over the drive, by one backward sweep
+    through a stored march.
 
     `result` is the stored single-system
-    `march(problem, n_steps, penalty_n=penalty_n, control_values=...)` with
-    the (n_steps, J) `control_values` given here; the gradient has their
-    shape.  The sweep transposes each step, last step first.  With mu the
-    cotangent of the step's output:
+    `march(problem, n_steps, penalty_n=penalty_n, drive=drive)` with the
+    (n_steps,) `drive` given here; the gradient has its shape.  The sweep
+    transposes each step, last step first.  With mu the cotangent of the
+    step's output:
 
     * the penalty split scales mu by 1/(1 + dt*n) where it acted.  It acts
       where p < L, which is where the output is below L, i.e. where the
       stored density is > 0;
     * q = M^-1 mu (M is symmetric), the cotangent of 2 v + dt F;
-    * entry (i, j) of the gradient is dt w_j <h_shape * interior, q>;
+    * entry i of the gradient is <h_shape * interior, q>;
     * the cotangent of the step's input is 2 q - mu, plus, unless the
       coefficients are `state_free`, the transposed state derivatives of
       f, div g and h_shape (`_coefficient_adjoint`).
@@ -293,15 +285,13 @@ def march_adjoint(problem: ProblemSpec, result: MarchResult,
     nx, x, h = grid.n_nodes, grid.x, grid.h
     dt = problem.horizon / n_steps
     co = problem.coefficients
-    weights = co.mode_weights
-    control_values = np.asarray(control_values, dtype=float)
-    if control_values.shape != (n_steps, co.n_modes):
-        raise ValueError(f"control shape {control_values.shape} does not "
-                         f"match the march ({n_steps}, {co.n_modes})")
+    drive = np.asarray(drive, dtype=float)
+    if drive.shape != (n_steps,):
+        raise ValueError(f"drive shape {drive.shape} does not match the "
+                         f"march ({n_steps},)")
     factor = _diffusion_factor(nx, dt / (4.0 * h**2))
     split = 1.0 / (1.0 + dt * penalty_n)
     times = np.linspace(0.0, problem.horizon, n_steps + 1)
-    drives = dt * (control_values @ weights)
     interior = np.ones(nx)
     interior[[0, -1]] = 0.0
     zero = np.zeros(nx)
@@ -309,7 +299,7 @@ def march_adjoint(problem: ProblemSpec, result: MarchResult,
     mu = np.array(cotangent, dtype=float)
     if mu.shape != (nx,):
         raise ValueError("the cotangent must be one value per node")
-    sens = np.empty(n_steps)   # d<cotangent, final> / d drive, per step
+    sens = np.empty(n_steps)   # d<cotangent, final> / d drive[i]
     for i_step in range(n_steps):
         t_pre = times[i_step + 1]
         mu[density[i_step] > 0.0] *= split
@@ -320,10 +310,10 @@ def march_adjoint(problem: ProblemSpec, result: MarchResult,
         else:
             hval, dmu = _coefficient_adjoint(
                 co, t_pre, x, traj[i_step + 1], h,
-                dt * q * interior, drives[i_step] * q * interior)
+                dt * q * interior, drive[i_step] * q * interior)
             mu += dmu
         sens[i_step] = np.dot(hval * interior, q)
-    return dt * sens[:, None] * weights[None, :]
+    return sens
 
 
 def _coefficient_adjoint(co, t: float, x: np.ndarray, y: np.ndarray,

@@ -13,7 +13,7 @@ from obslab.ldp import (TargetEvent, _batched_hinges, _excess_gradient,
                         _solution_values, condition_ii_test, kish_ess,
                         mc_ldp_compare, minimize_rate, rate_functional)
 from obslab.skeleton import constant_control, solve_penalized, zero_control
-from obslab.stepping import march
+from obslab.stepping import control_drive, march
 
 
 def least_norm_oracle(problem, event, n_steps, penalty_n=1e4):
@@ -167,7 +167,7 @@ class TestExcessGradient:
 
     def _both(self, problem, event, values, step=1e-5):
         res = march(problem, len(values), penalty_n=self.PENALTY,
-                    control_values=values)
+                    drive=control_drive(problem, values))
         adjoint = _excess_gradient(problem, event, res, values, self.PENALTY)
         dim = values.size
         shift = (step * np.eye(dim)).reshape((dim,) + values.shape)
@@ -180,7 +180,7 @@ class TestExcessGradient:
     @staticmethod
     def _far_event(problem, values):
         final = march(problem, len(values), penalty_n=1e4,
-                      control_values=values, store=False).final
+                      drive=control_drive(problem, values), store=False).final
         return TargetEvent(center=Field(0.9 * final, problem.grid),
                            radius=1e-3)
 
@@ -229,7 +229,8 @@ class TestExcessGradient:
     def test_zero_distance_gives_zero_gradient(self):
         problem = quasilinear_full(n_nodes=101)
         values = np.random.default_rng(5).standard_normal((20, 4))
-        res = march(problem, 20, penalty_n=1e4, control_values=values)
+        res = march(problem, 20, penalty_n=1e4,
+                    drive=control_drive(problem, values))
         event = TargetEvent(center=Field(res.final, problem.grid), radius=0.1)
         grad = _excess_gradient(problem, event, res, values, 1e4)
         assert grad.shape == values.shape
@@ -276,7 +277,7 @@ class TestMinimizeRate:
         real_march = obslab.ldp.march
 
         def counting_march(*args, **kwargs):
-            marches.append(kwargs.get("control_values"))
+            marches.append(kwargs.get("drive"))
             return real_march(*args, **kwargs)
 
         def no_solver(*args, **kwargs):
@@ -286,8 +287,8 @@ class TestMinimizeRate:
         monkeypatch.setattr("obslab.ldp.minimize", no_solver)
         res = minimize_rate(problem, event,
                             opt_config={"n_steps": 50, "penalty_n": 1e4})
-        # one single-system march: control values (n_steps, J), no batch
-        assert len(marches) == 1 and marches[0].ndim == 2
+        # one single-system march: a drive (n_steps,), no batch
+        assert len(marches) == 1 and marches[0].shape == (50,)
         assert res.feasible and res.rate == 0.0
         assert res.constraint_residual == 0.0
         assert not np.any(res.minimizer.values)
@@ -300,17 +301,15 @@ class TestMinimizeRate:
         real_march = obslab.ldp.march
 
         def recording_march(*args, **kwargs):
-            # SLSQP updates its iterate in place: keep a copy of the point
-            marches.append(dict(kwargs,
-                                control_values=kwargs["control_values"].copy()))
+            marches.append(kwargs)
             return real_march(*args, **kwargs)
 
         monkeypatch.setattr("obslab.ldp.march", recording_march)
         again = minimize_rate(problem, event,
                               opt_config={"n_steps": 50, "penalty_n": 1e4})
         assert again.rate == res.rate
-        points = [kw["control_values"] for kw in marches]
-        assert all(p.shape == (50, 1) for p in points)
+        points = [kw["drive"] for kw in marches]
+        assert all(p.shape == (50,) for p in points)
         assert all(kw.get("store", True) for kw in marches)
         assert len({p.tobytes() for p in points}) == len(points)
 

@@ -17,8 +17,9 @@ from obslab.ldp import TargetEvent, mc_ldp_compare, minimize_rate
 from obslab.skeleton import constant_control, solve_penalized, zero_control
 from obslab.spde import (MC_BATCH, NOISE_BLOCK, _response_table,
                          condition_i_distance, sample_noise,
-                         sample_noise_batch, sample_terminal_states)
-from obslab.stepping import DivergenceError, march
+                         sample_noise_batch, sample_terminal_states,
+                         stream_table)
+from obslab.stepping import DivergenceError, control_drive, march, noise_drive
 
 
 class TestNoiseSampling:
@@ -56,25 +57,28 @@ class TestNoiseSampling:
             return block_normals(seed, block_index, shape)
 
         monkeypatch.setattr(obslab.spde, "_block_normals", counted)
-        _stream(problem, n_steps, 2 * NOISE_BLOCK + 17, control=k)
+        n = 2 * NOISE_BLOCK + 17
+        table = stream_table(problem, 1e4, n_steps, n, k)
+        assert (table is None) == (path == "step")
+        _stream(problem, n_steps, n, control=k, table=table)
         assert drawn == [(11, 0), (11, 1), (11, 2)]
 
 
 class TestDegenerateCoupling:
     def test_zero_epsilon_bit_identical(self, linear_problem):
         noise = sample_noise(100, 1, linear_problem.horizon / 100, seed=2)
-        sto = march(linear_problem, 100, penalty_n=1e4, epsilon=0.0,
-                    noise_increments=noise.increments)
+        sto = march(linear_problem, 100, penalty_n=1e4,
+                    drive=noise_drive(linear_problem, 0.0, noise.increments))
         det = solve_penalized(linear_problem, None, 1e4, n_steps=100)
         assert np.array_equal(sto.traj, det.traj.values)
 
     def test_zero_noise_shape_ignores_seed(self, heat_problem):
         n1 = sample_noise(100, 1, heat_problem.horizon / 100, seed=1)
         n2 = sample_noise(100, 1, heat_problem.horizon / 100, seed=99)
-        a = march(heat_problem, 100, penalty_n=1e4, epsilon=0.5,
-                  noise_increments=n1.increments)
-        b = march(heat_problem, 100, penalty_n=1e4, epsilon=0.5,
-                  noise_increments=n2.increments)
+        a = march(heat_problem, 100, penalty_n=1e4,
+                  drive=noise_drive(heat_problem, 0.5, n1.increments))
+        b = march(heat_problem, 100, penalty_n=1e4,
+                  drive=noise_drive(heat_problem, 0.5, n2.increments))
         assert np.array_equal(a.traj, b.traj)
 
 
@@ -160,8 +164,9 @@ class TestConditionI:
                 reference=skeleton.traj.values)])
         inc = sample_noise_batch(n, n_steps, prob.coefficients.n_modes,
                                  prob.horizon / n_steps, seed)
-        direct = march(prob, n_steps, penalty_n=1e4, control_values=k.values,
-                       epsilon=eps, noise_increments=inc, store=False,
+        direct = march(prob, n_steps, penalty_n=1e4,
+                       drive=control_drive(prob, k.values)
+                       + noise_drive(prob, eps, inc), store=False,
                        reference=skeleton.traj.values).distances
         assert np.array_equal(streamed, direct)
         row = condition_i_distance(prob, [eps, eps / 2], k, 1e4, n_steps, n,
@@ -212,7 +217,11 @@ class TestResponseTable:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(kwargs.get("noise_increments") is None)
+            # True for the table's marches: the stored base solve and the
+            # impulse march against its path.  A step march of sampled
+            # noise neither stores nor takes a reference.
+            calls.append(kwargs.get("store", True)
+                         or kwargs.get("reference") is not None)
             return march(*args, **kwargs)
 
         # the table's base path is a penalized solve
@@ -228,18 +237,61 @@ class TestResponseTable:
         k = constant_control(50, 1, problem.horizon, 1.2) if controlled \
             else None
         calls = self._counted_marches(monkeypatch)
+        table = stream_table(problem, 1e4, 50, self.N, k)
         results, incs = zip(*sample_terminal_states(
-            problem, eps, 1e4, 50, self.N, 5, control=k))
+            problem, eps, 1e4, 50, self.N, 5, control=k, table=table))
         # the table's two noise-free marches, and no step march
         assert calls == [True, True]
         inc = np.concatenate(incs)
         assert np.array_equal(inc, sample_noise_batch(
             self.N, 50, 1, problem.horizon / 50, 5))
-        direct = march(problem, 50, penalty_n=1e4,
-                       control_values=None if k is None else k.values,
-                       epsilon=eps, noise_increments=inc, store=False)
+        drive = noise_drive(problem, eps, inc)
+        if k is not None:
+            drive = control_drive(problem, k.values) + drive
+        direct = march(problem, 50, penalty_n=1e4, drive=drive, store=False)
         finals = np.concatenate([res.final for res in results])
         assert np.max(np.abs(finals - direct.final)) <= 1e-12
+
+    @staticmethod
+    def _weighted(weights):
+        """linear_additive with other mode weights."""
+        problem = linear_additive()
+        return dataclasses.replace(problem, coefficients=dataclasses.replace(
+            problem.coefficients, mode_weights=np.array(weights)))
+
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_two_mode_finals_match_the_step_march(self, controlled,
+                                                  monkeypatch):
+        problem = self._weighted([0.6, 0.8])
+        k = constant_control(50, 2, problem.horizon, 1.2) if controlled \
+            else None
+        calls = self._counted_marches(monkeypatch)
+        table = stream_table(problem, 1e4, 50, self.N, k)
+        assert table is not None
+        results, incs = zip(*sample_terminal_states(
+            problem, 0.4, 1e4, 50, self.N, 5, control=k, table=table))
+        assert calls == [True, True]  # every row read from the table
+        inc = np.concatenate(incs)
+        assert inc.shape == (self.N, 50, 2)
+        drive = noise_drive(problem, 0.4, inc)
+        if k is not None:
+            drive = control_drive(problem, k.values) + drive
+        direct = march(problem, 50, penalty_n=1e4, drive=drive, store=False)
+        finals = np.concatenate([res.final for res in results])
+        assert np.max(np.abs(finals - direct.final)) <= 1e-12
+
+    def test_zero_weight_stream_ends_at_the_noise_free_final(self,
+                                                             monkeypatch):
+        # no noise reaches the state: the table is built all the same, and
+        # its finals, like the step march's, are the base
+        problem = self._weighted([0.0])
+        base = solve_penalized(problem, None, 1e4, n_steps=50).traj.values[0]
+        table = stream_table(problem, 1e4, 50, self.N)
+        assert table is not None
+        _cores(monkeypatch, 1)
+        for given in (table, None):
+            finals, _ = _stream(problem, 50, self.N, table=given)
+            assert np.array_equal(finals, np.broadcast_to(base, finals.shape))
 
     def test_uncertified_rows_take_the_step_march(self, monkeypatch):
         # a state-free problem with its barrier at -10, far enough below
@@ -258,15 +310,16 @@ class TestResponseTable:
 
         monkeypatch.setattr(obslab.spde, "sample_noise_batch", boosted)
         calls = self._counted_marches(monkeypatch)
+        table = stream_table(problem, 1e4, 50, self.N)
         results, incs = zip(*sample_terminal_states(problem, eps, 1e4, 50,
-                                                    self.N, 5))
+                                                    self.N, 5, table=table))
         assert calls == [True, True, False, False]  # one step march a range
         inc = np.concatenate(incs)
         finals = np.concatenate([res.final for res in results])
-        direct = march(problem, 50, penalty_n=1e4, epsilon=eps,
-                       noise_increments=inc, store=False).final
-        free = march(problem, 50, epsilon=eps, noise_increments=inc,
-                     store=False).final
+        noise = noise_drive(problem, eps, inc)
+        direct = march(problem, 50, penalty_n=1e4, drive=noise,
+                       store=False).final
+        free = march(problem, 50, drive=noise, store=False).final
         binds = np.any(direct != free, axis=1)
         boosted_rows = np.arange(self.N) % 3 == 0
         assert binds.any() and not binds[~boosted_rows].any()
@@ -278,9 +331,11 @@ class TestResponseTable:
         problem = linear_additive()
         dt = problem.horizon / 50
         table = _response_table(problem, 1e4, 50, None)
-        _, certified = table.finals(eps, sample_noise_batch(4096, 50, 1, dt,
-                                                            3))
-        assert table.certifies_most(eps, dt) == most
+        _, certified = table.finals(noise_drive(
+            problem, eps, sample_noise_batch(4096, 50, 1, dt, 3)))
+        sigma = (np.sqrt(eps * dt)
+                 * problem.coefficients.weight_l2)
+        assert table.certifies_most(sigma) == most
         assert (certified.mean() >= 16 / 17) == most
 
     def test_sweep_in_eps_builds_one_table(self, monkeypatch):
@@ -307,8 +362,10 @@ class TestResponseTable:
         monkeypatch.setattr(obslab.spde, "sample_noise_batch",
                             lambda n, *a, **kw: np.full((n, 50, 1), np.nan))
         calls = self._counted_marches(monkeypatch)
+        problem = linear_additive()
         with pytest.raises(DivergenceError):
-            _stream(linear_additive(), 50, self.N)
+            _stream(problem, 50, self.N,
+                    table=stream_table(problem, 1e4, 50, self.N))
         assert calls == [True, True, False]
 
     @pytest.mark.parametrize("problem", [
@@ -322,9 +379,11 @@ class TestResponseTable:
                                                    monkeypatch):
         assert _response_table(problem, 1e4, 50, None) is None
         _cores(monkeypatch, 1)
-        finals, inc = _stream(problem, 50, self.N)
-        direct = march(problem, 50, penalty_n=1e4, epsilon=0.2,
-                       noise_increments=inc, store=False).final
+        finals, inc = _stream(problem, 50, self.N,
+                              table=stream_table(problem, 1e4, 50, self.N))
+        direct = march(problem, 50, penalty_n=1e4,
+                       drive=noise_drive(problem, 0.2, inc),
+                       store=False).final
         assert np.array_equal(finals, direct)
 
     @pytest.mark.parametrize("n_samples, with_reference", [
@@ -340,6 +399,9 @@ class TestResponseTable:
         if with_reference:
             reference = solve_penalized(problem, None, 1e4,
                                         n_steps=50).traj.values
+        table = stream_table(problem, 1e4, 50, n_samples,
+                             reference=reference)
+        assert table is None
         _cores(monkeypatch, 1)
         results = list(sample_terminal_states(problem, 0.2, 1e4, 50,
                                               n_samples, 5,
@@ -384,33 +446,47 @@ class TestWorkers:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
-    @pytest.fixture(params=["linear_additive", "quasilinear_full"])
+    @pytest.fixture(params=["linear_additive", "linear_additive_table",
+                            "quasilinear_full"])
     def case(self, request):
+        """(problem, n_steps, stream keywords); the table case takes every
+        certified final from the response table."""
         if request.param == "linear_additive":
-            return linear_additive(), 50, None
+            return linear_additive(), 50, {}
+        if request.param == "linear_additive_table":
+            problem = linear_additive()
+            table = stream_table(problem, 1e4, 50, self.N)
+            assert table is not None
+            return problem, 50, {"table": table}
         problem = quasilinear_full(n_nodes=101)
-        return problem, 20, constant_control(20, 4, problem.horizon, -1.0)
+        return problem, 20, {"control": constant_control(
+            20, 4, problem.horizon, -1.0)}
 
     @pytest.mark.parametrize("cores", [2, 3])
     def test_forked_matches_serial(self, case, cores, monkeypatch):
-        problem, n_steps, k = case
+        problem, n_steps, kw = case
         _cores(monkeypatch, cores)
-        forked = _stream(problem, n_steps, self.N, control=k)
+        forked = _stream(problem, n_steps, self.N, **kw)
         _cores(monkeypatch, 1)
-        serial = _stream(problem, n_steps, self.N, control=k)
+        serial = _stream(problem, n_steps, self.N, **kw)
         assert np.array_equal(forked[0], serial[0])
         assert np.array_equal(forked[1], serial[1])
 
     def test_batch_size_leaves_finals_unchanged(self, case, monkeypatch):
-        problem, n_steps, k = case
+        problem, n_steps, kw = case
         assert MC_BATCH < 2048
         n = 2048 + 100
-        small = _stream(problem, n_steps, n, control=k)
+        small = _stream(problem, n_steps, n, **kw)
         _cores(monkeypatch, 1)
         monkeypatch.setattr(obslab.spde, "MC_BATCH", 2048)
-        large = _stream(problem, n_steps, n, control=k)
+        large = _stream(problem, n_steps, n, **kw)
         assert np.array_equal(small[0], large[0])
         assert np.array_equal(small[1], large[1])
+        # one-row ranges, where a plain matrix product takes another path
+        monkeypatch.setattr(obslab.spde, "MC_BATCH", 1)
+        single = _stream(problem, n_steps, 5, **kw)
+        assert np.array_equal(small[0][:5], single[0])
+        assert np.array_equal(small[1][:5], single[1])
 
     def test_mc_compare_report_unchanged(self, monkeypatch):
         problem = linear_additive()
@@ -463,23 +539,27 @@ class TestWorkers:
         # the stream runs on the pool, the workers use the table too
         problem, eps = linear_additive(), 4.0
         table = _response_table(problem, 1e4, 50, None)
-        assert not table.certifies_most(eps, problem.horizon / 50)
+        sigma = (np.sqrt(eps * problem.horizon / 50)
+                 * problem.coefficients.weight_l2)
+        assert not table.certifies_most(sigma)
         _cores(monkeypatch, 2)
-        stream = sample_terminal_states(problem, eps, 1e4, 50, self.N, 11)
+        stream = sample_terminal_states(problem, eps, 1e4, 50, self.N, 11,
+                                        table=table)
         first = [next(stream)]
         assert multiprocessing.active_children() != []  # the workers are live
         results, incs = zip(*(first + list(stream)))
         forked = np.concatenate([res.final for res in results])
         inc = np.concatenate(incs)
-        _, certified = table.finals(eps, inc)
+        noise = noise_drive(problem, eps, inc)
+        _, certified = table.finals(noise)
         assert 0.1 < certified.mean() < 0.5
         _cores(monkeypatch, 1)
         results, _ = zip(*sample_terminal_states(problem, eps, 1e4, 50,
-                                                 self.N, 11))
+                                                 self.N, 11, table=table))
         assert np.array_equal(forked,
                               np.concatenate([res.final for res in results]))
-        direct = march(problem, 50, penalty_n=1e4, epsilon=eps,
-                       noise_increments=inc, store=False).final
+        direct = march(problem, 50, penalty_n=1e4, drive=noise,
+                       store=False).final
         assert np.array_equal(forked[~certified], direct[~certified])
         assert np.max(np.abs(forked - direct)) <= 1e-12
 

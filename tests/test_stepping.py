@@ -1,5 +1,6 @@
 """Semi-implicit theta-scheme march against closed-form references."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from obslab.families import (FAMILY_NAMES, heat_obstacle, linear_additive,
 from obslab.grid import Grid, Trajectory, ht_distance
 from obslab.problem import CoefficientSet, LipschitzInfo, ProblemSpec
 from obslab.skeleton import solve_penalized, solve_projected, zero_control
-from obslab.stepping import (DivergenceError, StabilityError, march,
-                             march_adjoint, stability_limit)
+from obslab.stepping import (DivergenceError, StabilityError, control_drive,
+                             march, march_adjoint, noise_drive,
+                             stability_limit)
 
 
 def _const_obstacle(level):
@@ -135,11 +137,11 @@ class TestControlAndNoise:
         n_steps = 50
         k = zero_control(n_steps, 1, prob.horizon).with_values(
             np.full((n_steps, 1), 0.7))
-        det = march(prob, n_steps, penalty_n=1e4, control_values=k.values)
+        control = control_drive(prob, k.values)
+        det = march(prob, n_steps, penalty_n=1e4, drive=control)
         rng = np.random.default_rng(0)
-        noisy = march(prob, n_steps, penalty_n=1e4, control_values=k.values,
-                      epsilon=0.0,
-                      noise_increments=rng.standard_normal((n_steps, 1)))
+        noise = noise_drive(prob, 0.0, rng.standard_normal((n_steps, 1)))
+        noisy = march(prob, n_steps, penalty_n=1e4, drive=control + noise)
         assert np.array_equal(det.traj, noisy.traj)
 
     def test_control_batch_matches_serial(self):
@@ -148,10 +150,10 @@ class TestControlAndNoise:
         rng = np.random.default_rng(3)
         batch_vals = rng.standard_normal((5, n_steps, 1))
         batched = march(prob, n_steps, penalty_n=1e4,
-                        control_values=batch_vals)
+                        drive=control_drive(prob, batch_vals))
         for b in range(5):
             single = march(prob, n_steps, penalty_n=1e4,
-                           control_values=batch_vals[b])
+                           drive=control_drive(prob, batch_vals[b]))
             assert np.array_equal(batched.traj[b], single.traj)
 
     def test_streaming_distances_match_stored(self):
@@ -159,18 +161,29 @@ class TestControlAndNoise:
         n_steps = 40
         det = march(prob, n_steps, penalty_n=1e4)
         rng = np.random.default_rng(9)
-        inc = rng.standard_normal((3, n_steps, 1))
-        stored = march(prob, n_steps, penalty_n=1e4, epsilon=0.1,
-                       noise_increments=inc, store=True)
-        streamed = march(prob, n_steps, penalty_n=1e4, epsilon=0.1,
-                         noise_increments=inc, store=False,
-                         reference=det.traj)
+        noise = noise_drive(prob, 0.1, rng.standard_normal((3, n_steps, 1)))
+        stored = march(prob, n_steps, penalty_n=1e4, drive=noise, store=True)
+        streamed = march(prob, n_steps, penalty_n=1e4, drive=noise,
+                         store=False, reference=det.traj)
         ref = Trajectory(np.linspace(0, prob.horizon, n_steps + 1), det.traj,
                          prob.grid)
         for b in range(3):
             t = Trajectory(ref.times, stored.traj[b], prob.grid)
             assert ht_distance(t, ref) == pytest.approx(streamed.distances[b],
                                                         rel=1e-12)
+
+
+class TestDriveShape:
+    @pytest.mark.parametrize("shape", [(19,), (21,), (3, 19), (3, 20, 1),
+                                       (20, 1), ()])
+    def test_wrong_drive_rejected_before_any_step(self, shape, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the drive check")
+
+        for name in ("ldl_factor", "thomas_batch"):
+            monkeypatch.setattr(stepping, name, no_step)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            march(linear_additive(n_nodes=21), 20, drive=np.zeros(shape))
 
 
 class TestLeanMarch:
@@ -190,8 +203,8 @@ class TestLeanMarch:
         prob = make_problem(family, n_nodes=101)
         n_steps = 40
         controls, noise = self._noisy_inputs(prob, n_steps, 6, seed=11)
-        kw = dict(penalty_n=1e4, control_values=controls, epsilon=0.1,
-                  noise_increments=noise)
+        kw = dict(penalty_n=1e4, drive=control_drive(prob, controls)
+                  + noise_drive(prob, 0.1, noise))
         stored = march(prob, n_steps, store=True, **kw)
         lean = march(prob, n_steps, store=False, **kw)
         assert np.array_equal(lean.final, stored.final)
@@ -210,11 +223,12 @@ class TestLeanMarch:
         prob = make_problem(family, n_nodes=41)
         controls, noise = self._noisy_inputs(prob, n_steps, batch, seed)
         split = dict(project=True) if project else dict(penalty_n=1e3)
-        batched = march(prob, n_steps, control_values=controls,
-                        epsilon=epsilon, noise_increments=noise, **split)
+        batched = march(prob, n_steps, drive=control_drive(prob, controls)
+                        + noise_drive(prob, epsilon, noise), **split)
         for b in range(batch):
-            single = march(prob, n_steps, control_values=controls[b],
-                           epsilon=epsilon, noise_increments=noise[b], **split)
+            single = march(prob, n_steps,
+                           drive=control_drive(prob, controls[b])
+                           + noise_drive(prob, epsilon, noise[b]), **split)
             if prob.coefficients.n_modes == 1:
                 assert np.array_equal(batched.traj[b], single.traj)
                 assert np.array_equal(batched.density[b], single.density)
@@ -232,13 +246,13 @@ class TestLeanMarch:
         n_steps = 20
         controls = np.zeros((2, n_steps, 1))
         controls[1] = -20.0
-        batched = march(prob, n_steps, penalty_n=1e3, control_values=controls)
+        drives = control_drive(prob, controls)
+        batched = march(prob, n_steps, penalty_n=1e3, drive=drives)
         assert not batched.density[0].any() and batched.density[1].any()
-        free = march(prob, n_steps, control_values=controls[0])
+        free = march(prob, n_steps, drive=drives[0])
         assert np.array_equal(batched.traj[0], free.traj)
         for b in range(2):
-            single = march(prob, n_steps, penalty_n=1e3,
-                           control_values=controls[b])
+            single = march(prob, n_steps, penalty_n=1e3, drive=drives[b])
             assert np.array_equal(batched.traj[b], single.traj)
 
     def test_unstored_march_raises_on_non_finite_state(self):
@@ -246,8 +260,8 @@ class TestLeanMarch:
         noise = np.zeros((3, 20, 1))
         noise[1, 5, 0] = np.nan
         with pytest.raises(DivergenceError):
-            march(prob, 20, penalty_n=1e4, epsilon=0.1,
-                  noise_increments=noise, store=False)
+            march(prob, 20, penalty_n=1e4, drive=noise_drive(prob, 0.1, noise),
+                  store=False)
 
     @pytest.mark.parametrize("family", ["heat_obstacle", "linear_additive"])
     def test_state_free_declaration_leaves_finals_unchanged(self, family):
@@ -258,8 +272,8 @@ class TestLeanMarch:
                                                    state_free=False))
         n_steps = 40
         controls, noise = self._noisy_inputs(prob, n_steps, 6, seed=5)
-        kw = dict(penalty_n=1e4, control_values=controls, epsilon=0.1,
-                  noise_increments=noise, store=False)
+        kw = dict(penalty_n=1e4, drive=control_drive(prob, controls)
+                  + noise_drive(prob, 0.1, noise), store=False)
         assert np.array_equal(march(prob, n_steps, **kw).final,
                               march(stateful, n_steps, **kw).final)
 
@@ -274,7 +288,7 @@ class TestLeanMarch:
         n_steps = 40
         controls, _ = self._noisy_inputs(prob, n_steps, 1, seed)
         res = march(prob, n_steps, project=True,
-                    control_values=scale * controls[0])
+                    drive=control_drive(prob, scale * controls[0]))
         times = np.linspace(0.0, prob.horizon, n_steps + 1)
         table = np.array([prob.obstacle_values(t) for t in times])
         assert np.all(res.traj[:, 1:-1] >= table[:, 1:-1])
@@ -307,15 +321,15 @@ class TestOneInteriorNode:
         controls = rng.standard_normal((n_steps, 1))
         noise = np.sqrt(prob.horizon / n_steps) * rng.standard_normal(
             (n_steps, 1))
-        res = march(prob, n_steps, penalty_n=n, control_values=controls,
-                    epsilon=epsilon, noise_increments=noise)
+        drive = control_drive(prob, controls) \
+            + noise_drive(prob, epsilon, noise)
+        res = march(prob, n_steps, penalty_n=n, drive=drive)
         want = self._by_hand(prob, n_steps, n, controls[:, 0], epsilon,
                              noise[:, 0])
         assert res.final[[0, 2]].tolist() == [0.0, 0.0]
         assert res.final[1] == pytest.approx(want, rel=1e-13, abs=1e-15)
         batched = march(prob, n_steps, penalty_n=n,
-                        control_values=np.stack([controls] * 3),
-                        epsilon=epsilon, noise_increments=np.stack([noise] * 3))
+                        drive=np.stack([drive] * 3))
         assert np.array_equal(batched.final, np.stack([res.final] * 3))
 
 
@@ -336,8 +350,8 @@ class TestFactorOnce:
         n_steps = 50
         noise = np.zeros((n_steps, 1) if batch is None
                          else (batch, n_steps, 1))
-        res = march(prob, n_steps, penalty_n=1e4, epsilon=0.1,
-                    noise_increments=noise, store=False)
+        res = march(prob, n_steps, penalty_n=1e4,
+                    drive=noise_drive(prob, 0.1, noise), store=False)
         assert res.final.shape == ((prob.grid.n_nodes,) if batch is None
                                    else (batch, prob.grid.n_nodes))
         assert len(calls) == 1
@@ -352,19 +366,20 @@ class TestMarchAdjoint:
         prob = linear_additive(n_nodes=101)
         n_steps = 30
         rng = np.random.default_rng(11)
-        k, direction = rng.standard_normal((2, n_steps, 1))
+        drive, direction = control_drive(
+            prob, rng.standard_normal((2, n_steps, 1)))
         mu = rng.standard_normal(prob.grid.n_nodes)
-        res = march(prob, n_steps, penalty_n=1e4, control_values=k)
-        grad = march_adjoint(prob, res, mu, penalty_n=1e4, control_values=k)
+        res = march(prob, n_steps, penalty_n=1e4, drive=drive)
+        grad = march_adjoint(prob, res, mu, penalty_n=1e4, drive=drive)
         moved = march(prob, n_steps, penalty_n=1e4,
-                      control_values=k + direction, store=False).final
+                      drive=drive + direction, store=False).final
         assert float(np.sum(grad * direction)) == pytest.approx(
             float(mu @ (moved - res.final)), rel=1e-10)
 
     def test_one_factorization_per_sweep(self, monkeypatch):
         prob = quasilinear_full(n_nodes=51)
-        k = np.zeros((20, prob.coefficients.n_modes))
-        res = march(prob, 20, penalty_n=1e4, control_values=k)
+        k = control_drive(prob, np.zeros((20, prob.coefficients.n_modes)))
+        res = march(prob, 20, penalty_n=1e4, drive=k)
         calls = []
         factor = stepping.ldl_factor
 
@@ -373,24 +388,22 @@ class TestMarchAdjoint:
             return factor(*args)
 
         monkeypatch.setattr(stepping, "ldl_factor", counting)
-        march_adjoint(prob, res, np.ones(51), penalty_n=1e4, control_values=k)
+        march_adjoint(prob, res, np.ones(51), penalty_n=1e4, drive=k)
         assert len(calls) == 1
 
     def test_needs_a_stored_single_system_march(self):
         prob = linear_additive(n_nodes=51)
-        k = np.zeros((20, 1))
-        lean = march(prob, 20, penalty_n=1e4, control_values=k, store=False)
+        k = np.zeros(20)
+        lean = march(prob, 20, penalty_n=1e4, drive=k, store=False)
         with pytest.raises(ValueError, match="stored single-system"):
-            march_adjoint(prob, lean, np.ones(51), penalty_n=1e4,
-                          control_values=k)
-        batched = march(prob, 20, penalty_n=1e4, control_values=k[None])
+            march_adjoint(prob, lean, np.ones(51), penalty_n=1e4, drive=k)
+        batched = march(prob, 20, penalty_n=1e4, drive=k[None])
         with pytest.raises(ValueError, match="stored single-system"):
-            march_adjoint(prob, batched, np.ones(51), penalty_n=1e4,
-                          control_values=k)
-        res = march(prob, 20, penalty_n=1e4, control_values=k)
-        with pytest.raises(ValueError, match="control shape"):
+            march_adjoint(prob, batched, np.ones(51), penalty_n=1e4, drive=k)
+        res = march(prob, 20, penalty_n=1e4, drive=k)
+        with pytest.raises(ValueError, match="drive shape"):
             march_adjoint(prob, res, np.ones(51), penalty_n=1e4,
-                          control_values=np.zeros((10, 1)))
+                          drive=np.zeros(10))
 
 
 class TestPinnedNodes:
@@ -472,12 +485,11 @@ class TestDenseOracle:
         kw = {"penalty": dict(penalty_n=1e3), "projection": dict(project=True),
               "plain": {}}[split]
         squeeze = (lambda a: a[0]) if batch is None else (lambda a: a)
-        ks = squeeze(controls)
-        dBs = None if noise is None else squeeze(noise)
-        res = march(prob, n_steps, control_values=ks, epsilon=epsilon,
-                    noise_increments=dBs, **kw)
-        lean = march(prob, n_steps, control_values=ks, epsilon=epsilon,
-                     noise_increments=dBs, store=False, **kw)
+        drive = control_drive(prob, squeeze(controls))
+        if noise is not None:
+            drive = drive + noise_drive(prob, epsilon, squeeze(noise))
+        res = march(prob, n_steps, drive=drive, **kw)
+        lean = march(prob, n_steps, drive=drive, store=False, **kw)
         want = np.stack([self._oracle(prob, n_steps, split, controls[b],
                                       epsilon,
                                       None if noise is None else noise[b])

@@ -8,7 +8,10 @@ checkout's src/:
 
 * one batched Monte Carlo march: 256 rows of linear_additive (201 nodes),
   50 steps, a random control per row and noise at eps = 0.05, penalty 1e4,
-  unstored (the shape of `spde._terminal_batch`);
+  unstored (the shape of `spde._terminal_batch`).  Where the tree's `march`
+  takes a `drive`, the time includes forming it from the control values and
+  increments (`stepping.control_drive` + `stepping.noise_drive`), work the
+  older `march` did inside its steps;
 * one single-row stored march per family, 401 nodes and 400 steps, zero
   control, penalty 1e4;
 * the phases of one step of that batched march, per step: coefficient
@@ -55,7 +58,7 @@ FAMILIES = ("heat_obstacle", "linear_additive", "quasilinear_full")
 
 # Run in a fresh interpreter: argv = [src, repeats]; prints a JSON object.
 _TIMINGS = """
-import dataclasses, json, statistics, sys, time
+import dataclasses, inspect, json, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from obslab import stepping
@@ -78,9 +81,16 @@ rng = np.random.default_rng(0)
 controls = rng.standard_normal((rows, steps, 1))
 noise = np.sqrt(mc.horizon / steps) * rng.standard_normal((rows, steps, 1))
 
-def mc_march(prob=mc):
-    stepping.march(prob, steps, penalty_n=1e4, control_values=controls,
-                   epsilon=0.05, noise_increments=noise, store=False)
+if "drive" in inspect.signature(stepping.march).parameters:
+    # the tree's march takes one scalar drive per step; forming it is timed
+    def mc_march(prob=mc):
+        drive = stepping.control_drive(prob, controls) \\
+            + stepping.noise_drive(prob, 0.05, noise)
+        stepping.march(prob, steps, penalty_n=1e4, drive=drive, store=False)
+else:
+    def mc_march(prob=mc):
+        stepping.march(prob, steps, penalty_n=1e4, control_values=controls,
+                       epsilon=0.05, noise_increments=noise, store=False)
 
 out = {"mc_march_s": median_time(mc_march), "single_row_s": {}}
 for family in %r:
