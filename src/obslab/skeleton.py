@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -108,11 +109,16 @@ class Solution:
     cauchy_gap: float = 0.0
     cauchy_history: tuple = ()
 
+    @cached_property
     def barrier_gap(self) -> np.ndarray:
         """u - L on the stepped rows 0 ... n_steps - 1 at the interior
-        nodes, where the barrier split acts; the pinned nodes carry none."""
-        return self.traj.values[:-1, 1:-1] - barrier_table(
+        nodes, where the barrier split acts; the pinned nodes carry none.
+        Built once per solution, as the barrier costs an obstacle call per
+        step, and read-only, as every reader shares it."""
+        gap = self.traj.values[:-1, 1:-1] - barrier_table(
             self.problem, self.control.n_steps)[:, 1:-1]
+        gap.flags.writeable = False
+        return gap
 
     def barrier_density(self) -> np.ndarray:
         """The density on the rows and nodes of `barrier_gap`."""
@@ -120,14 +126,14 @@ class Solution:
 
     @property
     def min_gap(self) -> float:
-        return float(np.min(self.barrier_gap()))
+        return float(np.min(self.barrier_gap))
 
     @property
     def penalty_l2(self) -> float:
         """L2(dt, dx) norm of the gap (u - L)^-.  The end-of-step gap alone
         under-resolves the sub-step layer, so it is paired with the
         pre-split gap, (1 + dt n) post = post + dt density."""
-        post = np.maximum(-self.barrier_gap(), 0.0)
+        post = np.maximum(-self.barrier_gap, 0.0)
         dt = self.traj.dt
         pre = post + dt * self.barrier_density()
         return float(np.sqrt(dt * self.problem.grid.h * np.sum(post * pre)))
@@ -211,7 +217,7 @@ def complementarity_residual(sol: Solution) -> float:
     density over space-time.  The negative-part pairing vanishes nodewise by
     construction of the density and is asserted, not returned.
     """
-    gap = sol.barrier_gap()
+    gap = sol.barrier_gap
     assert float(np.max(np.maximum(gap, 0.0) * np.maximum(-gap, 0.0))) == 0.0
     return sol.traj.dt * sol.problem.grid.h * float(
         np.sum(np.maximum(gap, 0.0) * sol.barrier_density()))

@@ -1,13 +1,17 @@
 """Grid containers, difference stencils, norms, CSV round-trips, and
 read-off at off-grid points."""
 import csv
+import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from obslab.families import make_problem
 from obslab.grid import (Bracket, Grid, GridMismatchError, Trajectory,
                          gradient_array, h_norm_array, ht_distance,
                          laplacian_array, v_norm_sq_array)
+from obslab.skeleton import solve_skeleton
 
 
 def observed_order(errors, factors=2.0):
@@ -128,18 +132,54 @@ class TestCsvRoundTrip:
         traj = Trajectory(times, values, g)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
-        oracle = tmp_path / "oracle.csv"
-        with open(oracle, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [repr(float(x)) for x in g.x])
-            for t, row in zip(times, values):
-                w.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-        assert path.read_bytes() == oracle.read_bytes()
+        assert path.read_bytes() == csv_writer_bytes(traj)
         back = Trajectory.from_csv(path)
         assert back.grid == g
         assert np.array_equal(back.times.view(np.int64), times.view(np.int64))
         assert np.array_equal(back.values.view(np.int64),
                               values.view(np.int64))
+
+    # values from each spelling orjson and repr write differently (unsigned
+    # exponents, one-digit negative exponents, the positional decade
+    # [1e-5, 1e-4)) and from the edges of each
+    PLANTED = [1e-5, 1.23e-5, -9.99e-5, 1e-4, 1.5e-7, 1e-9, 1e15, 1e16, 1.5e16,
+               5e-324, -0.0, 10.00001, 100.00005]
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          max_size=60),
+           planted=st.permutations(PLANTED),
+           n_nodes=st.integers(3, 9),
+           horizon=st.floats(1e-6, 1e6),
+           x_min=st.floats(-1e6, 1e6), width=st.floats(1e-3, 1e6))
+    def test_bytes_match_csv_writer_on_drawn_floats(self, tmp_path_factory,
+                                                    drawn, planted, n_nodes,
+                                                    horizon, x_min, width):
+        flat = np.array(planted + drawn)
+        n_times = max(2, -(-len(flat) // n_nodes))
+        traj = Trajectory(np.linspace(0.0, horizon, n_times),
+                          np.resize(flat, (n_times, n_nodes)),
+                          Grid(x_min, x_min + width, n_nodes))
+        path = tmp_path_factory.mktemp("csv") / "traj.csv"
+        traj.to_csv(path)
+        assert path.read_bytes() == csv_writer_bytes(traj)
+
+    def test_bytes_match_csv_writer_on_a_skeleton(self, tmp_path):
+        problem = make_problem("quasilinear_full", n_nodes=401)
+        traj = solve_skeleton(problem, n_steps=400).traj
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        assert path.read_bytes() == csv_writer_bytes(traj)
+
+
+def csv_writer_bytes(traj: Trajectory) -> bytes:
+    """The oracle: `csv.writer` rows of each float's `repr`."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["t"] + [repr(float(x)) for x in traj.grid.x])
+    for t, row in zip(traj.times, traj.values):
+        w.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    return buf.getvalue().encode()
 
 
 class TestBracket:

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obslab import skeleton
 from obslab.families import make_problem
 from obslab.grid import ht_distance
 from obslab.skeleton import (Control, complementarity_residual,
                              constant_control, solve_penalized,
                              solve_projected, solve_skeleton, zero_control)
+from obslab.stepping import barrier_table
 
 
 class TestControl:
@@ -138,6 +140,21 @@ class TestGapStatistics:
             assert sol.min_gap < 0.0
         pinned = {"penalized": -0.06239220191781409, "projected": 0.0}
         assert sol.min_gap == pinned[scheme]
+
+    def test_barrier_table_built_once_per_solution(self, heat_problem,
+                                                   monkeypatch):
+        sol = solve_penalized(heat_problem, None, 1e3, n_steps=50)
+        builds = []
+
+        def counted(problem, n_steps):
+            builds.append(n_steps)
+            return barrier_table(problem, n_steps)
+
+        monkeypatch.setattr(skeleton, "barrier_table", counted)
+        for _ in range(2):
+            sol.min_gap, sol.penalty_l2, complementarity_residual(sol)
+        assert builds == [50]
+        assert not sol.barrier_gap.flags.writeable
 
     # penalty_l2: the values the march's step-by-step accumulation gave
     # before the statistics were read from (u, density); min_gap: exact, as
