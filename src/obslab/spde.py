@@ -46,11 +46,12 @@ NOISE_BLOCK = 1024
 # Rows per Monte Carlo batch: one noise block, so a stream draws each block
 # once (a smaller batch would draw its whole block again for every range it
 # covers).  The finals do not depend on it.  The serial step march loses
-# about nothing: over three runs of tools/bench_step.py (2 cores), the
-# 4096-sample stream (linear_additive, 201 nodes, 50 steps) took
-# 0.63-0.67 s at 256 rows and 0.64-0.68 s at 1024.  On the pool, few ranges
-# balance worse: 3000 samples of quasilinear_full (101 nodes, 20 steps)
-# took 0.28 s at 1024 rows against 0.24 s at 256 (4096: 0.30 against 0.31).
+# about nothing: the 4096-sample stream (linear_additive, 201 nodes, 50
+# steps; case `serial_stream_4096` of tools/ab_cases.py, 2 cores) took
+# 0.63-0.67 s at 256 rows and 0.64-0.68 s at 1024.  On the pool (case
+# `pool_stream`), few ranges balance worse: 3000 samples of
+# quasilinear_full (101 nodes, 20 steps) took 0.28 s at 1024 rows against
+# 0.24 s at 256 (4096: 0.30 against 0.31).
 MC_BATCH = NOISE_BLOCK
 # Relative rounding margin of the response certificate: the limit on a
 # row's deviation from the base path is taken 1e-9 of the path's scale

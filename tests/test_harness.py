@@ -407,21 +407,13 @@ class TestCli:
         assert res.exit_code != 0
 
 
-def test_harness_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone took most of a second of every process's start-up
+# scipy.stats took most of a second of every process's start-up; only a
+# forked Monte Carlo stream needs multiprocessing (about 5 ms)
+@pytest.mark.parametrize("module", ["scipy.stats", "multiprocessing"])
+def test_harness_import_leaves_module_unloaded(module):
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import obslab.harness; "
-            "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
-
-
-def test_harness_import_leaves_multiprocessing_unloaded():
-    # only a forked Monte Carlo stream needs it (about 5 ms to import)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import obslab.harness; "
-            "print('multiprocessing' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+            "print(sys.argv[2] in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src, module], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
