@@ -166,8 +166,9 @@ def star_integral_check(J_field: Callable[[float, np.ndarray], np.ndarray],
         weight += use
     full = weight == n_steps
     g = gaps[full]
-    if len(g) == 0:
-        raise ValueError("no path survived the whole horizon")
+    if len(g) < 2:
+        raise ValueError(f"a standard error needs two surviving paths; "
+                         f"{len(g)} survived the whole horizon")
     return {
         "mean_gap": float(np.mean(g)),
         "std_error": float(np.std(g, ddof=1) / np.sqrt(len(g))),

@@ -42,9 +42,7 @@ def heat_obstacle(n_nodes: int = 201, horizon: float = 1.0) -> ProblemSpec:
 
     def obstacle(t, x):
         x = np.asarray(x, dtype=float)
-        if t >= horizon:
-            return np.minimum(0.0, terminal(x))
-        return np.zeros_like(x)
+        return np.where(t >= horizon, np.minimum(0.0, terminal(x)), 0.0)
 
     coeffs = CoefficientSet(
         f=_zeros, g=_zeros, h_shape=_zeros,

@@ -14,12 +14,13 @@ import numpy as np
 
 from .grid import Field, Grid
 
-# Coefficient signature: (t, x, y, z) -> array broadcast over t/x/y/z.  The
-# march passes a scalar t; `validate` passes one array of probe times.
+# Coefficient signature: (t, x, y, z) -> array broadcast over t/x/y/z; the
+# obstacle L(t, x) broadcasts alike.  t may be a column of step times.
 CoefFn = Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 PROBE_COUNT = 1024  # uniform (t, x, y, z) probes per validate call
 PROBE_YZ_BOX = 5.0
+PROBE_STEP = 0.25  # shift of y or z in the Lipschitz difference quotients
 LIPSCHITZ_SLACK = 1.01
 
 
@@ -43,8 +44,8 @@ class CoefficientSet:
     """Drift f, flux g, and the separable noise family h_j = c_j * h_shape.
 
     `state_free` declares that f, g and h_shape ignore the state (y, z):
-    the march then evaluates them once per step on one zero row instead of
-    on the whole batch, and `validate` checks the declaration.
+    the march then reads them once, over its step times at y = z = 0, and
+    `validate` checks the declaration.
     """
 
     f: CoefFn
@@ -72,6 +73,13 @@ class CoefficientSet:
     def weight_l2(self) -> float:
         return float(np.sqrt(np.sum(self.mode_weights**2)))
 
+    def evaluate(self, t, x, y, z) -> tuple:
+        """(f, g, h_shape) at (t, x, y, z), each as a float array of the
+        arguments' broadcast shape, whatever shape its callable returns."""
+        zero = np.zeros(np.broadcast_shapes(*map(np.shape, (t, x, y, z))))
+        return tuple(np.asarray(fn(t, x, y, z), dtype=float) + zero
+                     for fn in (self.f, self.g, self.h_shape))
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -93,9 +101,11 @@ class ProblemSpec:
         phi[-1] = 0.0
         return Field(phi, self.grid)
 
-    def obstacle_values(self, t: float) -> np.ndarray:
+    def obstacle_values(self, t) -> np.ndarray:
+        """The barrier on the grid at t, one row per time if t is a column."""
         x = self.grid.x
-        return np.asarray(self.obstacle(t, x), dtype=float) + np.zeros_like(x)
+        return np.asarray(self.obstacle(t, x), dtype=float) \
+            + np.zeros(np.broadcast_shapes(np.shape(t), x.shape))
 
 
 @dataclass(frozen=True)
@@ -136,19 +146,11 @@ def _probe_points(problem: ProblemSpec) -> np.ndarray:
     return gen.uniform(lo, hi, size=(PROBE_COUNT, 4))
 
 
-def _coef_at(fn: CoefFn, pts: np.ndarray) -> np.ndarray:
-    """fn at every probe (t, x, y, z), in one call over the probe columns."""
-    t, x, y, z = pts.T
-    return np.asarray(fn(t, x, y, z), dtype=float) + np.zeros(len(pts))
-
-
-def _lipschitz_probe(fn: CoefFn, pts: np.ndarray, comp: int, step: float = 0.25) -> float:
-    """Max sampled difference quotient of fn in argument `comp` (2=y, 3=z)."""
-    shifted = pts.copy()
-    shifted[:, comp] += step
-    a = _coef_at(fn, pts)
-    b = _coef_at(fn, shifted)
-    return float(np.max(np.abs(b - a)) / step)
+def _non_finite(name: str, vals: np.ndarray) -> str:
+    """Where `vals` is first non-finite, named; "" if nowhere."""
+    bad = ~np.isfinite(vals)
+    return f"{name} non-finite at probe {int(np.argmax(bad))}" \
+        if bad.any() else ""
 
 
 def validate(problem: ProblemSpec) -> ValidationReport:
@@ -156,9 +158,10 @@ def validate(problem: ProblemSpec) -> ValidationReport:
 
     Deterministic (fixed probe seed) and side-effect free.
     """
-    lips = problem.coefficients.lipschitz
+    co = problem.coefficients
+    lips = co.lipschitz
     checks = []
-    pts = _probe_points(problem)
+    t, x, y, z = _probe_points(problem).T
 
     # Contraction: alpha + beta^2/2 < 1/2.
     margin = 0.5 - (lips.alpha + lips.beta**2 / 2.0)
@@ -171,50 +174,49 @@ def validate(problem: ProblemSpec) -> ValidationReport:
     m = float(np.min(phi - lt))
     checks.append(CheckResult("terminal_compatibility", m >= -1e-12, m))
 
-    # Finiteness of all coefficients on the probe set.
-    bad = ""
-    ok = True
-    for nm, fn in (("f", problem.coefficients.f), ("g", problem.coefficients.g),
-                   ("h_shape", problem.coefficients.h_shape)):
-        vals = _coef_at(fn, pts)
-        if not np.all(np.isfinite(vals)):
-            ok = False
-            bad = f"{nm} non-finite at probe {int(np.argmax(~np.isfinite(vals)))}"
-            break
-    checks.append(CheckResult("finite_coefficients", ok, 0.0, bad))
-    if not ok:
+    # Finiteness of the obstacle, read over the probe times as the march
+    # reads it over its step times, and of f, g and h_shape on the probes.
+    try:
+        bad = _non_finite("L", problem.obstacle(t, x) + np.zeros_like(t))
+    except (TypeError, ValueError) as exc:
+        bad = f"does not broadcast over t: {exc}"
+    checks.append(CheckResult("finite_obstacle", not bad, 0.0, bad))
+    base = co.evaluate(t, x, y, z)
+    bad = next(filter(None, map(_non_finite, ("f", "g", "h_shape"), base)), "")
+    checks.append(CheckResult("finite_coefficients", not bad, 0.0, bad))
+    if bad:
         return ValidationReport(tuple(checks))
 
-    # Lipschitz probes in y and z against the declared constants.
-    wl2 = problem.coefficients.weight_l2
-    probes = [
-        ("lipschitz_f_y", problem.coefficients.f, 2, lips.c_f, 1.0),
-        ("lipschitz_f_z", problem.coefficients.f, 3, lips.c_f, 1.0),
-        ("lipschitz_g_y", problem.coefficients.g, 2, lips.c_g, 1.0),
-        ("lipschitz_g_z", problem.coefficients.g, 3, lips.alpha, 1.0),
-        ("lipschitz_h_y", problem.coefficients.h_shape, 2, lips.c_h, wl2),
-        ("lipschitz_h_z", problem.coefficients.h_shape, 3, lips.beta, wl2),
-    ]
+    # Lipschitz probes in y and z: the max sampled difference quotient of
+    # each coefficient against its declared constant.
+    wl2 = co.weight_l2
+    shifted = {"y": co.evaluate(t, x, y + PROBE_STEP, z),
+               "z": co.evaluate(t, x, y, z + PROBE_STEP)}
+    declared = (("f", 1.0, {"y": lips.c_f, "z": lips.c_f}),
+                ("g", 1.0, {"y": lips.c_g, "z": lips.alpha}),
+                ("h", wl2, {"y": lips.c_h, "z": lips.beta}))
     moves = {}  # unscaled difference quotient per coefficient and argument
-    for name, fn, comp, bound, scale in probes:
-        q = _lipschitz_probe(fn, pts, comp)
-        moves[name[len("lipschitz_"):]] = q
-        ratio = scale * q
-        margin = bound * LIPSCHITZ_SLACK - ratio
-        checks.append(CheckResult(name, margin >= 0.0, margin,
-                                  f"observed={ratio:.4f}, declared={bound:.4f}"))
+    for k, (nm, scale, bounds) in enumerate(declared):
+        for arg, bound in bounds.items():
+            q = float(np.max(np.abs(shifted[arg][k] - base[k])) / PROBE_STEP)
+            moves[f"{nm}_{arg}"] = q
+            ratio = scale * q
+            margin = bound * LIPSCHITZ_SLACK - ratio
+            checks.append(CheckResult(f"lipschitz_{nm}_{arg}", margin >= 0.0,
+                                      margin, f"observed={ratio:.4f}, "
+                                      f"declared={bound:.4f}"))
 
     # A state-free declaration: f, g and h_shape are exactly unchanged when
     # y or z is shifted.
-    if problem.coefficients.state_free:
+    if co.state_free:
         moved = [k for k, q in moves.items() if q != 0.0]
         checks.append(CheckResult(
             "state_free", not moved, -max(moves.values()),
             f"moves in {', '.join(moved)}" if moved else ""))
 
     # l2 envelope: |h_shape| * ||c||_2 <= hbar(x) on the probe set.
-    hvals = np.abs(_coef_at(problem.coefficients.h_shape, pts)) * wl2
-    env = np.asarray(problem.coefficients.hbar(pts[:, 1]), dtype=float) + np.zeros(len(pts))
+    hvals = np.abs(base[2]) * wl2
+    env = np.asarray(co.hbar(x), dtype=float) + np.zeros_like(x)
     m = float(np.min(env - hvals))
     checks.append(CheckResult("hbar_envelope", m >= -1e-10, m))
 

@@ -113,8 +113,8 @@ class Solution:
     def barrier_gap(self) -> np.ndarray:
         """u - L on the stepped rows 0 ... n_steps - 1 at the interior
         nodes, where the barrier split acts; the pinned nodes carry none.
-        Built once per solution, as the barrier costs an obstacle call per
-        step, and read-only, as every reader shares it."""
+        Built once, as three statistics read it, and read-only, as every
+        reader shares it."""
         gap = self.traj.values[:-1, 1:-1] - barrier_table(
             self.problem, self.control.n_steps)[:, 1:-1]
         gap.flags.writeable = False

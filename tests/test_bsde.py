@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from obslab.bsde import (bsde_residual, coarsen, sample_paths,
+from obslab.bsde import (PathEnsemble, bsde_residual, coarsen, sample_paths,
                          star_integral_check)
 from obslab.families import quasilinear_full
 from obslab.grid import Grid, Trajectory
@@ -112,6 +112,18 @@ class TestStarIntegral:
         rep = star_integral_check(J, dJ, ens_in)
         assert rep["mean_gap"] == pytest.approx(3.0 * T,
                                                 abs=3.0 * rep["std_error"])
+
+    def test_one_surviving_path_rejected(self):
+        # path 1 leaves the box at the last node, so one gap is left: a
+        # sample standard deviation of it is NaN
+        grid = Grid(-1.0, 1.0, 21)
+        paths = np.array([[0.0, 0.1, 0.2], [0.5, 0.9, 1.0]])
+        alive = np.array([[True, True, True], [True, True, False]])
+        ens = PathEnsemble(paths, alive, np.array([0.0, 0.1, 0.2]), grid, 0)
+        J = lambda t, x: np.asarray(x, dtype=float)
+        dJ = lambda t, x: np.ones_like(np.asarray(x, dtype=float))
+        with pytest.raises(ValueError, match="two surviving paths"):
+            star_integral_check(J, dJ, ens)
 
     def test_even_field_gap_centered(self):
         # Symmetric initial law and even J: the drift term is odd, so the

@@ -250,6 +250,46 @@ class TestConfigValidation:
         self._rejected_before_any_solve(cfg, tmp_path / "bsde", monkeypatch,
                                         match)
 
+    @pytest.mark.parametrize("kind, key, value", [
+        # one path: a NaN standard error; "many": a TypeError in sample_paths
+        ("star_check", "n_paths", 1),
+        ("star_check", "n_paths", "many"),
+        # zero paths failed only after the four level problems were built
+        ("bsde_check", "n_paths", 0),
+        ("bsde_check", "n_paths", 1.5),
+        # [] failed with an IndexError; [1.5, 2] ran 1.5 as frequency 1
+        ("condition_ii", "frequencies", []),
+        ("condition_ii", "frequencies", [1.5, 2]),
+        ("condition_ii", "frequencies", [0, 1]),
+        ("condition_ii", "frequencies", [2, 2]),
+        ("condition_ii", "amplitude", "big"),
+        ("condition_ii", "ball_radius", 0.0),
+        # one penalty gave a RankWarning in the decay-exponent fit
+        ("penalization_study", "n_schedule", [1000.0]),
+        ("penalization_study", "n_schedule", [1000.0, -1.0]),
+        ("penalization_study", "n_schedule", [1000.0, 1000.0]),
+        # these failed only after the whole solve
+        ("condition_i", "deltas", "x"),
+        ("condition_i", "deltas", []),
+        ("condition_i", "deltas", [-0.1]),
+        ("skeleton_solve", "agree_tol", "big"),
+        ("skeleton_solve", "agree_tol", 0.0),
+        # "no" is truthy, so it ran importance sampling
+        ("mc_compare", "use_importance", "no"),
+        ("mc_compare", "rel_tol", -0.25),
+    ])
+    def test_bad_param_value_rejected_before_any_march(
+            self, kind, key, value, tmp_path, monkeypatch):
+        def no_march(*args, **kwargs):
+            raise AssertionError("a march started before the config check")
+
+        for module in ("stepping", "skeleton", "ldp", "spde"):
+            monkeypatch.setattr(f"obslab.{module}.march", no_march)
+        cfg = load_config(kind)
+        cfg["params"][key] = value
+        self._rejected_before_any_solve(cfg, tmp_path / kind, monkeypatch,
+                                        rf"config field params/{key}\b")
+
     def test_bsde_mesh_rejected_before_any_solve(self, tmp_path, monkeypatch):
         # the levels pick the meshes; the runner never reads mesh.n_steps
         cfg = load_config("bsde_check")

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from obslab.families import linear_additive, make_problem
+from obslab.families import FAMILY_NAMES, linear_additive, make_problem
 from obslab.grid import Grid
 from obslab.problem import CoefficientSet, LipschitzInfo, ProblemSpec, validate
 
@@ -111,6 +111,24 @@ class TestValidation:
         assert failing == ["state_free"]
         assert "f_y" in report.check("state_free").detail
 
+    def test_scalar_time_obstacle_flagged(self):
+        # the march reads the barrier over a column of step times
+        def obstacle(t, x):
+            return np.zeros_like(np.asarray(x, dtype=float)) if t < 0.25 \
+                else np.full_like(np.asarray(x, dtype=float), -1.0)
+
+        report = validate(_basic_problem(obstacle=obstacle))
+        failing = [c.name for c in report.checks if not c.passed]
+        assert failing == ["finite_obstacle"]
+        assert "does not broadcast over t" in \
+            report.check("finite_obstacle").detail
+
+    def test_non_finite_obstacle_flagged(self):
+        bad = _basic_problem(
+            obstacle=lambda t, x: np.where(t > 0.4, np.nan, 0.0 * x))
+        check = validate(bad).check("finite_obstacle")
+        assert not check.passed and "non-finite at probe" in check.detail
+
     def test_undeclared_state_free_not_checked(self):
         with pytest.raises(KeyError):
             validate(_basic_problem()).check("state_free")
@@ -129,3 +147,14 @@ class TestEvaluation:
         vals = heat_problem.obstacle_values(0.3)
         assert vals.shape == heat_problem.grid.x.shape
         assert np.all(vals == 0.0)
+        # one call over a column of times gives the per-time rows bit for
+        # bit, heat_obstacle's carved terminal slice at t = T included
+        for family in FAMILY_NAMES:
+            prob = make_problem(family, n_nodes=51)
+            times = np.linspace(0.0, prob.horizon, 9)
+            table = prob.obstacle_values(times[:, None])
+            assert table.shape == (9, 51)
+            assert np.array_equal(
+                table, np.array([prob.obstacle_values(t) for t in times]))
+            if family == "heat_obstacle":
+                assert np.all(table[:-1] == 0.0) and table[-1].min() < 0.0

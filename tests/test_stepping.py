@@ -10,7 +10,8 @@ from obslab import stepping
 from obslab.families import (FAMILY_NAMES, heat_obstacle, linear_additive,
                              make_problem, quasilinear_full)
 from obslab.grid import Grid, Trajectory, ht_distance
-from obslab.problem import CoefficientSet, LipschitzInfo, ProblemSpec
+from obslab.problem import (CoefficientSet, LipschitzInfo, ProblemSpec,
+                            validate)
 from obslab.skeleton import solve_penalized, solve_projected, zero_control
 from obslab.stepping import (DivergenceError, StabilityError, control_drive,
                              march, march_adjoint, noise_drive,
@@ -292,6 +293,74 @@ class TestLeanMarch:
         times = np.linspace(0.0, prob.horizon, n_steps + 1)
         table = np.array([prob.obstacle_values(t) for t in times])
         assert np.all(res.traj[:, 1:-1] >= table[:, 1:-1])
+
+
+class TestReadRule:
+    """A state-free set is read once per march over the step times, row i
+    at t_{i+1}; a state-dependent one at every step.  Both give the same
+    bits, whatever shape the callables return."""
+
+    @staticmethod
+    def _time_dependent(state_free):
+        # the bundled state-free families ignore t, so they cannot tell
+        # which step time a row was read at
+        sigma = 0.3
+        prob = linear_additive(n_nodes=41)
+        co = dataclasses.replace(
+            prob.coefficients,
+            f=lambda t, x, y, z: 0.5 * t * np.cos(x),
+            h_shape=lambda t, x, y, z: sigma * (1.0 + t),
+            hbar=lambda x: np.full_like(x, 2.0 * sigma),
+            state_free=state_free)
+        return dataclasses.replace(prob, coefficients=co)
+
+    def test_time_dependent_state_free_march_matches_undeclared(self):
+        declared = self._time_dependent(True)
+        undeclared = self._time_dependent(False)
+        assert validate(declared).passed
+        n_steps = 20
+        rng = np.random.default_rng(3)
+        drives = control_drive(declared, rng.standard_normal((4, n_steps, 1)))
+        kw = dict(penalty_n=1e3, drive=drives[0])
+        stored = march(declared, n_steps, **kw)
+        ref = march(undeclared, n_steps, **kw)
+        assert np.array_equal(stored.traj, ref.traj)
+        assert np.array_equal(stored.density, ref.density)
+        batched = march(declared, n_steps, drive=drives, store=False)
+        assert np.array_equal(
+            batched.final, march(undeclared, n_steps, drive=drives,
+                                 store=False).final)
+
+    def test_time_dependent_state_free_adjoint_matches_undeclared(self):
+        n_steps = 20
+        drive = control_drive(self._time_dependent(True),
+                              np.ones((n_steps, 1)))
+        mu = np.random.default_rng(4).standard_normal(41)
+        grads = []
+        for state_free in (True, False):
+            prob = self._time_dependent(state_free)
+            res = march(prob, n_steps, penalty_n=1e3, drive=drive)
+            grads.append(march_adjoint(prob, res, mu, penalty_n=1e3,
+                                       drive=drive))
+        assert np.array_equal(grads[0], grads[1])
+
+    @pytest.mark.parametrize("state_free", [True, False])
+    def test_scalar_coefficient_matches_its_array_twin(self, state_free):
+        # h_shape as a Python float and as linear_additive's full row
+        twin = linear_additive(n_nodes=41)
+        twin = dataclasses.replace(twin, coefficients=dataclasses.replace(
+            twin.coefficients, state_free=state_free))
+        scalar = dataclasses.replace(twin, coefficients=dataclasses.replace(
+            twin.coefficients, h_shape=lambda t, x, y, z: 0.3,
+            g=lambda t, x, y, z: 0.0))
+        reports = [validate(p) for p in (scalar, twin)]
+        assert reports[0].passed and reports[0].checks == reports[1].checks
+        drive = noise_drive(twin, 0.1, np.random.default_rng(5)
+                            .standard_normal((3, 30, 1)) * 0.1)
+        a, b = (march(p, 30, penalty_n=1e4, drive=drive)
+                for p in (scalar, twin))
+        assert np.array_equal(a.traj, b.traj)
+        assert np.array_equal(a.density, b.density)
 
 
 class TestOneInteriorNode:
