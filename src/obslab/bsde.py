@@ -6,6 +6,13 @@ one-step backward recursion; its root-mean-square residual vanishes under
 mesh refinement iff the PDE march is consistent.  A separate check probes
 the forward-plus-backward stochastic integral identity that defines the
 flux term of that recursion.
+
+Both read the ensemble in blocks of `STEP_BLOCK` steps, each block from
+step-major copies of its own paths and alive flags, and call the problem's
+callables (and J, dJdx) once per block with a column of the block's step
+times against its rows of path points, the broadcast rule of every problem
+callable.  Each step's arithmetic, and the order of every sum, is the one-
+step-at-a-time recursion's, so the results keep its bits.
 """
 from __future__ import annotations
 
@@ -16,6 +23,12 @@ import numpy as np
 
 from .grid import Bracket, Grid, gradient_array
 from .skeleton import Solution
+
+# Steps per block of the backward read-off.  Each block reads step-major
+# copies of its own paths, so its arrays stay cache-sized: on the bundled
+# ensembles blocks of 8 to 32 steps ran fastest, and one block of all the
+# steps ran slower than one step at a time.
+STEP_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,8 @@ def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
     on common randomness; exits are re-detected at the coarse resolution.
     """
     n_steps = len(ensemble.times) - 1
+    if factor < 1:
+        raise ValueError(f"coarsening factor must be >= 1, got {factor}")
     if n_steps % factor != 0:
         raise ValueError(f"{n_steps} steps do not divide by {factor}")
     paths = ensemble.paths[:, ::factor]
@@ -82,6 +97,17 @@ def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
                         ensemble.seed)
 
 
+def _blocks(ensemble: PathEnsemble):
+    """(i0, i1, W, use) for each block of at most `STEP_BLOCK` steps i0 ...
+    i1 - 1: step-major, contiguous copies of the paths on nodes i0 ... i1
+    (b + 1 rows) and of the alive flags on nodes i0 + 1 ... i1 (b rows)."""
+    n_steps = len(ensemble.times) - 1
+    for i0 in range(0, n_steps, STEP_BLOCK):
+        i1 = min(i0 + STEP_BLOCK, n_steps)
+        yield (i0, i1, np.ascontiguousarray(ensemble.paths[:, i0:i1 + 1].T),
+               np.ascontiguousarray(ensemble.alive[:, i0 + 1:i1 + 1].T))
+
+
 def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
     """RMS one-step residual of the backward recursion, per sqrt(dt).
 
@@ -90,6 +116,11 @@ def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
     the spatial derivative of the nodewise flux, and the martingale part
     Z dW.  The residual is averaged over alive path segments and all steps,
     then normalized by sqrt(dt) so the threshold is mesh-stable.
+
+    The steps are read in blocks of `STEP_BLOCK`: the block's points are
+    bracketed once, Y, Z and the flux derivative are read on the rows of
+    its start nodes and Y_next on the rows after them, and f, h_shape and
+    the obstacle are called once per block with a column of step times.
     """
     problem = sol.problem
     traj = sol.traj
@@ -98,72 +129,81 @@ def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
             traj.times, ensemble.times):
         raise ValueError("solution and ensemble time meshes differ")
     dt = ensemble.dt
-    n_steps = len(ensemble.times) - 1
+    times = ensemble.times
     co = problem.coefficients
-    weights = co.mode_weights
     x = grid.x
+    u = traj.values
+    ux = gradient_array(u, grid.h)
+    # one dot per step: a matrix-vector product rounds differently
+    drive = np.array([float(co.mode_weights @ k) for k in sol.control.values])
 
     residuals = []
-    for i in range(n_steps):
-        use = ensemble.alive[:, i + 1]
+    for i0, i1, W, use in _blocks(ensemble):
         if not np.any(use):
             continue
-        w_i = ensemble.paths[use, i]
-        w_ip = ensemble.paths[use, i + 1]
-        dW = w_ip - w_i
-        t = float(ensemble.times[i])
+        at = Bracket(x, W)
+        u_rows, ux_rows = u[i0:i1 + 1], ux[i0:i1 + 1]
+        Y_all = at.read(u_rows)
+        Y, Y_next = Y_all[:-1], Y_all[1:]
+        Z = at.read(ux_rows)[:-1]
+        w = W[:-1]
+        t = times[i0:i1, None]
 
-        at_i = Bracket(x, w_i)
-        u_level = traj.values[i]
-        ux_level = gradient_array(u_level, grid.h)
-        Y = at_i.read(u_level)
-        Y_next = Bracket(x, w_ip).read(traj.values[i + 1])
-        Z = at_i.read(ux_level)
-
-        fval = np.asarray(co.f(t, w_i, Y, Z), dtype=float) + np.zeros_like(Y)
-        hval = np.asarray(co.h_shape(t, w_i, Y, Z), dtype=float) + np.zeros_like(Y)
-        hk = hval * float(weights @ sol.control.values[i])
-        S = np.asarray(problem.obstacle(t, w_i), dtype=float) + np.zeros_like(Y)
+        # Unpadded: r broadcasts to the block's shape through Y, and a
+        # padding's +0.0 could only flip the sign of a zero, which r**2
+        # does not see.
+        fval = np.asarray(co.f(t, w, Y, Z), dtype=float)
+        hk = np.asarray(co.h_shape(t, w, Y, Z), dtype=float) \
+            * drive[i0:i1, None]
+        S = np.asarray(problem.obstacle(t, w), dtype=float)
         pen = sol.n * np.maximum(S - Y, 0.0)
 
         # Flux correction: x-derivative of x -> g(t, x, u, u_x) along the
         # grid, sampled at the path position.
-        g_nodes = np.asarray(co.g(t, x, u_level, ux_level), dtype=float) \
-            + np.zeros_like(x)
-        div_g = at_i.read(gradient_array(g_nodes, grid.h))
+        g_rows = np.asarray(co.g(times[i0:i1 + 1, None], x, u_rows, ux_rows),
+                            dtype=float) + np.zeros(u_rows.shape)
+        div_g = at.read(gradient_array(g_rows, grid.h))[:-1]
 
-        r = Y - Y_next - dt * (fval + hk + pen) + dt * div_g + Z * dW
-        residuals.append(r)
+        r = Y - Y_next - dt * (fval + hk + pen) + dt * div_g + Z * (W[1:] - w)
+        residuals.append(r[use])
     if not residuals:
         raise ValueError("no surviving path segments in the ensemble")
     r_all = np.concatenate(residuals)
     return float(np.sqrt(np.mean(r_all**2)) / np.sqrt(dt))
 
 
-def star_integral_check(J_field: Callable[[float, np.ndarray], np.ndarray],
-                        dJdx: Callable[[float, np.ndarray], np.ndarray],
-                        ensemble: PathEnsemble) -> dict:
+def star_integral_check(
+        J_field: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        dJdx: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        ensemble: PathEnsemble) -> dict:
     """Forward-plus-backward integral of J against dW vs its drift identity.
 
     Per path, Sum_i [J(t_i, W_i) + J(t_{i+1}, W_{i+1})] dW_i is compared to
     -2 Sum_i dJdx(t_i, W_i) dt; the report carries the signed mean gap with
     its standard error and the mean absolute gap.
+
+    The steps are read in blocks of `STEP_BLOCK`: J(t, x) and dJdx(t, x)
+    receive a (b + 1, 1) or (b, 1) column of the block's times against its
+    rows of path points, so they must broadcast over t as every problem
+    callable does.  J is called once per block on all of its nodes, dJdx on
+    its start nodes, and each step's contribution is added to the per-path
+    sums in step order.
     """
     dt = ensemble.dt
     n_steps = len(ensemble.times) - 1
+    times = ensemble.times
     gaps = np.zeros(ensemble.n_paths)
     weight = np.zeros(ensemble.n_paths)
-    for i in range(n_steps):
-        use = ensemble.alive[:, i + 1]
-        w_i = ensemble.paths[:, i]
-        w_ip = ensemble.paths[:, i + 1]
-        dW = np.where(use, w_ip - w_i, 0.0)
-        t0, t1 = float(ensemble.times[i]), float(ensemble.times[i + 1])
-        fb = (np.asarray(J_field(t0, w_i), dtype=float)
-              + np.asarray(J_field(t1, w_ip), dtype=float)) * dW
-        drift = -2.0 * np.asarray(dJdx(t0, w_i), dtype=float) * dt * use
-        gaps += np.where(use, fb - drift, 0.0)
-        weight += use
+    for i0, i1, W, use in _blocks(ensemble):
+        Jw = np.broadcast_to(np.asarray(J_field(times[i0:i1 + 1, None], W),
+                                        dtype=float), W.shape)
+        dW = np.where(use, W[1:] - W[:-1], 0.0)
+        fb = (Jw[:-1] + Jw[1:]) * dW
+        drift = -2.0 * np.asarray(dJdx(times[i0:i1, None], W[:-1]),
+                                  dtype=float) * dt * use
+        for row in np.where(use, fb - drift, 0.0):
+            gaps += row
+        weight += use.sum(axis=0)
     full = weight == n_steps
     g = gaps[full]
     if len(g) < 2:

@@ -204,8 +204,9 @@ class Bracket:
     w - x[j].  `read(fp)` is then the piecewise-linear interpolant of the
     finite grid function fp at the points, equal bit for bit to
     `np.interp(w, x, fp)`: one index search serves every function read at
-    the same points.  A point outside the box (or NaN) raises ValueError;
-    nothing is extrapolated.
+    the same points.  A (rows, points) block of points reads a (rows,
+    len(x)) table, row r of the points against row r of the table.  A point
+    outside the box (or NaN) raises ValueError; nothing is extrapolated.
     """
 
     def __init__(self, x: np.ndarray, w: np.ndarray):
@@ -218,17 +219,24 @@ class Bracket:
         j = np.minimum(((w - x[0]) / h).astype(np.intp), n - 2)
         j -= w < x.take(j)
         j += w >= x.take(j + 1)
-        self.x = x
-        self.j = j
+        self._dx_nodes = np.diff(x)
         self.dx = w - x.take(j)
+        # j as a flat index into the table, row r of a block offset by r n
+        if w.ndim == 2:
+            j += n * np.arange(w.shape[0])[:, None]
+        self.index = j
         self._at_node = np.flatnonzero(self.dx == 0.0)
 
     def read(self, fp: np.ndarray) -> np.ndarray:
-        fpj = fp.take(self.j)
-        slope = np.diff(fp) / np.diff(self.x)
-        out = slope.take(self.j, mode="clip")
+        # The slope of the interval right of each node; a point on the last
+        # node reads the zero past it, as it has dx = 0.
+        slope = np.zeros(fp.shape)
+        np.divide(np.diff(fp), self._dx_nodes, out=slope[..., :-1])
+        fpj = fp.take(self.index)
+        out = slope.take(self.index)
         out *= self.dx
         out += fpj
         # At a node np.interp returns fp itself, signed zeros included.
-        out[self._at_node] = fpj[self._at_node]
+        at = self._at_node
+        out.reshape(-1)[at] = fpj.reshape(-1)[at]
         return out

@@ -197,6 +197,18 @@ class TestBracket:
             assert np.array_equal(at.read(fp).view(np.int64),
                                   want.view(np.int64))
 
+    def test_block_rows_read_their_table_rows(self, rng):
+        # a (rows, points) block against a (rows, n_nodes) table: row r of
+        # the points reads row r of the table, as np.interp would
+        x = Grid(-4.0, 4.0, 51).x
+        w = rng.uniform(-4.0, 4.0, (5, 300))
+        w[:, :3] = [-4.0, 4.0, x[7]]
+        table = rng.standard_normal((5, 51))
+        table[2] = np.where(rng.random(51) < 0.5, -0.0, 0.0)
+        got = Bracket(x, w).read(table)
+        want = np.array([np.interp(wr, x, fr) for wr, fr in zip(w, table)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("outside", [-4.0 - 1e-12, 4.0 + 1e-12, np.nan])
     def test_point_outside_the_box_raises(self, outside):
         x = Grid(-4.0, 4.0, 51).x

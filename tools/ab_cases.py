@@ -148,10 +148,29 @@ def _residual(n_steps: int, n_nodes: int):
     return lambda: bsde_residual(sol, ensemble)
 
 
+def _star():
+    """`star_integral_check` of the bundled `star_check` config: J(t, x) =
+    exp(-x^2) along 10 000 paths of 400 steps (linear_additive's box and
+    horizon, seed 3)."""
+    import numpy as np
+    from obslab.bsde import sample_paths, star_integral_check
+    from obslab.families import make_problem
+    problem = make_problem("linear_additive")
+    ensemble = sample_paths(10000, 400, problem.horizon, problem.grid, 3)
+
+    def J(t, x):
+        return np.exp(-x**2)
+
+    def dJ(t, x):
+        return -2.0 * x * np.exp(-x**2)
+    return lambda: star_integral_check(J, dJ, ensemble)
+
+
 _add("readoff", "to_csv_401x401", 5, _to_csv)
 for _n_steps, _n_nodes in ((50, 51), (100, 101), (200, 201), (400, 401)):
     _add("readoff", f"bsde_residual_{_n_steps}x{_n_nodes}", 5, _residual,
          _n_steps, _n_nodes)
+_add("readoff", "star_check_10000x400", 5, _star)
 
 
 # -- step: the march, its phases and the Monte Carlo streams
