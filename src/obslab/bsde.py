@@ -121,7 +121,13 @@ def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
     bracketed once, Y, Z and the flux derivative are read on the rows of
     its start nodes and Y_next on the rows after them, and f, h_shape and
     the obstacle are called once per block with a column of step times.
+
+    The penalty term n (S - Y)^+ needs a finite n: a projection `Solution`
+    (n = inf) raises ValueError.
     """
+    if not np.isfinite(sol.n):
+        raise ValueError(f"the BSDE residual needs a penalized solution, "
+                         f"not one with n = {sol.n}")
     problem = sol.problem
     traj = sol.traj
     grid = problem.grid

@@ -10,32 +10,10 @@ through CSV, and a `Bracket` reads grid functions at off-grid points.
 from __future__ import annotations
 
 import csv
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
-
-
-# The three spellings where orjson's float differs from repr's (see
-# `Trajectory.to_csv`).  The lookbehind in the third skips a 0 inside a
-# larger number (10.00001) and follows the literal prefix, so the scan stays
-# a substring search.
-_EXP_UNSIGNED = re.compile(rb"e(?=\d)")
-_EXP_ONE_DIGIT = re.compile(rb"e-(\d)(?!\d)")
-_TENTH_MILLI = re.compile(rb"0\.0000(?<=(?<![\d.])0\.0000)(\d)(\d*)")
-
-
-def _tenth_milli(m: re.Match) -> bytes:
-    return m[1] + (b"." + m[2] if m[2] else b"") + b"e-05"
-
-
-def _repr_spelling(raw: bytes) -> bytes:
-    """orjson's output for finite floats, with each float spelled as by
-    `repr`."""
-    raw = _EXP_UNSIGNED.sub(b"e+", raw)
-    raw = _EXP_ONE_DIGIT.sub(rb"e-0\1", raw)
-    return _TENTH_MILLI.sub(_tenth_milli, raw)
 
 
 class GridMismatchError(ValueError):
@@ -121,23 +99,20 @@ class Trajectory:
     # -- CSV round trip: header row of x-coordinates, one row per time node --
 
     def to_csv(self, path):
-        """Header `t,x_0,...`, then `t_i,u_i0,...` per time node: the
-        shortest round-trip `repr` of each float, comma-separated, CRLF line
-        ends (the bytes of the `csv` module's default dialect, as no float
-        repr needs quoting).
+        """Header `t,x_0,...`, then `t_i,u_i0,...` per time node:
+        comma-separated floats, CRLF line ends, no quoting.
 
-        orjson writes the digits: Ryu's shortest round-trip ones, which are
-        the digits repr picks.  Three spellings are rewritten to repr's: an
-        unsigned exponent (1e16 -> 1e+16), a one-digit negative exponent
-        (1e-7 -> 1e-07) and a positional |x| in [1e-5, 1e-4)
-        (0.0000123 -> 1.23e-05, 0.00001 -> 1e-05)."""
+        Each float is spelled as orjson spells it: Ryu's shortest round-trip
+        digits (the digits `repr` picks), with orjson's exponent form
+        (1e16, 1e-7) and positional form (0.0000123).  `from_csv`, or
+        `float` on any cell, reads back the exact values; the bytes are a
+        function of the values alone."""
         header = orjson.dumps(self.grid.x, option=orjson.OPT_SERIALIZE_NUMPY)
         body = orjson.dumps(np.column_stack((self.times, self.values)),
                             option=orjson.OPT_SERIALIZE_NUMPY)
         with open(path, "wb") as fh:
-            fh.write(b"t," + _repr_spelling(header)[1:-1] + b"\r\n"
-                     + _repr_spelling(body)[2:-2].replace(b"],[", b"\r\n")
-                     + b"\r\n")
+            fh.write(b"t," + header[1:-1] + b"\r\n"
+                     + body[2:-2].replace(b"],[", b"\r\n") + b"\r\n")
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":

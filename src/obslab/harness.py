@@ -124,19 +124,24 @@ def _run_penalization_study(config, problem):
     sols = [solve_penalized(problem, control, n) for n in schedule]
     norms = np.array([s.penalty_l2 for s in sols])
     gaps = [float(ht_distance(a.traj, b.traj)) for a, b in zip(sols, sols[1:])]
-    exponent = float(-np.polyfit(np.log(schedule), np.log(norms), 1)[0])
-    scaled = np.array(schedule) * norms**2
+    # A barrier that never binds leaves a zero gap, whose log has no fit:
+    # no decay is seen, and the study fails.
+    exponent = ratio = None
+    if np.all(norms > 0):
+        exponent = float(-np.polyfit(np.log(schedule), np.log(norms), 1)[0])
+        scaled = np.array(schedule) * norms**2
+        ratio = float(scaled.max() / scaled.min())
     report = {
         "n_schedule": [float(n) for n in schedule],
         "gap_l2": [float(v) for v in norms],
         "cauchy_gap": gaps,
         "decay_exponent": exponent,
-        "n_gap_sq_ratio": float(scaled.max() / scaled.min()),
+        "n_gap_sq_ratio": ratio,
         "complementarity": [float(complementarity_residual(s)) for s in sols],
         "min_gap": [s.min_gap for s in sols],
     }
     passed = all(b <= a for a, b in zip(gaps, gaps[1:])) \
-        and 0.4 <= exponent <= 0.6
+        and exponent is not None and 0.4 <= exponent <= 0.6
     return report, passed, {"final_trajectory": sols[-1].traj}
 
 
@@ -184,7 +189,9 @@ def _run_condition_ii(config, problem):
                                p.get("frequencies", [1, 2, 4, 8, 16]),
                                ball_radius=p.get("ball_radius"),
                                penalty_n=_penalty_n(config))
-    passed = report["monotone_decreasing"] and report["final_over_initial"] <= 0.25
+    ratio = report["final_over_initial"]
+    passed = report["monotone_decreasing"] and ratio is not None \
+        and ratio <= 0.25
     return report, passed, {}
 
 
@@ -289,7 +296,9 @@ def run(config: dict, out_dir) -> dict:
 
     Returns the report (with a "passed" flag); writes report.json,
     manifest.json, and any trajectory CSVs into `out_dir`, which is made
-    only once the experiment has returned: a rejected config leaves none.
+    only once the experiment has returned and its report serialized: a
+    rejected config, or a report holding a non-finite float (not valid
+    JSON), raises ValueError and leaves none.
     """
     validate_config(config)
     problem = _problem_from(config)
@@ -297,13 +306,12 @@ def run(config: dict, out_dir) -> dict:
     report, passed, trajectories = _RUNNERS[config["experiment"]](
         config, problem)
     wall = time.monotonic() - t0
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     report = {"experiment": config["experiment"], "passed": bool(passed),
               **report}
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(text + "\n")
     for name, traj in trajectories.items():
         traj.to_csv(out / f"{name}.csv")
     manifest = {
@@ -343,7 +351,9 @@ def compare_baseline(report: dict, baseline: dict) -> dict:
             continue
         want = check["value"]
         tol = check.get("tol", 0.0)
-        if isinstance(want, bool) or isinstance(got, bool):
+        # a bool, or a null (no value could be read), matches only itself
+        if isinstance(want, bool) or isinstance(got, bool) \
+                or want is None or got is None:
             ok = got == want
         else:
             ok = abs(float(got) - float(want)) <= tol

@@ -8,7 +8,7 @@ from obslab.bsde import (PathEnsemble, bsde_residual, coarsen, sample_paths,
                          star_integral_check)
 from obslab.families import make_problem, quasilinear_full
 from obslab.grid import Bracket, Grid, Trajectory, gradient_array
-from obslab.skeleton import Control, solve_penalized
+from obslab.skeleton import Control, solve_penalized, solve_projected
 
 from test_stepping import free_heat_problem
 
@@ -213,6 +213,14 @@ class TestResidual:
         ens = sample_paths(10, 50, linear_problem.horizon,
                            linear_problem.grid, seed=6)
         with pytest.raises(ValueError):
+            bsde_residual(sol, ens)
+
+    def test_projection_solution_rejected(self):
+        # n = inf: the penalty term would read inf * 0 = NaN
+        prob = quasilinear_full(n_nodes=51, obstacle_amplitude=0.8)
+        sol = solve_projected(prob, None, n_steps=50)
+        ens = sample_paths(300, 50, prob.horizon, prob.grid, seed=0)
+        with pytest.raises(ValueError, match="needs a penalized solution"):
             bsde_residual(sol, ens)
 
     def test_order_half_under_refinement(self):

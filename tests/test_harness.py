@@ -3,6 +3,7 @@ import json
 import logging
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -394,6 +395,48 @@ class TestRuns:
         report = run(cfg, tmp_path / "pen")
         assert all(g < 0.0 for g in report["min_gap"])
         assert (tmp_path / "pen" / "final_trajectory.csv").exists()
+
+    def test_condition_ii_fails_when_perturbations_move_nothing(self,
+                                                                tmp_path):
+        # heat_obstacle has h_shape = 0: no control moves the solution, so
+        # every distance is 0 and no decay can be seen
+        cfg = load_config("condition_ii")
+        cfg["problem"]["family"] = "heat_obstacle"
+        report = run(cfg, tmp_path / "c2")
+        assert all(r["distance"] == 0.0 for r in report["rows"])
+        assert report["final_over_initial"] is None
+        assert not report["passed"]
+        written = json.loads((tmp_path / "c2" / "report.json").read_text())
+        assert written["final_over_initial"] is None
+        with open(BASELINES / "condition_ii.json") as fh:
+            cmp = compare_baseline(report, json.load(fh))
+        assert {m["path"] for m in cmp["mismatches"]} == {
+            "final_over_initial", "rows/0/distance", "rows/4/distance",
+            "passed"}
+
+    def test_penalization_study_fails_when_the_barrier_never_binds(
+            self, tmp_path):
+        cfg = load_config("penalization_study")
+        cfg["problem"]["family"] = "linear_additive"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run(cfg, tmp_path / "pen")
+        assert report["gap_l2"] == [0.0] * 4
+        assert report["decay_exponent"] is None
+        assert report["n_gap_sq_ratio"] is None
+        assert not report["passed"]
+        written = json.loads((tmp_path / "pen" / "report.json").read_text())
+        assert written["decay_exponent"] is None
+        assert written["n_gap_sq_ratio"] is None
+
+    def test_non_finite_report_raises_and_leaves_no_directory(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setitem(_RUNNERS, "star_check",
+                            lambda config, problem: ({"gap": float("nan")},
+                                                     True, {}))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            run(load_config("star_check"), tmp_path / "star")
+        assert not (tmp_path / "star").exists()
 
     def test_experiment_mismatch_in_baseline(self):
         with pytest.raises(ValueError):
