@@ -176,7 +176,7 @@ def _run_condition_i(config, problem):
         p.get("n_samples", 200), config["seed"],
         deltas=p.get("deltas", [0.1]))
     slope = report["loglog_slope"]
-    passed = report["monotone"] and 0.35 <= slope <= 0.65
+    passed = report["monotone"] and slope is not None and 0.35 <= slope <= 0.65
     return report, passed, {}
 
 

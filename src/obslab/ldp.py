@@ -6,9 +6,9 @@ a target event is the least action over controls steering the deterministic
 solver into the event.  Minimization is sequential quadratic programming
 (SLSQP) on that constrained problem, with an analytic action gradient and
 the terminal distance's gradient from a discrete adjoint of the march.  The
-rare-event module estimates small-noise probabilities (optionally under an
-importance-sampling drift at the minimizer) and compares eps * log p to the
-negated rate.
+rare-event comparison reads the terminal states of `spde.sweep_epsilon`
+(optionally under an importance-sampling drift at the minimizer) as event
+weights, and compares eps * log p to the negated rate.
 """
 from __future__ import annotations
 
@@ -21,15 +21,20 @@ from scipy.optimize import minimize
 
 from .grid import Field, h_norm_array, ht_distance
 from .problem import ProblemSpec
-# solve_skeleton is not called here, but stays importable from this module:
-# the traced benchmark (perfbench/layers.py) names it as a probe site.
+# solve_skeleton and sample_terminal_states are not called here, but stay
+# importable from this module: the traced benchmark (perfbench/layers.py)
+# names them as probe sites.
 from .skeleton import (Control, solve_penalized, solve_skeleton,  # noqa: F401
                        zero_control)
-from .spde import sample_terminal_states, stream_table
+from .spde import (mean_and_std_error, sample_terminal_states,  # noqa: F401
+                   sweep_epsilon)
 from .stepping import MarchResult, control_drive, march, march_adjoint
 
 OPT_KEYS = ("n_steps", "penalty_n", "max_iters")
 SLSQP_FTOL = 1e-10     # SLSQP's accuracy target (its `ftol`)
+# Least Kish effective sample size of a reliable estimate: p_hat's relative
+# standard error is about 1/sqrt(ESS), so at 10 log p_hat is off by about 0.3.
+RELIABLE_ESS = 10.0
 
 
 @dataclass(frozen=True)
@@ -248,11 +253,9 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
     in eps and compared to the negated rate.  Each epsilon also reports the
     health of its estimate: the samples inside the event (`hits`), the
     Kish effective sample size of the weights (`ess`; equal to `hits` for
-    plain Monte Carlo) and the largest weight's share of their sum.
+    plain Monte Carlo) and the largest weight's share of their sum.  Only
+    the `reliable` estimates, ESS at least `RELIABLE_ESS`, are extrapolated.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples={n_samples}: a standard error needs "
-                         "at least 2 samples")
     if use_importance:
         if rate_result is None or not rate_result.feasible:
             raise ValueError("importance sampling needs a feasible rate result")
@@ -260,42 +263,35 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
         if k_star.n_steps != n_steps:
             raise ValueError("minimizer mesh does not match n_steps")
         k_sq = k_star.k_norm_sq()
-    grid = problem.grid
-    per_eps = []
     control = k_star if use_importance else None
-    # the streams' response table does not depend on eps: one per sweep
-    table = stream_table(problem, penalty_n, n_steps, n_samples, control)
-    for i_eps, eps in enumerate(epsilon_list):
-        weights = []
-        hits = 0
-        for res, inc in sample_terminal_states(
-                problem, eps, penalty_n, n_steps, n_samples, seed + i_eps,
-                control=control, table=table):
-            hit = event.contains_final(res.final, grid)
-            hits += int(np.count_nonzero(hit))
-            inside = hit.astype(float)
-            if use_importance:
-                # inc are the shifted-measure increments; the exponent is
-                # -<k*, dB>/sqrt(eps) - |k*|^2/(2 eps).
-                dot = np.einsum("sij,ij->s", inc, k_star.values)
-                lr = np.exp(-dot / np.sqrt(eps) - k_sq / (2.0 * eps))
-                inside = inside * lr
-            weights.append(inside)
-        acc = np.concatenate(weights)
-        p_hat = float(np.mean(acc))
-        se = float(np.std(acc, ddof=1) / np.sqrt(len(acc)))
-        entry = {
+
+    def read(eps, res, inc):
+        hit = event.contains_final(res.final, problem.grid)
+        weight = hit.astype(float)
+        if use_importance:
+            # inc are the shifted-measure increments; the exponent is
+            # -<k*, dB>/sqrt(eps) - |k*|^2/(2 eps).
+            dot = np.einsum("sij,ij->s", inc, k_star.values)
+            weight = weight * np.exp(-dot / np.sqrt(eps) - k_sq / (2.0 * eps))
+        return hit, weight
+
+    per_eps = []
+    for eps, (hit, acc) in zip(epsilon_list, sweep_epsilon(
+            problem, epsilon_list, penalty_n, n_steps, n_samples, seed, read,
+            control=control)):
+        p_hat, se = mean_and_std_error(acc)
+        ess = kish_ess(acc)
+        per_eps.append({
             "epsilon": float(eps),
             "p_hat": p_hat,
             "std_error": se,
-            "reliable": p_hat > 0.0,
-            "hits": hits,
-            "ess": kish_ess(acc),
+            "reliable": ess >= RELIABLE_ESS,
+            "hits": int(np.count_nonzero(hit)),
+            "ess": ess,
             "max_weight_share": (float(np.max(acc) / np.sum(acc))
                                  if p_hat > 0 else None),
-        }
-        entry["eps_log_p"] = float(eps * np.log(p_hat)) if p_hat > 0 else None
-        per_eps.append(entry)
+            "eps_log_p": float(eps * np.log(p_hat)) if p_hat > 0 else None,
+        })
     ok = [r for r in per_eps if r["reliable"]]
     report = {"per_epsilon": per_eps, "n_samples": int(n_samples),
               "seed": int(seed), "importance": bool(use_importance)}

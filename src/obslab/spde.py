@@ -4,28 +4,23 @@ The noisy solution is the shared reversed-time march (`stepping.march`)
 under the drive of its Brownian increments, sqrt(eps) sum_j c_j dB^j per
 step (`stepping.noise_drive`), plus, when a control is present, the
 control's drive dt sum_j c_j k^j (`stepping.control_drive`).
-This module draws the increments and streams batches of noisy marches.  The
-stream is the one Monte Carlo path of the package: the rare-event
-estimators read its terminal states, and the coupling-distance sweep in eps
-(condition (i)) reads its path distances to the skeleton.
+This module draws the increments and streams batches of noisy marches;
+`sweep_epsilon`, one stream per eps, is the one Monte Carlo loop of the
+package.  The rare-event comparison reads its terminal states, condition
+(i) its path distances to the skeleton.
 
 Noise comes from a counter-based generator (Philox) keyed by the user seed
 and a sample counter, so Monte Carlo substreams are reproducible regardless
 of execution order or batch size.
 
-A stream of final states on a `state_free` problem evaluates them from a
-`ResponseTable` where it can: wherever the barrier split does not act,
-such a march is affine in its drive, so two marches give every final as
-the base final plus the noise drives times the per-interval responses, and
-a bound on each sample's distance from the base path certifies that its
-split never acts; the uncertified samples take the step march.  Such a
-stream runs in-process when the table certifies most of its samples.
-Every other stream (one that leaves many samples uncertified,
-state-dependent coefficients, path distances, a barrier the base path
-touches, too few samples to pay for the table) maps its sample ranges over
-a pool of forked worker processes (`concurrent.futures.ProcessPoolExecutor`),
-one per usable core, and yields their results in sample order: the output
-does not depend on the number of workers.
+A sweep of final states on a `state_free` problem reads them, where it
+can, from a `ResponseTable` built once: wherever the barrier split does
+not act, such a march is affine in its drive, and a bound on each sample's
+distance from the base path certifies that its split never acts.  The
+uncertified samples take the step march.  A stream runs in-process when
+the table certifies most of its samples, and otherwise maps its sample
+ranges over a pool of forked worker processes, one per usable core; the
+output does not depend on the number of workers.
 """
 from __future__ import annotations
 
@@ -113,33 +108,27 @@ def condition_i_distance(problem: ProblemSpec, epsilon_list: Sequence[float],
                          deltas: Sequence[float] = (0.1,)) -> dict:
     """Couple the controlled noisy solution to its zero-noise skeleton.
 
-    The skeleton under `control` is solved once.  For each epsilon the
-    noisy solutions under the same control are streamed by
-    `sample_terminal_states` (seed + the epsilon's index), each marched
-    against the skeleton, and their path distances to it are aggregated.
+    The skeleton under `control` is solved once; `sweep_epsilon` marches
+    the noisy solutions under the same control against it, and their path
+    distances are aggregated per epsilon.  `loglog_slope` is None when some
+    mean distance is 0: no rate can be read.
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples={n_samples}: a standard error needs "
-                         "at least 2 samples")
+    _require_two_samples(n_samples)  # before the skeleton solve
     det = solve_penalized(problem, control, n, n_steps=n_steps)
+    sweep = sweep_epsilon(problem, epsilon_list, n, n_steps, n_samples, seed,
+                          lambda eps, res, inc: (res.distances,),
+                          control=control, reference=det.traj.values)
     per_eps = []
-    for i_eps, eps in enumerate(epsilon_list):
-        stream = sample_terminal_states(problem, eps, n, n_steps, n_samples,
-                                        seed + i_eps, control=control,
-                                        reference=det.traj.values)
-        d = np.concatenate([res.distances for res, _ in stream])
+    for eps, (d,) in zip(epsilon_list, sweep):
+        mean, se = mean_and_std_error(d)
         per_eps.append({
-            "epsilon": float(eps),
-            "mean_distance": float(np.mean(d)),
-            "std_error": float(np.std(d, ddof=1) / np.sqrt(len(d))),
-            "tail_probs": {repr(float(dl)): float(np.mean(d > dl)) for dl in deltas},
-        })
+            "epsilon": float(eps), "mean_distance": mean, "std_error": se,
+            "tail_probs": {repr(float(dl)): float(np.mean(d > dl))
+                           for dl in deltas}})
     eps = np.array([r["epsilon"] for r in per_eps])
     means = np.array([r["mean_distance"] for r in per_eps])
-    if np.all(means > 0.0):
-        slope = float(np.polyfit(np.log(eps), np.log(means), 1)[0])
-    else:
-        slope = 0.0  # degenerate sweep, e.g. a problem with no noise
+    slope = (float(np.polyfit(np.log(eps), np.log(means), 1)[0])
+             if np.all(means > 0.0) else None)
     return {
         "per_epsilon": per_eps,
         "loglog_slope": slope,
@@ -232,24 +221,6 @@ def _response_table(problem: ProblemSpec, n: float, n_steps: int,
                          float(limit))
 
 
-def stream_table(problem: ProblemSpec, n: float, n_steps: int,
-                 n_samples: int, control: Optional[Control] = None,
-                 reference: Optional[np.ndarray] = None
-                 ) -> Optional[ResponseTable]:
-    """The response table of a `sample_terminal_states` stream of these
-    arguments, or None where the stream takes the step march throughout.
-
-    A table applies to a `state_free` problem without a `reference` whose
-    samples outnumber the table's n_steps + 1 marched rows.  It does not
-    depend on eps, so a sweep in eps builds it once and hands it to each
-    stream.
-    """
-    if (problem.coefficients.state_free and reference is None
-            and n_samples > n_steps + 1):
-        return _response_table(problem, n, n_steps, control)
-    return None
-
-
 def _terminal_batch(problem: ProblemSpec, epsilon: float, n: float,
                     n_steps: int, seed: int, values: Optional[np.ndarray],
                     bounds: tuple,
@@ -303,18 +274,16 @@ def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
     Streams Monte Carlo batches of `MC_BATCH` samples, in sample order,
     without storing trajectories.  Each result holds the states at forward
     time 0 (`final`) and, given a forward-ordered `reference` path, each
-    sample's path distance to it (`distances`): the rare-event estimators
-    read the first, the coupling sweep of condition (i) the second.
+    sample's path distance to it (`distances`).
 
-    Given a `table` (`stream_table` of the same arguments, built once per
-    sweep in eps), each sample the table certifies takes its final from it
-    and the others take the step march; with none (the default) every
-    sample takes the step march.  The batches run in-process when the
-    table certifies most samples (`ResponseTable.certifies_most`), and
-    otherwise on a `ProcessPoolExecutor` of forked workers, one per usable
-    core (none on one core); a sample's final is the same either way.
-    However the stream ends, the batches not yet started are cancelled and
-    the workers are joined.
+    Given a `table`, each sample it certifies takes its final from it and
+    the others take the step march; with none (the default) every sample
+    takes the step march.  The batches run in-process when the table
+    certifies most samples (`ResponseTable.certifies_most`), and otherwise
+    on a `ProcessPoolExecutor` of forked workers, one per usable core (none
+    on one core); a sample's final is the same either way.  However the
+    stream ends, the batches not yet started are cancelled and the workers
+    are joined.
     """
     values = None if control is None else control.values
     batch = functools.partial(_terminal_batch, problem, epsilon, n, n_steps,
@@ -343,3 +312,38 @@ def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
                              initializer=_inherit,
                              initargs=(batch,)) as pool:
         yield from pool.map(_run_inherited, ranges)
+
+
+def _require_two_samples(n_samples: int) -> None:
+    if n_samples < 2:
+        raise ValueError(f"n_samples={n_samples}: a standard error needs "
+                         "at least 2 samples")
+
+
+def mean_and_std_error(x: np.ndarray) -> tuple:
+    """The sample mean of x and its standard error std(x) / sqrt(len(x))."""
+    return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(len(x)))
+
+
+def sweep_epsilon(problem: ProblemSpec, epsilon_list: Sequence[float],
+                  n: float, n_steps: int, n_samples: int, seed: int, read,
+                  control: Optional[Control] = None,
+                  reference: Optional[np.ndarray] = None):
+    """Generator, per epsilon, of the reads of one terminal-state stream.
+
+    Stream i runs at epsilon_list[i] with seed + i, under `control` and
+    against `reference`.  `read(eps, result, increments)` maps each batch
+    to a tuple of per-sample arrays, concatenated in sample order.  A
+    response table applies to a `state_free` problem without a `reference`
+    whose samples outnumber the table's n_steps + 1 rows; it does not
+    depend on eps, so the sweep builds it at most once.
+    """
+    _require_two_samples(n_samples)
+    table = (_response_table(problem, n, n_steps, control)
+             if problem.coefficients.state_free and reference is None
+             and n_samples > n_steps + 1 else None)
+    for i_eps, eps in enumerate(epsilon_list):
+        batches = [read(eps, res, inc) for res, inc in sample_terminal_states(
+            problem, eps, n, n_steps, n_samples, seed + i_eps,
+            control=control, reference=reference, table=table)]
+        yield tuple(map(np.concatenate, zip(*batches)))

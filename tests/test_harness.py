@@ -414,6 +414,18 @@ class TestRuns:
             "final_over_initial", "rows/0/distance", "rows/4/distance",
             "passed"}
 
+    def test_condition_i_fails_when_the_noise_moves_nothing(self, tmp_path):
+        # heat_obstacle has h_shape = 0: every distance is 0, so no log-log
+        # slope can be read
+        cfg = load_config("condition_i")
+        cfg["problem"]["family"] = "heat_obstacle"
+        report = run(cfg, tmp_path / "c1")
+        assert all(r["mean_distance"] == 0.0 for r in report["per_epsilon"])
+        assert report["loglog_slope"] is None
+        assert not report["passed"]
+        written = json.loads((tmp_path / "c1" / "report.json").read_text())
+        assert written["loglog_slope"] is None
+
     def test_penalization_study_fails_when_the_barrier_never_binds(
             self, tmp_path):
         cfg = load_config("penalization_study")

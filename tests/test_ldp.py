@@ -13,6 +13,7 @@ from obslab.ldp import (TargetEvent, _batched_hinges, _excess_gradient,
                         _solution_values, condition_ii_test, kish_ess,
                         mc_ldp_compare, minimize_rate, rate_functional)
 from obslab.skeleton import constant_control, solve_penalized, zero_control
+from obslab.spde import _response_table, sample_terminal_states
 from obslab.stepping import control_drive, march
 
 
@@ -520,6 +521,47 @@ class TestMcCompare:
             assert 1.0 / row["hits"] <= row["max_weight_share"] <= 1.0
             if not importance:
                 assert row["ess"] == pytest.approx(row["hits"], rel=1e-12)
+
+    def test_one_hit_is_not_reliable(self, setup):
+        # plain Monte Carlo at eps = 0.05 (p about 9e-5) sees a single hit
+        problem, event, _, n_steps = setup
+        row = mc_ldp_compare(problem, event, [0.05], 10000, seed=2,
+                             n_steps=n_steps)["per_epsilon"][0]
+        assert row["hits"] == 1 and row["ess"] == 1.0
+        assert row["eps_log_p"] is not None
+        assert row["reliable"] is False
+
+    @pytest.mark.parametrize("importance", [False, True])
+    def test_per_epsilon_numbers_are_the_streams_weights(self, setup,
+                                                         importance):
+        # the bundled sweep's ends, recomputed from each stream's finals and
+        # increments: seed + the epsilon's index, the sweep's table, the
+        # exact likelihood ratio, and the weights summed as they are
+        problem, event, rate, n_steps = setup
+        eps_list, n, seed = [0.4, 0.05], 10000, 42
+        report = mc_ldp_compare(problem, event, eps_list, n, seed,
+                                use_importance=importance, rate_result=rate,
+                                n_steps=n_steps)
+        k = rate.minimizer if importance else None
+        table = _response_table(problem, 1e4, n_steps, k)
+        for i_eps, (eps, row) in enumerate(zip(eps_list,
+                                               report["per_epsilon"])):
+            results, incs = zip(*sample_terminal_states(
+                problem, eps, 1e4, n_steps, n, seed + i_eps, control=k,
+                table=table))
+            hit = event.contains_final(
+                np.concatenate([res.final for res in results]), problem.grid)
+            w = hit.astype(float)
+            if importance:
+                dot = np.einsum("sij,ij->s", np.concatenate(incs), k.values)
+                w = w * np.exp(-dot / np.sqrt(eps)
+                               - k.k_norm_sq() / (2.0 * eps))
+            assert row["hits"] == np.count_nonzero(hit)
+            assert row["p_hat"] == float(np.mean(w))
+            assert row["std_error"] == float(np.std(w, ddof=1) / np.sqrt(n))
+            assert row["ess"] == kish_ess(w)
+            if row["hits"]:
+                assert row["max_weight_share"] == float(np.max(w) / np.sum(w))
 
     def test_whole_space_event_probability_one(self, setup):
         problem, _, _, n_steps = setup

@@ -2,7 +2,9 @@
 (perfbench/layers.py); a site that stops resolving turns the per-layer
 metrics it feeds into missing metrics.  Some modules import a function
 they no longer call only to keep such a site, and the first test holds
-them to it.  The second runs the traced benchmark itself."""
+them to it; the second allows no other unused import.  The third runs the
+traced benchmark itself."""
+import ast
 import json
 import shutil
 import subprocess
@@ -22,6 +24,28 @@ def test_every_probe_site_resolves():
     assert sites
     missing = [site for site in sites if resolve(site) is None]
     assert not missing, f"probe sites gone from the package: {missing}"
+
+
+def _unused_imports(path: Path) -> set:
+    """The names a module imports but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_unused_import_is_a_probe_site():
+    sites = {site for probe in layers.PROBES for site in probe.sites}
+    unused = {f"obslab.{path.stem}:{name}"
+              for path in sorted((REPO / "src" / "obslab").glob("*.py"))
+              if path.name != "__init__.py"
+              for name in _unused_imports(path)}
+    assert unused  # the probe-site imports themselves
+    assert unused <= sites, f"imported, never used: {sorted(unused - sites)}"
 
 
 def test_traced_rate_run_counts_coefficient_and_obstacle_reads(tmp_path):

@@ -18,7 +18,7 @@ from obslab.skeleton import constant_control, solve_penalized, zero_control
 from obslab.spde import (MC_BATCH, NOISE_BLOCK, _response_table,
                          condition_i_distance, sample_noise,
                          sample_noise_batch, sample_terminal_states,
-                         stream_table)
+                         sweep_epsilon)
 from obslab.stepping import DivergenceError, control_drive, march, noise_drive
 
 
@@ -57,10 +57,12 @@ class TestNoiseSampling:
             return block_normals(seed, block_index, shape)
 
         monkeypatch.setattr(obslab.spde, "_block_normals", counted)
+        built = _built_tables(monkeypatch)
         n = 2 * NOISE_BLOCK + 17
-        table = stream_table(problem, 1e4, n_steps, n, k)
-        assert (table is None) == (path == "step")
-        _stream(problem, n_steps, n, control=k, table=table)
+        list(sweep_epsilon(problem, [0.2], 1e4, n_steps, n, 11, _finals,
+                           control=k))
+        assert [table is None for table in built] == \
+            ([] if path == "step" else [False])
         assert drawn == [(11, 0), (11, 1), (11, 2)]
 
 
@@ -142,6 +144,7 @@ class TestConditionI:
                                    8, seed=0)
         for row in rep["per_epsilon"]:
             assert row["mean_distance"] == 0.0
+        assert rep["loglog_slope"] is None  # no rate to read
 
     def test_sqrt_epsilon_scaling(self, linear_problem):
         k = constant_control(100, 1, linear_problem.horizon, 1.0)
@@ -237,7 +240,7 @@ class TestResponseTable:
         k = constant_control(50, 1, problem.horizon, 1.2) if controlled \
             else None
         calls = self._counted_marches(monkeypatch)
-        table = stream_table(problem, 1e4, 50, self.N, k)
+        table = _response_table(problem, 1e4, 50, k)
         results, incs = zip(*sample_terminal_states(
             problem, eps, 1e4, 50, self.N, 5, control=k, table=table))
         # the table's two noise-free marches, and no step march
@@ -266,7 +269,7 @@ class TestResponseTable:
         k = constant_control(50, 2, problem.horizon, 1.2) if controlled \
             else None
         calls = self._counted_marches(monkeypatch)
-        table = stream_table(problem, 1e4, 50, self.N, k)
+        table = _response_table(problem, 1e4, 50, k)
         assert table is not None
         results, incs = zip(*sample_terminal_states(
             problem, 0.4, 1e4, 50, self.N, 5, control=k, table=table))
@@ -286,7 +289,7 @@ class TestResponseTable:
         # its finals, like the step march's, are the base
         problem = self._weighted([0.0])
         base = solve_penalized(problem, None, 1e4, n_steps=50).traj.values[0]
-        table = stream_table(problem, 1e4, 50, self.N)
+        table = _response_table(problem, 1e4, 50, None)
         assert table is not None
         _cores(monkeypatch, 1)
         for given in (table, None):
@@ -310,7 +313,7 @@ class TestResponseTable:
 
         monkeypatch.setattr(obslab.spde, "sample_noise_batch", boosted)
         calls = self._counted_marches(monkeypatch)
-        table = stream_table(problem, 1e4, 50, self.N)
+        table = _response_table(problem, 1e4, 50, None)
         results, incs = zip(*sample_terminal_states(problem, eps, 1e4, 50,
                                                     self.N, 5, table=table))
         assert calls == [True, True, False, False]  # one step march a range
@@ -344,18 +347,20 @@ class TestResponseTable:
             problem, constant_control(50, 1, problem.horizon, 1.2), 1e4,
             n_steps=50)
         event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
-        built = []
-        build = obslab.spde._response_table
-
-        def counted(*args):
-            built.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(obslab.spde, "_response_table", counted)
+        built = _built_tables(monkeypatch)
         report = mc_ldp_compare(problem, event, [0.4, 0.2, 0.1], self.N,
                                 seed=3)
         assert len(built) == 1
         assert len(report["per_epsilon"]) == 3
+        # condition (i) reads path distances: no table
+        k = constant_control(50, 1, problem.horizon, 1.2)
+        report = condition_i_distance(problem, [0.4, 0.2, 0.1], k, 1e4, 50,
+                                      self.N, seed=3)
+        assert len(built) == 1
+        assert len(report["per_epsilon"]) == 3
+        # the least sample count that pays for the table's 51 rows
+        list(sweep_epsilon(problem, [0.4, 0.2], 1e4, 50, 52, 3, _finals))
+        assert len(built) == 2
 
     def test_non_finite_noise_raises_from_the_step_march(self, monkeypatch):
         # no row with NaN increments is certified; its step march diverges
@@ -365,7 +370,7 @@ class TestResponseTable:
         problem = linear_additive()
         with pytest.raises(DivergenceError):
             _stream(problem, 50, self.N,
-                    table=stream_table(problem, 1e4, 50, self.N))
+                    table=_response_table(problem, 1e4, 50, None))
         assert calls == [True, True, False]
 
     @pytest.mark.parametrize("problem", [
@@ -379,40 +384,59 @@ class TestResponseTable:
                                                    monkeypatch):
         assert _response_table(problem, 1e4, 50, None) is None
         _cores(monkeypatch, 1)
-        finals, inc = _stream(problem, 50, self.N,
-                              table=stream_table(problem, 1e4, 50, self.N))
+        # the sweep tries the table, gets none, and marches every sample
+        [(finals, inc)] = sweep_epsilon(problem, [0.2], 1e4, 50, self.N, 11,
+                                        lambda eps, res, inc: (res.final, inc))
         direct = march(problem, 50, penalty_n=1e4,
                        drive=noise_drive(problem, 0.2, inc),
                        store=False).final
         assert np.array_equal(finals, direct)
 
-    @pytest.mark.parametrize("n_samples, with_reference", [
-        (51, False),  # no more samples than the table's 51 rows
-        (MC_BATCH + 300, True),  # path distances need every state
+    @pytest.mark.parametrize("case", [
+        "few_samples",  # no more samples than the table's 51 rows
+        "reference",  # path distances need every state
+        "state_dependent",  # the march is not affine in its drive
     ])
-    def test_no_table_where_it_does_not_apply(self, n_samples,
-                                              with_reference, monkeypatch):
-        problem = linear_additive()
+    def test_no_table_where_it_does_not_apply(self, case, monkeypatch):
+        problem, n_steps, control = linear_additive(), 50, None
+        n_samples = n_steps + 1 if case == "few_samples" else self.N
+        if case == "state_dependent":
+            problem, n_steps, control = _forking_case()
         monkeypatch.setattr(obslab.spde, "_response_table",
                             lambda *a, **kw: pytest.fail("table built"))
         reference = None
-        if with_reference:
+        if case == "reference":
             reference = solve_penalized(problem, None, 1e4,
-                                        n_steps=50).traj.values
-        table = stream_table(problem, 1e4, 50, n_samples,
-                             reference=reference)
-        assert table is None
+                                        n_steps=n_steps).traj.values
         _cores(monkeypatch, 1)
-        results = list(sample_terminal_states(problem, 0.2, 1e4, 50,
-                                              n_samples, 5,
-                                              reference=reference))
-        assert sum(len(res.final) for res, _ in results) == n_samples
+        [(finals,)] = sweep_epsilon(problem, [0.2], 1e4, n_steps, n_samples,
+                                    5, _finals, control=control,
+                                    reference=reference)
+        assert len(finals) == n_samples
 
 
 def _forking_case():
     """A stream that runs on the pool: its coefficients read the state."""
     problem = quasilinear_full(n_nodes=101)
     return problem, 20, constant_control(20, 4, problem.horizon, -1.0)
+
+
+def _finals(eps, res, inc):
+    """A sweep reader of the terminal states."""
+    return (res.final,)
+
+
+def _built_tables(monkeypatch):
+    """The response tables the sweep builds from here on, as a list."""
+    built = []
+    build = obslab.spde._response_table
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(obslab.spde, "_response_table", recorded)
+    return built
 
 
 def _cores(monkeypatch, count):
@@ -455,7 +479,7 @@ class TestWorkers:
             return linear_additive(), 50, {}
         if request.param == "linear_additive_table":
             problem = linear_additive()
-            table = stream_table(problem, 1e4, 50, self.N)
+            table = _response_table(problem, 1e4, 50, None)
             assert table is not None
             return problem, 50, {"table": table}
         problem = quasilinear_full(n_nodes=101)
