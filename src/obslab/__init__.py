@@ -16,7 +16,7 @@ from .skeleton import (Control, Solution,  # noqa: F401
                        zero_control)
 from .spde import (NoisePath, condition_i_distance,  # noqa: F401
                    sample_noise)
-from .bsde import (PathEnsemble, bsde_residual, sample_paths,  # noqa: F401
-                   star_integral_check)
+from .bsde import (PathEnsemble, bsde_residual, path_chunks,  # noqa: F401
+                   sample_paths, star_integral_check)
 from .ldp import (RateResult, TargetEvent, condition_ii_test,  # noqa: F401
                   mc_ldp_compare, minimize_rate, rate_functional)

@@ -7,21 +7,26 @@ mesh refinement iff the PDE march is consistent.  A separate check probes
 the forward-plus-backward stochastic integral identity that defines the
 flux term of that recursion.
 
-Both read the ensemble in blocks of `STEP_BLOCK` steps, each block from
-step-major copies of its own paths and alive flags, and call the problem's
-callables (and J, dJdx) once per block with a column of the block's step
-times against its rows of path points, the broadcast rule of every problem
-callable.  Each step's arithmetic, and the order of every sum, is the one-
-step-at-a-time recursion's, so the results keep its bits.
+An ensemble is drawn `PATH_CHUNK` paths at a time, each chunk's normals
+from the one generator in path order, so every path keeps its bits
+whatever the chunking.  The star check reads a stream of such chunks and
+never holds the whole ensemble.
+
+Both checks read the paths in blocks of `STEP_BLOCK` steps, each block
+from step-major copies of its own paths and alive flags, and call the
+problem's callables (and J, dJdx) once per block with a column of the
+block's step times against its rows of path points, the broadcast rule of
+every problem callable.  Each step's arithmetic, and the order of every
+sum, is the one-step-at-a-time recursion's, so the results keep its bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .grid import Bracket, Grid, gradient_array
+from .grid import Bracket, Grid, GridMismatchError, gradient_array
 from .skeleton import Solution
 
 # Steps per block of the backward read-off.  Each block reads step-major
@@ -29,6 +34,11 @@ from .skeleton import Solution
 # ensembles blocks of 8 to 32 steps ran fastest, and one block of all the
 # steps ran slower than one step at a time.
 STEP_BLOCK = 16
+
+# Paths per drawn chunk.  Only one chunk's increments exist at a time: at
+# 400 steps they hold 3.3 MB, where all 10 000 paths of the bundled star
+# check held 32 MB.
+PATH_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,18 @@ class PathEnsemble:
     grid: Grid
     seed: int
 
+    def __post_init__(self):
+        if self.paths.ndim != 2:
+            raise ValueError(f"paths must be (n_paths, n_nodes), not of "
+                             f"shape {self.paths.shape}")
+        if self.alive.dtype != bool or self.alive.shape != self.paths.shape:
+            raise ValueError(f"alive must be bool of the paths' shape "
+                             f"{self.paths.shape}, not {self.alive.dtype} "
+                             f"of {self.alive.shape}")
+        if self.times.shape != self.paths.shape[1:]:
+            raise ValueError(f"{len(self.times)} times for "
+                             f"{self.paths.shape[1]} path nodes")
+
     @property
     def n_paths(self) -> int:
         return self.paths.shape[0]
@@ -54,26 +76,54 @@ class PathEnsemble:
         return float(self.times[1] - self.times[0])
 
 
+def _draw(n_paths: int, n_steps: int, horizon: float, grid: Grid,
+          seed: int, out: Optional[tuple] = None) -> Iterator[PathEnsemble]:
+    """Each chunk of at most `PATH_CHUNK` paths in path order, drawn into
+    its rows of `out` = (paths, alive) when given, else into arrays of its
+    own.  All starts are drawn first, then each chunk's normals, so the
+    generator hands out the numbers of one draw of all of them."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    starts = gen.uniform(grid.x_min, grid.x_max, size=n_paths)
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    sqrt_dt = np.sqrt(horizon / n_steps)
+    for p0 in range(0, n_paths, PATH_CHUNK):
+        rows = slice(p0, min(p0 + PATH_CHUNK, n_paths))
+        if out is None:
+            shape = (rows.stop - p0, n_steps + 1)
+            paths, alive = np.empty(shape), np.empty(shape, dtype=bool)
+        else:
+            paths, alive = out[0][rows], out[1][rows]
+        incs = gen.standard_normal((rows.stop - p0, n_steps))
+        incs *= sqrt_dt
+        paths[:, 0] = starts[rows]
+        np.cumsum(incs, axis=1, out=paths[:, 1:])
+        del incs   # not held while the reader has the chunk
+        paths[:, 1:] += starts[rows, None]
+        inside = (paths > grid.x_min) & (paths < grid.x_max)
+        np.logical_and.accumulate(inside, axis=1, out=alive)
+        del inside
+        np.clip(paths, grid.x_min, grid.x_max, out=paths)
+        yield PathEnsemble(paths, alive, times, grid, seed)
+
+
+def path_chunks(n_paths: int, n_steps: int, horizon: float, grid: Grid,
+                seed: int) -> Iterator[PathEnsemble]:
+    """The paths of `sample_paths` with the same arguments, bit for bit, as
+    ensembles of at most `PATH_CHUNK` consecutive paths, each drawn when it
+    is reached."""
+    return _draw(n_paths, n_steps, horizon, grid, seed)
+
+
 def sample_paths(n_paths: int, n_steps: int, horizon: float, grid: Grid,
                  seed: int) -> PathEnsemble:
-    """Uniform starts, N(0, dt) increments, boundary-stopped."""
-    gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    dt = horizon / n_steps
-    starts = gen.uniform(grid.x_min, grid.x_max, size=n_paths)
-    # Scaled, accumulated and clipped in place: at 10 000 paths of 400
-    # steps each temporary of this shape holds 32 MB.
-    incs = gen.standard_normal((n_paths, n_steps))
-    incs *= np.sqrt(dt)
+    """Uniform starts, N(0, dt) increments, boundary-stopped; each chunk of
+    paths is drawn straight into its rows."""
     paths = np.empty((n_paths, n_steps + 1))
-    paths[:, 0] = starts
-    np.cumsum(incs, axis=1, out=paths[:, 1:])
-    del incs
-    paths[:, 1:] += starts[:, None]
-    inside = (paths > grid.x_min) & (paths < grid.x_max)
-    alive = np.logical_and.accumulate(inside, axis=1)
-    np.clip(paths, grid.x_min, grid.x_max, out=paths)
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    return PathEnsemble(paths, alive, times, grid, seed)
+    alive = np.empty(paths.shape, dtype=bool)
+    for _ in _draw(n_paths, n_steps, horizon, grid, seed, (paths, alive)):
+        pass
+    return PathEnsemble(paths, alive, np.linspace(0.0, horizon, n_steps + 1),
+                        grid, seed)
 
 
 def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
@@ -143,7 +193,11 @@ def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
     # one dot per step: a matrix-vector product rounds differently
     drive = np.array([float(co.mode_weights @ k) for k in sol.control.values])
 
-    residuals = []
+    # every alive segment's residual, block by block in step-major order
+    r_all = np.empty(np.count_nonzero(ensemble.alive[:, 1:]))
+    if not len(r_all):
+        raise ValueError("no surviving path segments in the ensemble")
+    filled = 0
     for i0, i1, W, use in _blocks(ensemble):
         if not np.any(use):
             continue
@@ -171,30 +225,16 @@ def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
         div_g = at.read(gradient_array(g_rows, grid.h))[:-1]
 
         r = Y - Y_next - dt * (fval + hk + pen) + dt * div_g + Z * (W[1:] - w)
-        residuals.append(r[use])
-    if not residuals:
-        raise ValueError("no surviving path segments in the ensemble")
-    r_all = np.concatenate(residuals)
-    return float(np.sqrt(np.mean(r_all**2)) / np.sqrt(dt))
+        r_use = r[use]
+        r_all[filled:filled + len(r_use)] = r_use
+        filled += len(r_use)
+    np.square(r_all, out=r_all)
+    return float(np.sqrt(np.mean(r_all)) / np.sqrt(dt))
 
 
-def star_integral_check(
-        J_field: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        dJdx: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        ensemble: PathEnsemble) -> dict:
-    """Forward-plus-backward integral of J against dW vs its drift identity.
-
-    Per path, Sum_i [J(t_i, W_i) + J(t_{i+1}, W_{i+1})] dW_i is compared to
-    -2 Sum_i dJdx(t_i, W_i) dt; the report carries the signed mean gap with
-    its standard error and the mean absolute gap.
-
-    The steps are read in blocks of `STEP_BLOCK`: J(t, x) and dJdx(t, x)
-    receive a (b + 1, 1) or (b, 1) column of the block's times against its
-    rows of path points, so they must broadcast over t as every problem
-    callable does.  J is called once per block on all of its nodes, dJdx on
-    its start nodes, and each step's contribution is added to the per-path
-    sums in step order.
-    """
+def _full_horizon_gaps(J_field, dJdx, ensemble: PathEnsemble) -> np.ndarray:
+    """The gaps of the ensemble's paths that survive the whole horizon, in
+    path order."""
     dt = ensemble.dt
     n_steps = len(ensemble.times) - 1
     times = ensemble.times
@@ -210,8 +250,44 @@ def star_integral_check(
         for row in np.where(use, fb - drift, 0.0):
             gaps += row
         weight += use.sum(axis=0)
-    full = weight == n_steps
-    g = gaps[full]
+    return gaps[weight == n_steps]
+
+
+def star_integral_check(
+        J_field: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        dJdx: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        ensembles: Iterable[PathEnsemble]) -> dict:
+    """Forward-plus-backward integral of J against dW vs its drift identity.
+
+    Per path, Sum_i [J(t_i, W_i) + J(t_{i+1}, W_{i+1})] dW_i is compared to
+    -2 Sum_i dJdx(t_i, W_i) dt; the report carries the signed mean gap with
+    its standard error and the mean absolute gap, over the paths that stay
+    in the box for the whole horizon.
+
+    `ensembles` is a stream of chunks of one ensemble in path order, as
+    `path_chunks` yields them; a whole ensemble is the one chunk
+    `[ensemble]`.  Chunks on another time mesh or grid than the first raise
+    `GridMismatchError`.  Each chunk is read once, and the gaps of its
+    full-horizon paths are kept in path order, so the report has the bits
+    of one read of the whole ensemble.
+
+    The steps are read in blocks of `STEP_BLOCK`: J(t, x) and dJdx(t, x)
+    receive a (b + 1, 1) or (b, 1) column of the block's times against its
+    rows of path points, so they must broadcast over t as every problem
+    callable does.  J is called once per block on all of its nodes, dJdx on
+    its start nodes, and each step's contribution is added to the per-path
+    sums in step order.
+    """
+    # the first chunk's mesh: holding the chunk would keep its paths
+    times = grid = None
+    kept = []
+    for ens in ensembles:
+        if grid is None:
+            times, grid = ens.times, ens.grid
+        elif ens.grid != grid or not np.array_equal(ens.times, times):
+            raise GridMismatchError("the chunks' time meshes or grids differ")
+        kept.append(_full_horizon_gaps(J_field, dJdx, ens))
+    g = np.concatenate(kept) if kept else np.empty(0)
     if len(g) < 2:
         raise ValueError(f"a standard error needs two surviving paths; "
                          f"{len(g)} survived the whole horizon")
@@ -221,4 +297,3 @@ def star_integral_check(
         "mean_abs_gap": float(np.mean(np.abs(g))),
         "n_paths_used": int(len(g)),
     }
-

@@ -193,11 +193,18 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent,
 
 def kish_ess(weights: np.ndarray) -> float:
     """Kish effective sample size (sum w)^2 / sum w^2 of nonnegative
-    weights; 0 when every weight is 0."""
-    total = float(np.sum(weights))
-    if total <= 0.0:
+    weights; 0 when every weight is 0.
+
+    The weights are first scaled by the power of two that takes the largest
+    into [0.5, 1).  That scaling is exact, so the ESS keeps the bits of the
+    unscaled formula wherever its squares are normal numbers, and tiny
+    weights (importance weights at small epsilon) neither lose bits to
+    subnormal squares nor square to zero."""
+    if float(np.sum(weights)) <= 0.0:
         return 0.0
-    return total * total / float(np.sum(weights * weights))
+    scaled = np.ldexp(weights, -np.frexp(np.max(weights))[1])
+    total = float(np.sum(scaled))
+    return total * total / float(np.sum(scaled * scaled))
 
 
 def condition_ii_test(problem: ProblemSpec, k: Control,

@@ -102,3 +102,19 @@ def test_a_a_smoke_run_of_the_cheapest_case():
     assert out["pairs"] == 1 and "failed" not in out and "absent" not in out
     ratio = out["metrics"]["s"]["ratio"]["median"]
     assert 0.0 < ratio < float("inf")
+
+
+def test_blas_threads_default_to_one_unless_the_caller_sets_them():
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {"OMP_NUM_THREADS": "2", "PATH": "/bin"}
+    assert ab.single_threaded(env, names) == ["OMP_NUM_THREADS"]
+    assert env == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                   "MKL_NUM_THREADS": "1", "PATH": "/bin"}
+    assert ab.single_threaded({}, names) == []
+
+
+def test_star_case_times_the_bundled_runner_with_its_draw():
+    cases = ab_cases.groups()["readoff"][1]
+    assert {"star_check_10000x400", "sample_paths_10000x400"} <= set(cases)
+    report, passed, _ = cases["star_check_10000x400"].setup()()
+    assert passed and report["n_paths_used"] > 2

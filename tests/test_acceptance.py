@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from obslab.bsde import (bsde_residual, coarsen, sample_paths,
+from obslab.bsde import (bsde_residual, coarsen, path_chunks, sample_paths,
                          star_integral_check)
 from obslab.families import (heat_obstacle, linear_additive,
                              quasilinear_full)
@@ -217,11 +217,11 @@ def test_criterion_10_bsde_and_star_identity():
     order = float(np.polyfit(np.log(dts), np.log(res), 1)[0])
 
     lin = linear_additive()
-    ens = sample_paths(10000, 400, lin.horizon, lin.grid, seed=3)
+    chunks = path_chunks(10000, 400, lin.horizon, lin.grid, seed=3)
     J = lambda t, x: np.exp(-np.asarray(x, dtype=float)**2)
     dJ = lambda t, x: -2.0 * np.asarray(x, dtype=float) * \
         np.exp(-np.asarray(x, dtype=float)**2)
-    star = star_integral_check(J, dJ, ens)
+    star = star_integral_check(J, dJ, chunks)
     centered = abs(star["mean_gap"]) <= 3.0 * star["std_error"]
     ok = order >= 0.5 and centered
     record(10, "backward representation + flux identity",

@@ -1,13 +1,18 @@
 """Backward-representation residual and stochastic-integral identities."""
 import dataclasses
+import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from obslab.bsde import (PathEnsemble, bsde_residual, coarsen, sample_paths,
-                         star_integral_check)
+from obslab import bsde, harness
+from obslab.bsde import (PathEnsemble, bsde_residual, coarsen, path_chunks,
+                         sample_paths, star_integral_check)
 from obslab.families import make_problem, quasilinear_full
-from obslab.grid import Bracket, Grid, Trajectory, gradient_array
+from obslab.grid import Bracket, Grid, GridMismatchError, Trajectory, \
+    gradient_array
 from obslab.skeleton import Control, solve_penalized, solve_projected
 
 from test_stepping import free_heat_problem
@@ -38,6 +43,126 @@ class TestPathEnsemble:
         ens = sample_paths(5, 6, 0.3, Grid(-4.0, 4.0, 11), seed=3)
         with pytest.raises(ValueError, match="factor"):
             coarsen(ens, factor)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("paths", np.zeros(4), "paths must be"),
+        ("alive", np.ones((3, 4), dtype=int), "alive must be bool"),
+        ("alive", np.ones((3, 5), dtype=bool), "alive must be bool"),
+        ("times", np.linspace(0.0, 0.3, 5), "5 times for 4 path nodes"),
+    ])
+    def test_inconsistent_shapes_rejected(self, field, value, message):
+        parts = {"paths": np.zeros((3, 4)),
+                 "alive": np.ones((3, 4), dtype=bool),
+                 "times": np.linspace(0.0, 0.3, 4),
+                 "grid": Grid(-1.0, 1.0, 11), "seed": 0}
+        parts[field] = value
+        with pytest.raises(ValueError, match=message):
+            PathEnsemble(**parts)
+
+
+def sample_paths_one_draw(n_paths, n_steps, horizon, grid, seed):
+    """`sample_paths` with every increment drawn at once: the oracle of the
+    chunked draw."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    dt = horizon / n_steps
+    starts = gen.uniform(grid.x_min, grid.x_max, size=n_paths)
+    incs = gen.standard_normal((n_paths, n_steps))
+    incs *= np.sqrt(dt)
+    paths = np.empty((n_paths, n_steps + 1))
+    paths[:, 0] = starts
+    np.cumsum(incs, axis=1, out=paths[:, 1:])
+    paths[:, 1:] += starts[:, None]
+    inside = (paths > grid.x_min) & (paths < grid.x_max)
+    alive = np.logical_and.accumulate(inside, axis=1)
+    np.clip(paths, grid.x_min, grid.x_max, out=paths)
+    times = np.linspace(0.0, horizon, n_steps + 1)
+    return PathEnsemble(paths, alive, times, grid, seed)
+
+
+def _same_bits(a, b):
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and x.tobytes() == y.tobytes()
+               for x, y in ((a.paths, b.paths), (a.alive, b.alive),
+                            (a.times, b.times)))
+
+
+def _joined(chunks):
+    chunks = list(chunks)
+    return PathEnsemble(np.concatenate([c.paths for c in chunks]),
+                        np.concatenate([c.alive for c in chunks]),
+                        chunks[0].times, chunks[0].grid, chunks[0].seed)
+
+
+# a 2.5 box: about a third of the paths of half a time unit leave it
+EXIT_BOX = Grid(-2.5, 2.5, 51)
+
+
+class TestChunkedDraw:
+    """Every path keeps the bits of one draw of all the increments."""
+
+    @pytest.mark.parametrize("n_paths", [1, 1023, 1024, 1025, 3000])
+    def test_sample_paths_and_chunks_match_one_draw(self, n_paths):
+        args = (n_paths, 60, 0.5, EXIT_BOX, 8)
+        oracle = sample_paths_one_draw(*args)
+        assert _same_bits(sample_paths(*args), oracle)
+        chunks = list(path_chunks(*args))
+        sizes = [c.n_paths for c in chunks]
+        assert sum(sizes) == n_paths and set(sizes[:-1]) <= {1024}
+        assert _same_bits(_joined(chunks), oracle)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_chunk_size_changes_no_path(self, monkeypatch, chunk):
+        args = (1025, 60, 0.5, EXIT_BOX, 9)
+        oracle = sample_paths_one_draw(*args)
+        monkeypatch.setattr(bsde, "PATH_CHUNK", chunk)
+        assert _same_bits(sample_paths(*args), oracle)
+        chunks = list(path_chunks(*args))
+        assert [c.n_paths for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+        assert _same_bits(_joined(chunks), oracle)
+
+    def test_streamed_star_matches_whole_ensemble(self):
+        J = lambda t, x: (1.0 + t) * np.exp(-x**2)
+        dJ = lambda t, x: -2.0 * (1.0 + t) * x * np.exp(-x**2)
+        args = (3000, 50, 0.5, EXIT_BOX, 11)
+        whole = sample_paths(*args)
+        assert 0 < np.count_nonzero(whole.alive[:, -1]) < 0.8 * whole.n_paths
+        assert _bits(star_integral_check(J, dJ, path_chunks(*args))) == \
+            _bits(star_integral_check(J, dJ, [whole]))
+
+    @pytest.mark.parametrize("other", [
+        dict(n_steps=30), dict(horizon=0.4), dict(grid=Grid(-2.5, 2.5, 41)),
+        dict(grid=Grid(-2.0, 2.0, 51))])
+    def test_chunks_of_another_mesh_or_grid_rejected(self, other):
+        args = dict(n_paths=20, n_steps=20, horizon=0.5, grid=EXIT_BOX,
+                    seed=12)
+        J = lambda t, x: np.exp(-x**2)
+        dJ = lambda t, x: -2.0 * x * np.exp(-x**2)
+        chunks = [sample_paths(**args), sample_paths(**{**args, **other})]
+        with pytest.raises(GridMismatchError, match="time meshes or grids"):
+            star_integral_check(J, dJ, chunks)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestPeakMemory:
+    """The runners of the bundled backward checks make no temporary of
+    their whole ensemble's shape: the star check streams its 10 000 paths
+    (32 MB at 400 steps), and the residual holds one array of its
+    residuals (9.6 MB at 3 000 paths of 400 steps)."""
+
+    @pytest.mark.parametrize("kind, limit_mb", [("star_check", 16),
+                                                ("bsde_check", 36)])
+    def test_traced_peak_of_the_bundled_runner(self, kind, limit_mb):
+        config = json.loads((CONFIGS / f"{kind}.json").read_text())
+        problem = harness._problem_from(config)
+        tracemalloc.start()
+        try:
+            harness._RUNNERS[kind](config, problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < limit_mb
 
 
 # -- one step at a time: the oracles of the blocked read-off ----------------
@@ -174,7 +299,7 @@ class TestBlockedReadOff:
         ens = sample_paths(2000, n_steps, 0.5, Grid(-1.5, 1.5, 31),
                            seed=n_steps)
         assert 0 < np.count_nonzero(ens.alive[:, -1]) < 0.8 * ens.n_paths
-        assert _bits(star_integral_check(J, dJ, ens)) == \
+        assert _bits(star_integral_check(J, dJ, [ens])) == \
             _bits(star_per_step(J, dJ, ens))
 
 
@@ -245,7 +370,7 @@ class TestStarIntegral:
         c = 0.7
         J = lambda t, x: np.full_like(np.asarray(x, dtype=float), c)
         dJ = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-        rep = star_integral_check(J, dJ, ens)
+        rep = star_integral_check(J, dJ, [ens])
         full = np.all(ens.alive, axis=1)
         expected = 2.0 * c * (ens.paths[full, -1] - ens.paths[full, 0])
         assert rep["mean_gap"] == pytest.approx(np.mean(expected), abs=1e-12)
@@ -261,7 +386,7 @@ class TestStarIntegral:
                            times=ens.times, grid=ens.grid, seed=ens.seed)
         J = lambda t, x: np.asarray(x, dtype=float)
         dJ = lambda t, x: np.ones_like(np.asarray(x, dtype=float))
-        rep = star_integral_check(J, dJ, ens_in)
+        rep = star_integral_check(J, dJ, [ens_in])
         assert rep["mean_gap"] == pytest.approx(3.0 * T,
                                                 abs=3.0 * rep["std_error"])
 
@@ -275,7 +400,7 @@ class TestStarIntegral:
         J = lambda t, x: np.asarray(x, dtype=float)
         dJ = lambda t, x: np.ones_like(np.asarray(x, dtype=float))
         with pytest.raises(ValueError, match="two surviving paths"):
-            star_integral_check(J, dJ, ens)
+            star_integral_check(J, dJ, [ens])
 
     def test_even_field_gap_centered(self):
         # Symmetric initial law and even J: the drift term is odd, so the
@@ -284,6 +409,6 @@ class TestStarIntegral:
         J = lambda t, x: np.exp(-np.asarray(x, dtype=float)**2)
         dJ = lambda t, x: -2.0 * np.asarray(x, dtype=float) * \
             np.exp(-np.asarray(x, dtype=float)**2)
-        rep = star_integral_check(J, dJ, ens)
+        rep = star_integral_check(J, dJ, [ens])
         assert abs(rep["mean_gap"]) <= 3.0 * rep["std_error"]
 

@@ -583,3 +583,39 @@ class TestKishEss:
         # (2 + 1 + 1)^2 / (4 + 1 + 1)
         assert kish_ess(np.array([2.0, 1.0, 1.0, 0.0])) == pytest.approx(8 / 3)
         assert kish_ess(np.zeros(5)) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0),
+                              st.floats(min_value=1e-50, max_value=1e50)),
+                    min_size=1, max_size=40))
+    def test_bits_of_the_unscaled_formula_on_normal_squares(self, values):
+        # every square and every scaled square is a normal number here
+        w = np.array(values)
+        total = float(np.sum(w))
+        expected = 0.0 if total <= 0.0 else \
+            total * total / float(np.sum(w * w))
+        assert kish_ess(w).hex() == expected.hex()
+
+    @pytest.mark.parametrize("size", [1e-170, 1e-160])
+    def test_tiny_weights_read_as_their_power_of_two_multiples(self, size):
+        # 1e-170 squared underflows to 0 and 1e-160 squared is subnormal;
+        # times 2^600 both square to normal numbers
+        w = size * np.random.default_rng(0).uniform(0.5, 2.0, 50)
+        assert kish_ess(w) == kish_ess(np.ldexp(w, 600))
+        assert kish_ess(np.full(10, size)) == pytest.approx(10.0, rel=1e-15)
+
+    def test_importance_weights_below_1e_162_read(self):
+        # the bundled event under importance sampling at eps = 7e-4: every
+        # hit's weight is below 1e-162, where the squares underflow to 0
+        problem = linear_additive()
+        shifted = solve_penalized(
+            problem, constant_control(50, 1, problem.horizon, 1.2), 1e4,
+            n_steps=50)
+        event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
+        rate = minimize_rate(problem, event,
+                             opt_config={"n_steps": 50, "penalty_n": 1e4})
+        row, = mc_ldp_compare(problem, event, [7e-4], 2000, seed=1,
+                              use_importance=True, rate_result=rate,
+                              n_steps=50)["per_epsilon"]
+        assert 0.0 < row["p_hat"] < 1e-162
+        assert 1.0 <= row["ess"] <= row["hits"]

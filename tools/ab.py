@@ -26,7 +26,15 @@ A side whose case setup cannot import what it needs is reported absent,
 and the case gets no ratio.  A side that exits nonzero, prints no result,
 or (end to end) prints "correct": false is listed under "failed" with its
 round; that round gets no ratio, and the other side's run still counts
-for its own median.  The machine record is the one perfbench/run.py prints.
+for its own median.  The machine record is the one perfbench/run.py prints,
+plus the BLAS thread variables the caller set.
+
+Every timed interpreter runs single-threaded BLAS unless the caller sets
+the thread variables (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS,
+MKL_NUM_THREADS); a variable left unset is set to 1, and each is capped at
+the usable cores.  On a 2-core host, `rate` read `wall_s` 0.149 s and
+`setup_s` 0.97 s with OpenBLAS's default threads, and 0.028 s and 0.62 s
+single-threaded, the figures the benchmark's own runs read.
 """
 from __future__ import annotations
 
@@ -167,6 +175,15 @@ def run_and_write(group: str, rounds: int, cases: dict, trees: dict,
         json.dumps(result, indent=2) + "\n")
 
 
+def single_threaded(env: dict, names) -> list:
+    """Set each thread variable of `names` that `env` lacks to 1; return the
+    ones the caller set, sorted."""
+    caller = sorted(name for name in names if name in env)
+    for name in names:
+        env.setdefault(name, "1")
+    return caller
+
+
 def main(argv=None) -> int:
     table = groups()
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -182,8 +199,11 @@ def main(argv=None) -> int:
         ap.error(f"--before {args.before} is not the root of an obslab "
                  "checkout (no src/obslab)")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    from run import cap_blas_threads, machine  # perfbench/run.py
-    cap_blas_threads(os.environ)   # every timed interpreter inherits it
+    from run import BLAS_THREAD_VARS, cap_blas_threads, machine
+    # every timed interpreter inherits the thread setting
+    caller = single_threaded(os.environ, BLAS_THREAD_VARS)
+    cap_blas_threads(os.environ)
+    host = dict(machine(), blas_threads_set_by_caller=caller)
     sources = {"before": args.before.resolve(), "after": ROOT}
     commits = {side: describe(sources[side]) for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
@@ -192,7 +212,7 @@ def main(argv=None) -> int:
             ignore=shutil.ignore_patterns(".*", "__pycache__")))
             for side in SIDES}
         for group in args.groups or table:
-            run_and_write(group, *table[group], trees, commits, machine())
+            run_and_write(group, *table[group], trees, commits, host)
     return 0
 
 

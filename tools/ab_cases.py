@@ -149,21 +149,25 @@ def _residual(n_steps: int, n_nodes: int):
 
 
 def _star():
-    """`star_integral_check` of the bundled `star_check` config: J(t, x) =
-    exp(-x^2) along 10 000 paths of 400 steps (linear_additive's box and
-    horizon, seed 3)."""
-    import numpy as np
-    from obslab.bsde import sample_paths, star_integral_check
+    """The bundled `star_check` config's runner, as the experiment runs it:
+    the draw of 10 000 paths of 400 steps (linear_additive's box and
+    horizon, seed 3) and `star_integral_check` of J(t, x) = exp(-x^2)
+    along them."""
+    from obslab import harness
+    config = json.loads((HERE.parent / "configs" / "star_check.json")
+                        .read_text())
+    problem = harness._problem_from(config)
+    run = harness._RUNNERS["star_check"]
+    return lambda: run(config, problem)
+
+
+def _paths():
+    """`sample_paths` of the bundled `star_check` shape: 10 000 paths of
+    400 steps, linear_additive's box and horizon, seed 3."""
+    from obslab.bsde import sample_paths
     from obslab.families import make_problem
     problem = make_problem("linear_additive")
-    ensemble = sample_paths(10000, 400, problem.horizon, problem.grid, 3)
-
-    def J(t, x):
-        return np.exp(-x**2)
-
-    def dJ(t, x):
-        return -2.0 * x * np.exp(-x**2)
-    return lambda: star_integral_check(J, dJ, ensemble)
+    return lambda: sample_paths(10000, 400, problem.horizon, problem.grid, 3)
 
 
 _add("readoff", "to_csv_401x401", 5, _to_csv)
@@ -171,6 +175,7 @@ for _n_steps, _n_nodes in ((50, 51), (100, 101), (200, 201), (400, 401)):
     _add("readoff", f"bsde_residual_{_n_steps}x{_n_nodes}", 5, _residual,
          _n_steps, _n_nodes)
 _add("readoff", "star_check_10000x400", 5, _star)
+_add("readoff", "sample_paths_10000x400", 5, _paths)
 
 
 # -- step: the march, its phases and the Monte Carlo streams
