@@ -104,14 +104,6 @@ def _event_from(config: dict, problem, n_steps: int) -> TargetEvent:
                        radius=spec["radius"])
 
 
-def _opt_config_from(config: dict) -> dict:
-    """Minimizer settings: the config's own, on the experiment's mesh and
-    penalty."""
-    return {**config["params"].get("opt_config", {}),
-            "n_steps": config["mesh"]["n_steps"],
-            "penalty_n": _penalty_n(config)}
-
-
 # --------------------------------------------------------------------------
 # Experiment implementations.  Each returns (report dict, passed flag,
 # {name: Trajectory} to be written as CSV).
@@ -251,7 +243,9 @@ def _run_star_check(config, problem):
 def _run_rate_minimize(config, problem):
     n_steps = config["mesh"]["n_steps"]
     event = _event_from(config, problem, n_steps)
-    result = minimize_rate(problem, event, opt_config=_opt_config_from(config))
+    result = minimize_rate(problem, event, n_steps=n_steps,
+                           penalty_n=_penalty_n(config),
+                           **config["params"].get("opt_config", {}))
     report = {
         "rate": float(result.rate) if np.isfinite(result.rate) else "inf",
         "feasible": bool(result.feasible),
@@ -268,13 +262,14 @@ def _run_mc_compare(config, problem):
     p = config["params"]
     n_steps = config["mesh"]["n_steps"]
     event = _event_from(config, problem, n_steps)
-    opt = _opt_config_from(config)
-    rate = minimize_rate(problem, event, opt_config=opt)
+    penalty_n = _penalty_n(config)
+    rate = minimize_rate(problem, event, n_steps=n_steps, penalty_n=penalty_n,
+                         **p.get("opt_config", {}))
     report = mc_ldp_compare(
         problem, event, p.get("epsilon_list", [0.4, 0.2, 0.1, 0.05]),
         p.get("n_samples", 10000), config["seed"],
         use_importance=p.get("use_importance", True), rate_result=rate,
-        penalty_n=opt["penalty_n"], n_steps=n_steps)
+        penalty_n=penalty_n, n_steps=n_steps)
     report["rate"] = float(rate.rate) if np.isfinite(rate.rate) else "inf"
     passed = report.get("relative_error", np.inf) <= p.get("rel_tol", 0.25)
     return report, bool(passed), {}

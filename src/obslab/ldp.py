@@ -28,9 +28,9 @@ from .skeleton import (Control, solve_penalized, solve_skeleton,  # noqa: F401
                        zero_control)
 from .spde import (mean_and_std_error, sample_terminal_states,  # noqa: F401
                    sweep_epsilon)
-from .stepping import MarchResult, control_drive, march, march_adjoint
+from .stepping import (MarchResult, control_drive, control_gradient, march,
+                       march_adjoint)
 
-OPT_KEYS = ("n_steps", "penalty_n", "max_iters")
 SLSQP_FTOL = 1e-10     # SLSQP's accuracy target (its `ftol`)
 # Least Kish effective sample size of a reliable estimate: p_hat's relative
 # standard error is about 1/sqrt(ESS), so at 10 log p_hat is off by about 0.3.
@@ -100,52 +100,42 @@ def _batched_hinges(problem: ProblemSpec, template: Control,
 
 
 def _excess_gradient(problem: ProblemSpec, event: TargetEvent,
-                     res: MarchResult, control_values: np.ndarray,
-                     penalty_n: float) -> np.ndarray:
+                     res: MarchResult) -> np.ndarray:
     """Gradient of the event excess over the control values, from the
-    stored march `res` under those values.
+    stored penalty march `res` under their drive.
 
     The excess |d|_H - radius, d = u(0) - center, has the cotangent
     h d / |d|_H on u(0); at d = 0, where it has no gradient, the result is
     0.  The march's drive gradient reaches the values through
-    drive_i = dt sum_j c_j k_ij.
+    `control_gradient`.
     """
     h = problem.grid.h
     d = res.final - event.center.values
     norm = float(h_norm_array(d, h))
     if norm == 0.0:
-        return np.zeros_like(control_values, dtype=float)
-    sens = march_adjoint(problem, res, h * d / norm, penalty_n=penalty_n,
-                         drive=control_drive(problem, control_values))
-    dt = problem.horizon / len(sens)
-    return dt * sens[:, None] * problem.coefficients.mode_weights[None, :]
+        return np.zeros((len(res.drive), problem.coefficients.n_modes))
+    return control_gradient(problem, march_adjoint(problem, res, h * d / norm))
 
 
-def minimize_rate(problem: ProblemSpec, event: TargetEvent,
-                  opt_config: Optional[dict] = None) -> RateResult:
+def minimize_rate(problem: ProblemSpec, event: TargetEvent, *,
+                  n_steps: int, penalty_n: float,
+                  max_iters: int = 80) -> RateResult:
     """Least action over controls whose terminal state lies in the event.
 
     Solves  min 1/2 dt |k|^2  subject to  radius - |u(0; k) - center|_H >= 0
-    by sequential quadratic programming (SLSQP, Kraft 1988), from the zero
-    control.  The action gradient is analytic; the constraint gradient is
-    one backward sweep (`stepping.march_adjoint`) through the stored march
-    that evaluated the constraint at the same point.  A start inside the
+    over controls on `n_steps` steps, u marched at `penalty_n`, by
+    sequential quadratic programming (SLSQP, Kraft 1988) from the zero
+    control, in at most `max_iters` iterations.  The action gradient is
+    analytic; the constraint gradient is one backward sweep
+    (`stepping.march_adjoint`) through the stored march that evaluated the
+    constraint at the same point.  A start inside the
     ball has rate 0 and needs no solve.  Returns the infeasibility sentinel
     (rate = +inf) unless SLSQP reports success, which it does only with the
     constraint met to its accuracy `SLSQP_FTOL`.
-    `opt_config` may set `n_steps` (50), `penalty_n` (1e4) and `max_iters`
-    (80, SLSQP's iteration limit).
     """
-    cfg = dict(opt_config or {})
-    unknown = sorted(set(cfg) - set(OPT_KEYS))
-    if unknown:
-        raise ValueError(f"unknown opt_config keys {unknown}; "
-                         f"expected some of {list(OPT_KEYS)}")
-    n_steps = cfg.get("n_steps", 50)
     init = zero_control(n_steps, problem.coefficients.n_modes, problem.horizon)
     dt = init.dt
     shape = init.values.shape
-    penalty_n = cfg.get("penalty_n", 1e4)
     last = {}
 
     def excess(x: np.ndarray) -> float:
@@ -160,8 +150,7 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent,
 
     def excess_gradient(x: np.ndarray) -> np.ndarray:
         excess(x)
-        return _excess_gradient(problem, event, last["march"],
-                                x.reshape(shape), penalty_n).ravel()
+        return _excess_gradient(problem, event, last["march"]).ravel()
 
     def action(x: np.ndarray):
         return 0.5 * dt * float(x @ x), dt * x
@@ -182,7 +171,7 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent,
                                 "fun": lambda x: -excess(x),
                                 "jac": lambda x: -excess_gradient(x)[None, :]},
                    callback=record,
-                   options={"maxiter": cfg.get("max_iters", 80),
+                   options={"maxiter": max_iters,
                             "ftol": SLSQP_FTOL})
     k_final = init.with_values(sol.x.reshape(shape))
     residual = max(0.0, excess(sol.x))
@@ -220,20 +209,25 @@ def condition_ii_test(problem: ProblemSpec, k: Control,
     * phi(t) dt| for the fixed smooth witness phi(t) = t / T, which decays
     like 1/m by integration by parts.  `final_over_initial` is None when
     the first perturbation moves nothing (distance 0): no decay is seen.
+    Every perturbed control is checked against `ball_radius` before any
+    solve.
     """
     T = problem.horizon
     t_mid = 0.5 * (k.times[:-1] + k.times[1:])
-    base = solve_penalized(problem, k, penalty_n)
-    rows = []
+    perturbed = []
     for m in frequencies:
+        wave = np.sin(2.0 * np.pi * m * t_mid / T)
         vals = k.values.copy()
-        vals[:, 0] += oscillation_amplitude * np.sin(2.0 * np.pi * m * t_mid / T)
+        vals[:, 0] += oscillation_amplitude * wave
         km = k.with_values(vals)
         if ball_radius is not None and not km.in_ball(ball_radius):
             raise ValueError(f"perturbed control at m={m} leaves the control ball")
+        perturbed.append((m, wave, km))
+    base = solve_penalized(problem, k, penalty_n)
+    rows = []
+    for m, wave, km in perturbed:
         sol = solve_penalized(problem, km, penalty_n)
-        witness = abs(float(k.dt * np.sum(np.sin(2.0 * np.pi * m * t_mid / T)
-                                          * (t_mid / T))))
+        witness = abs(float(k.dt * np.sum(wave * (t_mid / T))))
         rows.append({
             "frequency": int(m),
             "distance": float(ht_distance(sol.traj, base.traj)),

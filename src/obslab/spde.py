@@ -247,7 +247,7 @@ def _terminal_batch(problem: ProblemSpec, epsilon: float, n: float,
         finals[~certified] = march(problem, n_steps, penalty_n=n,
                                    drive=base + noise[~certified],
                                    store=False).final
-    return MarchResult(finals, None, None, None), inc
+    return MarchResult(finals, None, None, None, None, n, False), inc
 
 
 # The batch function of the running stream, in a worker process only: the

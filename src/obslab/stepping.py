@@ -36,8 +36,9 @@ Batched operation (leading sample axis) drives the Monte Carlo modules.
 A stored march gives the trajectory and the barrier density (the discrete
 reflection measure); Monte Carlo marches read the final state or a streamed
 path distance and store neither.  `march_adjoint` runs the transposed steps
-back through a stored march: the gradient over the drive of a linear
-functional of the final state, as the rate minimizer needs it.
+back through a stored penalty march, reading its drive and penalty off the
+result: the gradient over the drive of a linear functional of the final
+state.  `control_gradient` carries it to the control values.
 """
 from __future__ import annotations
 
@@ -74,13 +75,18 @@ class MarchResult:
     `density` (n*(L - v)^+, or the projection's correction per unit time),
     (n_steps+1, n_nodes) with a leading sample axis when the march was
     batched; both are None when storage was turned off.  `final` is the
-    state at forward time 0.
+    state at forward time 0.  `drive`, `penalty_n` and `project` record how
+    it was marched; a stored march keeps the drive array it was given, an
+    unstored one None.
     """
 
     final: np.ndarray
     traj: Optional[np.ndarray]
     density: Optional[np.ndarray]
     distances: Optional[np.ndarray]  # per-sample ht_distance to `reference`
+    drive: Optional[np.ndarray]
+    penalty_n: float
+    project: bool
 
 
 def stability_limit(problem: ProblemSpec) -> float:
@@ -110,6 +116,13 @@ def control_drive(problem: ProblemSpec, values: np.ndarray) -> np.ndarray:
     return dt * (values @ problem.coefficients.mode_weights)
 
 
+def control_gradient(problem: ProblemSpec, sens: np.ndarray) -> np.ndarray:
+    """The transpose of `control_drive`: a gradient over the drive
+    (..., n_steps) carried to the control values (..., n_steps, J)."""
+    dt = problem.horizon / sens.shape[-1]
+    return dt * sens[..., None] * problem.coefficients.mode_weights
+
+
 def noise_drive(problem: ProblemSpec, epsilon: float,
                 increments: np.ndarray) -> np.ndarray:
     """The drive sqrt(eps) * sum_j c_j dB^j of Brownian increments
@@ -119,9 +132,9 @@ def noise_drive(problem: ProblemSpec, epsilon: float,
 
 
 def march(problem: ProblemSpec, n_steps: int, *,
+          drive: np.ndarray,
           penalty_n: float = 0.0,
           project: bool = False,
-          drive: Optional[np.ndarray] = None,
           store: bool = True,
           reference: Optional[np.ndarray] = None) -> MarchResult:
     """March the reversed-time scheme from the terminal datum to time 0.
@@ -150,17 +163,16 @@ def march(problem: ProblemSpec, n_steps: int, *,
             f"{stability_limit(problem):.3g}; increase n_steps")
     if penalty_n and project:
         raise ValueError("choose either the penalty or the projection step")
-    if drive is not None:
-        drive = np.asarray(drive, dtype=float)
-        if drive.ndim not in (1, 2) or drive.shape[-1] != n_steps:
-            raise ValueError(f"drive shape {drive.shape} is neither "
-                             f"({n_steps},) nor (batch, {n_steps})")
+    drive = np.asarray(drive, dtype=float)
+    if drive.ndim not in (1, 2) or drive.shape[-1] != n_steps:
+        raise ValueError(f"drive shape {drive.shape} is neither "
+                         f"({n_steps},) nor (batch, {n_steps})")
 
     factor = _diffusion_factor(nx, dt / (4.0 * h**2))
     c_pen = dt * penalty_n
 
     v = problem.terminal_field().values.copy()
-    if drive is not None and drive.ndim == 2:
+    if drive.ndim == 2:
         v = np.broadcast_to(v, (len(drive), nx)).copy()
     buf = np.empty_like(v)
     shape0 = v.shape[:-1]
@@ -203,8 +215,7 @@ def march(problem: ProblemSpec, n_steps: int, *,
         # pinned nodes get 2*0 + 0 = 0.
         np.multiply(v, 2.0, out=buf)
         buf += force
-        if drive is not None:
-            buf += h_int * drive[..., i_step, None]
+        buf += h_int * drive[..., i_step, None]
 
         # `rhs` stays a keyword: perfbench's kernel probe reads it by name
         pred = thomas_batch(factor, rhs=buf)
@@ -245,20 +256,20 @@ def march(problem: ProblemSpec, n_steps: int, *,
     distances = None
     if reference is not None:
         distances = sup_dist + np.sqrt(integ_dist)
-    return MarchResult(v, traj, density, distances)
+    return MarchResult(v, traj, density, distances, drive if store else None,
+                       penalty_n, project)
 
 
 def march_adjoint(problem: ProblemSpec, result: MarchResult,
-                  cotangent: np.ndarray, *, penalty_n: float,
-                  drive: np.ndarray) -> np.ndarray:
+                  cotangent: np.ndarray) -> np.ndarray:
     """Gradient of <cotangent, final> over the drive, by one backward sweep
     through a stored march.
 
-    `result` is the stored single-system
-    `march(problem, n_steps, penalty_n=penalty_n, drive=drive)` with the
-    (n_steps,) `drive` given here; the gradient has its shape.  The sweep
-    transposes each step, last step first.  With mu the cotangent of the
-    step's output:
+    `result` is a stored single-system march of `problem`; its drive and
+    penalty are the ones the sweep transposes, and the gradient has the
+    drive's shape (n_steps,).  A projection march raises: the sweep has no
+    transpose of its split.  The sweep transposes each step, last step
+    first.  With mu the cotangent of the step's output:
 
     * the penalty split scales mu by 1/(1 + dt*n) where it acted.  It acts
       where p < L, which is where the output is below L, i.e. where the
@@ -272,17 +283,16 @@ def march_adjoint(problem: ProblemSpec, result: MarchResult,
     traj, density = result.traj, result.density
     if traj is None or traj.ndim != 2:
         raise ValueError("the adjoint needs a stored single-system march")
+    if result.project:
+        raise ValueError("the adjoint does not transpose a projection march")
     n_steps = traj.shape[0] - 1
     grid = problem.grid
     nx, x, h = grid.n_nodes, grid.x, grid.h
     dt = problem.horizon / n_steps
     co = problem.coefficients
-    drive = np.asarray(drive, dtype=float)
-    if drive.shape != (n_steps,):
-        raise ValueError(f"drive shape {drive.shape} does not match the "
-                         f"march ({n_steps},)")
+    drive = result.drive
     factor = _diffusion_factor(nx, dt / (4.0 * h**2))
-    split = 1.0 / (1.0 + dt * penalty_n)
+    split = 1.0 / (1.0 + dt * result.penalty_n)
     times = np.linspace(0.0, problem.horizon, n_steps + 1)
     interior = np.ones(nx)
     interior[[0, -1]] = 0.0

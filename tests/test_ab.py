@@ -118,3 +118,9 @@ def test_star_case_times_the_bundled_runner_with_its_draw():
     assert {"star_check_10000x400", "sample_paths_10000x400"} <= set(cases)
     report, passed, _ = cases["star_check_10000x400"].setup()()
     assert passed and report["n_paths_used"] > 2
+
+
+def test_rate_case_runs_on_this_tree():
+    # the rate cases call the minimizer as this tree defines it
+    out = CASES["bundled_50"].setup()()
+    assert 0.0 < out["rate"] < float("inf") and out["iterates"] >= 1

@@ -158,24 +158,21 @@ def test_criterion_08_rate_vs_quadratic_program():
     event = TargetEvent(center=Field(shifted.traj.values[0], prob.grid),
                         radius=0.02)
     oracle = least_norm_oracle(prob, event, n_steps)
-    res = minimize_rate(prob, event, opt_config={"n_steps": n_steps,
-                                                 "penalty_n": 1e4})
+    res = minimize_rate(prob, event, n_steps=n_steps, penalty_n=1e4)
     rel = abs(res.rate - oracle) / oracle
 
     base = solve_penalized(prob, None, 1e4, n_steps=n_steps)
     self_event = TargetEvent(center=Field(base.traj.values[0], prob.grid),
                              radius=0.05)
     self_rate = minimize_rate(prob, self_event,
-                              opt_config={"n_steps": n_steps,
-                                          "penalty_n": 1e4}).rate
+                              n_steps=n_steps, penalty_n=1e4).rate
 
     noiseless = heat_obstacle()
     far = TargetEvent(center=Field(np.full(noiseless.grid.n_nodes, 10.0),
                                    noiseless.grid),
                       radius=0.01)
     unreachable = minimize_rate(noiseless, far,
-                                opt_config={"n_steps": n_steps,
-                                            "penalty_n": 1e4}).rate
+                                n_steps=n_steps, penalty_n=1e4).rate
     ok = res.feasible and rel <= 0.02 and self_rate <= 1e-6 \
         and unreachable == np.inf
     record(8, "rate function vs least-norm oracle",
@@ -192,8 +189,7 @@ def test_criterion_09_ldp_monte_carlo_agreement():
         n_steps=n_steps)
     event = TargetEvent(center=Field(shifted.traj.values[0], prob.grid),
                         radius=0.02)
-    rate = minimize_rate(prob, event, opt_config={"n_steps": n_steps,
-                                                  "penalty_n": 1e4})
+    rate = minimize_rate(prob, event, n_steps=n_steps, penalty_n=1e4)
     rep = mc_ldp_compare(prob, event, [0.4, 0.2, 0.1, 0.05], 100000,
                          seed=42, use_importance=True, rate_result=rate,
                          n_steps=n_steps)

@@ -169,7 +169,7 @@ class TestExcessGradient:
     def _both(self, problem, event, values, step=1e-5):
         res = march(problem, len(values), penalty_n=self.PENALTY,
                     drive=control_drive(problem, values))
-        adjoint = _excess_gradient(problem, event, res, values, self.PENALTY)
+        adjoint = _excess_gradient(problem, event, res)
         dim = values.size
         shift = (step * np.eye(dim)).reshape((dim,) + values.shape)
         template = zero_control(len(values), values.shape[1], problem.horizon)
@@ -233,7 +233,7 @@ class TestExcessGradient:
         res = march(problem, 20, penalty_n=1e4,
                     drive=control_drive(problem, values))
         event = TargetEvent(center=Field(res.final, problem.grid), radius=0.1)
-        grad = _excess_gradient(problem, event, res, values, 1e4)
+        grad = _excess_gradient(problem, event, res)
         assert grad.shape == values.shape
         assert np.all(np.isfinite(grad)) and not np.any(grad)
 
@@ -255,17 +255,14 @@ class TestMinimizeRate:
                                          problem.grid),
                             radius=0.02)
         oracle = least_norm_oracle(problem, event, n_steps)
-        res = minimize_rate(problem, event,
-                            opt_config={"n_steps": n_steps,
-                                        "penalty_n": 1e4})
+        res = minimize_rate(problem, event, n_steps=n_steps, penalty_n=1e4)
         return event, oracle, res
 
     def test_self_centered_event_has_zero_rate(self, problem):
         base = solve_penalized(problem, None, 1e4, n_steps=50)
         event = TargetEvent(center=Field(base.traj.values[0], problem.grid),
                             radius=0.05)
-        res = minimize_rate(problem, event,
-                            opt_config={"n_steps": 50, "penalty_n": 1e4})
+        res = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
         assert res.feasible
         assert res.rate <= 1e-6
 
@@ -286,8 +283,7 @@ class TestMinimizeRate:
 
         monkeypatch.setattr("obslab.ldp.march", counting_march)
         monkeypatch.setattr("obslab.ldp.minimize", no_solver)
-        res = minimize_rate(problem, event,
-                            opt_config={"n_steps": 50, "penalty_n": 1e4})
+        res = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
         # one single-system march: a drive (n_steps,), no batch
         assert len(marches) == 1 and marches[0].shape == (50,)
         assert res.feasible and res.rate == 0.0
@@ -306,8 +302,7 @@ class TestMinimizeRate:
             return real_march(*args, **kwargs)
 
         monkeypatch.setattr("obslab.ldp.march", recording_march)
-        again = minimize_rate(problem, event,
-                              opt_config={"n_steps": 50, "penalty_n": 1e4})
+        again = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
         assert again.rate == res.rate
         points = [kw["drive"] for kw in marches]
         assert all(p.shape == (50,) for p in points)
@@ -319,26 +314,18 @@ class TestMinimizeRate:
         # one SQP iteration gets close to the ball (residual about 1e-5)
         # but is not a solution
         res = minimize_rate(problem, event,
-                            opt_config={"n_steps": 50, "penalty_n": 1e4,
-                                        "max_iters": 1})
+                            n_steps=50, penalty_n=1e4, max_iters=1)
         assert not res.feasible
         assert res.rate == np.inf
         assert res.message == "Iteration limit reached"
         assert len(res.lambda_history) == 1
-
-    def test_unknown_opt_config_key_rejected(self, problem):
-        center = Field(np.zeros(problem.grid.n_nodes), problem.grid)
-        event = TargetEvent(center=center, radius=0.05)
-        with pytest.raises(ValueError, match="solver"):
-            minimize_rate(problem, event, opt_config={"solver": "skeleton"})
 
     def test_unreachable_event_is_infinite(self):
         # no noise modes act on heat_obstacle, so no control moves u at all
         prob = heat_obstacle()
         far = Field(np.full(prob.grid.n_nodes, 10.0), prob.grid)
         event = TargetEvent(center=far, radius=0.01)
-        res = minimize_rate(prob, event,
-                            opt_config={"n_steps": 50, "penalty_n": 1e4})
+        res = minimize_rate(prob, event, n_steps=50, penalty_n=1e4)
         assert not res.feasible
         assert res.rate == np.inf
         assert res.message == "Positive directional derivative for linesearch"
@@ -367,8 +354,7 @@ class TestBindingBarrier:
     @pytest.fixture(scope="class")
     def solved(self):
         problem, event, generator = binding_event(20)
-        res = minimize_rate(problem, event,
-                            opt_config={"n_steps": 20, "penalty_n": 1e4})
+        res = minimize_rate(problem, event, n_steps=20, penalty_n=1e4)
         return problem, event, generator, res
 
     def test_barrier_binds_at_the_minimizer(self, solved):
@@ -411,9 +397,7 @@ class TestBindingBarrier:
         rates = []
         for n_steps in (20, 40, 80):
             problem, event, _ = binding_event(n_steps)
-            res = minimize_rate(problem, event,
-                                opt_config={"n_steps": n_steps,
-                                            "penalty_n": 1e4})
+            res = minimize_rate(problem, event, n_steps=n_steps, penalty_n=1e4)
             assert res.feasible
             rates.append(res.rate)
         gaps = -np.diff(rates)
@@ -460,6 +444,24 @@ class TestConditionII:
         with pytest.raises(ValueError):
             condition_ii_test(linear_problem, k, 5.0, [1], ball_radius=1.0)
 
+    def test_ball_checked_before_any_solve(self, linear_problem,
+                                           monkeypatch):
+        # the bundled condition_ii control and perturbations, in a ball of
+        # radius 0.6 that the perturbation at m = 1 leaves
+        solves = []
+        real_solve = obslab.ldp.solve_penalized
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr("obslab.ldp.solve_penalized", counting_solve)
+        k = constant_control(200, 1, linear_problem.horizon, 1.0)
+        with pytest.raises(ValueError, match="m=1 leaves the control ball"):
+            condition_ii_test(linear_problem, k, 1.0, [1, 2, 4, 8, 16],
+                              ball_radius=0.6)
+        assert solves == []
+
 
 class TestMcCompare:
     @pytest.fixture(scope="class")
@@ -472,9 +474,7 @@ class TestMcCompare:
         event = TargetEvent(center=Field(shifted.traj.values[0],
                                          problem.grid),
                             radius=0.02)
-        rate = minimize_rate(problem, event,
-                             opt_config={"n_steps": n_steps,
-                                         "penalty_n": 1e4})
+        rate = minimize_rate(problem, event, n_steps=n_steps, penalty_n=1e4)
         return problem, event, rate, n_steps
 
     def test_plain_and_importance_agree(self, setup):
@@ -612,8 +612,7 @@ class TestKishEss:
             problem, constant_control(50, 1, problem.horizon, 1.2), 1e4,
             n_steps=50)
         event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
-        rate = minimize_rate(problem, event,
-                             opt_config={"n_steps": 50, "penalty_n": 1e4})
+        rate = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
         row, = mc_ldp_compare(problem, event, [7e-4], 2000, seed=1,
                               use_importance=True, rate_result=rate,
                               n_steps=50)["per_epsilon"]

@@ -518,7 +518,7 @@ class TestWorkers:
             problem, constant_control(50, 1, problem.horizon, 1.2), 1e4,
             n_steps=50)
         event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
-        rate = minimize_rate(problem, event, opt_config={"n_steps": 50})
+        rate = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
 
         def report():
             return mc_ldp_compare(problem, event, [0.4, 0.2], self.N, seed=3,

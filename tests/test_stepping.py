@@ -12,10 +12,11 @@ from obslab.families import (FAMILY_NAMES, heat_obstacle, linear_additive,
 from obslab.grid import Grid, Trajectory, ht_distance
 from obslab.problem import (CoefficientSet, LipschitzInfo, ProblemSpec,
                             validate)
-from obslab.skeleton import solve_penalized, solve_projected, zero_control
+from obslab.skeleton import (constant_control, solve_penalized,
+                             solve_projected, zero_control)
 from obslab.stepping import (DivergenceError, StabilityError, control_drive,
-                             march, march_adjoint, noise_drive,
-                             stability_limit)
+                             control_gradient, march, march_adjoint,
+                             noise_drive, stability_limit)
 
 
 def _const_obstacle(level):
@@ -113,7 +114,7 @@ class TestHeatOracle:
         # truncation by checking interior nodes over a short horizon.
         prob = ProblemSpec(coeffs, _const_obstacle(0.0), one, 0.01, grid,
                            name="const")
-        res = march(prob, 10, penalty_n=1e4)
+        res = march(prob, 10, penalty_n=1e4, drive=np.zeros(10))
         mid = slice(30, 71)
         assert np.allclose(res.traj[:, mid], 1.0, atol=1e-6)
 
@@ -121,9 +122,9 @@ class TestHeatOracle:
 class TestGuards:
     def test_stability_error_raised(self, quasilinear_problem):
         limit = stability_limit(quasilinear_problem)
-        bad_steps = int(quasilinear_problem.horizon / (2.5 * limit))
+        bad_steps = max(int(quasilinear_problem.horizon / (2.5 * limit)), 1)
         with pytest.raises(StabilityError):
-            march(quasilinear_problem, max(bad_steps, 1))
+            march(quasilinear_problem, bad_steps, drive=np.zeros(bad_steps))
 
     def test_penalty_pushes_above_barrier(self):
         prob = heat_obstacle()
@@ -160,7 +161,7 @@ class TestControlAndNoise:
     def test_streaming_distances_match_stored(self):
         prob = linear_additive(n_nodes=101)
         n_steps = 40
-        det = march(prob, n_steps, penalty_n=1e4)
+        det = march(prob, n_steps, penalty_n=1e4, drive=np.zeros(n_steps))
         rng = np.random.default_rng(9)
         noise = noise_drive(prob, 0.1, rng.standard_normal((3, n_steps, 1)))
         stored = march(prob, n_steps, penalty_n=1e4, drive=noise, store=True)
@@ -340,8 +341,7 @@ class TestReadRule:
         for state_free in (True, False):
             prob = self._time_dependent(state_free)
             res = march(prob, n_steps, penalty_n=1e3, drive=drive)
-            grads.append(march_adjoint(prob, res, mu, penalty_n=1e3,
-                                       drive=drive))
+            grads.append(march_adjoint(prob, res, mu))
         assert np.array_equal(grads[0], grads[1])
 
     @pytest.mark.parametrize("state_free", [True, False])
@@ -439,7 +439,7 @@ class TestMarchAdjoint:
             prob, rng.standard_normal((2, n_steps, 1)))
         mu = rng.standard_normal(prob.grid.n_nodes)
         res = march(prob, n_steps, penalty_n=1e4, drive=drive)
-        grad = march_adjoint(prob, res, mu, penalty_n=1e4, drive=drive)
+        grad = march_adjoint(prob, res, mu)
         moved = march(prob, n_steps, penalty_n=1e4,
                       drive=drive + direction, store=False).final
         assert float(np.sum(grad * direction)) == pytest.approx(
@@ -457,7 +457,7 @@ class TestMarchAdjoint:
             return factor(*args)
 
         monkeypatch.setattr(stepping, "ldl_factor", counting)
-        march_adjoint(prob, res, np.ones(51), penalty_n=1e4, drive=k)
+        march_adjoint(prob, res, np.ones(51))
         assert len(calls) == 1
 
     def test_needs_a_stored_single_system_march(self):
@@ -465,14 +465,56 @@ class TestMarchAdjoint:
         k = np.zeros(20)
         lean = march(prob, 20, penalty_n=1e4, drive=k, store=False)
         with pytest.raises(ValueError, match="stored single-system"):
-            march_adjoint(prob, lean, np.ones(51), penalty_n=1e4, drive=k)
+            march_adjoint(prob, lean, np.ones(51))
         batched = march(prob, 20, penalty_n=1e4, drive=k[None])
         with pytest.raises(ValueError, match="stored single-system"):
-            march_adjoint(prob, batched, np.ones(51), penalty_n=1e4, drive=k)
+            march_adjoint(prob, batched, np.ones(51))
+
+    def test_records_how_it_was_marched(self):
+        # a stored march keeps its drive for the sweep; an unstored one
+        # keeps no per-step array
+        prob = linear_additive(n_nodes=51)
+        k = np.zeros(20)
         res = march(prob, 20, penalty_n=1e4, drive=k)
-        with pytest.raises(ValueError, match="drive shape"):
-            march_adjoint(prob, res, np.ones(51), penalty_n=1e4,
-                          drive=np.zeros(10))
+        assert res.drive is k and res.penalty_n == 1e4 and not res.project
+        lean = march(prob, 20, project=True, drive=k, store=False)
+        assert lean.drive is None and lean.penalty_n == 0.0 and lean.project
+
+    def test_projection_march_rejected(self):
+        prob = linear_additive(n_nodes=51)
+        res = march(prob, 20, project=True, drive=np.zeros(20))
+        with pytest.raises(ValueError, match="projection"):
+            march_adjoint(prob, res, np.ones(51))
+
+    def test_reads_the_penalty_of_the_march(self):
+        # a march taken at penalty 1e2 that the split acts on: the sweep
+        # reads 1e2 off the march and matches central differences
+        prob = quasilinear_full(n_nodes=101, obstacle_amplitude=0.8)
+        n_steps, step = 20, 1e-6
+        drive = control_drive(prob, constant_control(
+            n_steps, prob.coefficients.n_modes, prob.horizon, -2.0).values)
+        mu = np.random.default_rng(12).standard_normal(prob.grid.n_nodes)
+        res = march(prob, n_steps, penalty_n=1e2, drive=drive)
+        assert res.density.any()
+        grad = march_adjoint(prob, res, mu)
+        shifts = step * np.eye(n_steps)
+        plus, minus = (march(prob, n_steps, penalty_n=1e2,
+                             drive=drive + sign * shifts, store=False).final
+                       for sign in (1.0, -1.0))
+        oracle = (plus - minus) @ mu / (2.0 * step)
+        assert np.max(np.abs(grad - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+
+class TestControlGradient:
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_transposes_the_control_drive(self, batch):
+        prob = quasilinear_full(n_nodes=21)
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal(batch + (30, prob.coefficients.n_modes))
+        sens = rng.standard_normal(batch + (30,))
+        assert float(np.sum(control_drive(prob, values) * sens)) == \
+            pytest.approx(float(np.sum(values * control_gradient(prob, sens))),
+                          rel=1e-13)
 
 
 class TestPinnedNodes:

@@ -103,8 +103,7 @@ def _rate(family: str, overrides: dict, control: float, n_steps: int):
     event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
 
     def call():
-        res = minimize_rate(problem, event,
-                            {"n_steps": n_steps, "penalty_n": 1e4})
+        res = minimize_rate(problem, event, n_steps=n_steps, penalty_n=1e4)
         return {"rate": res.rate, "iterates": len(res.lambda_history)}
     return call
 
@@ -201,10 +200,11 @@ def _mc_march():
 def _single_row(family: str):
     """One stored single-row march: 401 nodes, 400 steps, zero control,
     penalty 1e4."""
+    import numpy as np
     from obslab.families import make_problem
     from obslab.stepping import march
     problem = make_problem(family, n_nodes=401)
-    return lambda: march(problem, 400, penalty_n=1e4)
+    return lambda: march(problem, 400, penalty_n=1e4, drive=np.zeros(400))
 
 
 def _step_phases():
