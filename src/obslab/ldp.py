@@ -3,12 +3,14 @@ Monte Carlo rare-event comparison.
 
 The action of a control is half its squared Cameron-Martin norm; the rate of
 a target event is the least action over controls steering the deterministic
-solver into the event.  Minimization is sequential quadratic programming
-(SLSQP) on that constrained problem, with an analytic action gradient and
-the terminal distance's gradient from a discrete adjoint of the march.  The
-rare-event comparison reads the terminal states of `spde.sweep_epsilon`
-(optionally under an importance-sampling drift at the minimizer) as event
-weights, and compares eps * log p to the negated rate.
+solver into the event.  That problem has one smooth inequality, the event's
+excess, so its sequential quadratic programming step has a closed form: the
+minimizer is a small SQP loop with a damped BFGS model of the Lagrangian's
+Hessian, an analytic action gradient and the excess gradient from a discrete
+adjoint of the march.  The rare-event comparison reads the terminal states
+of `spde.sweep_epsilon` (optionally under an importance-sampling drift at
+the minimizer) as event weights, and compares eps * log p to the negated
+rate.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .grid import Field, h_norm_array, ht_distance
 from .problem import ProblemSpec
@@ -31,7 +32,20 @@ from .spde import (mean_and_std_error, sample_terminal_states,  # noqa: F401
 from .stepping import (MarchResult, control_drive, control_gradient, march,
                        march_adjoint)
 
-SLSQP_FTOL = 1e-10     # SLSQP's accuracy target (its `ftol`)
+# The rate solver converges when the excess is at most EXCESS_TOL and the
+# next QP step would change the action by less than ACTION_TOL, measured as
+# |grad f.d| + lam |e| (SLSQP's test at its accuracy `ftol`); a converged
+# point is not marched again.
+CONVERGED = "Optimization terminated successfully"
+ACTION_TOL = 1e-10
+EXCESS_TOL = 1e-10
+# Its line search: sufficient decrease ARMIJO on the l1 merit, the step cut
+# by BACKTRACK at most MAX_BACKTRACKS times.
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 30
+# Powell's damping keeps s.y >= DAMPING s.Hs, so H stays positive definite.
+DAMPING = 0.2
 # Least Kish effective sample size of a reliable estimate: p_hat's relative
 # standard error is about 1/sqrt(ESS), so at 10 log p_hat is off by about 0.3.
 RELIABLE_ESS = 10.0
@@ -122,62 +136,94 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent, *,
                   max_iters: int = 80) -> RateResult:
     """Least action over controls whose terminal state lies in the event.
 
-    Solves  min 1/2 dt |k|^2  subject to  radius - |u(0; k) - center|_H >= 0
-    over controls on `n_steps` steps, u marched at `penalty_n`, by
-    sequential quadratic programming (SLSQP, Kraft 1988) from the zero
-    control, in at most `max_iters` iterations.  The action gradient is
-    analytic; the constraint gradient is one backward sweep
-    (`stepping.march_adjoint`) through the stored march that evaluated the
-    constraint at the same point.  A start inside the
-    ball has rate 0 and needs no solve.  Returns the infeasibility sentinel
-    (rate = +inf) unless SLSQP reports success, which it does only with the
-    constraint met to its accuracy `SLSQP_FTOL`.
+    Solves  min f(k) = 1/2 dt |k|^2  subject to  e(k) = |u(0; k) - center|_H
+    - radius <= 0  over controls on `n_steps` steps, u marched at
+    `penalty_n`, by sequential quadratic programming from the zero control,
+    in at most `max_iters` iterations.  With one constraint the QP step has
+    a closed form: d = -H^-1 (grad f + lam a), a = grad e, with
+    lam = max(0, (e - a.H^-1 grad f) / a.H^-1 a), which meets the
+    linearized constraint.  H models the Hessian of the Lagrangian by
+    Powell-damped BFGS from dt I (Powell 1978), kept here as its inverse; a
+    backtracking search on the l1 merit f + mu e+ takes the step.  Each
+    point visited costs one stored march, and the gradient of an accepted
+    point is one backward sweep (`stepping.march_adjoint`) through it.
+
+    A start inside the ball has rate 0 and needs no step.  The rate is the
+    infeasibility sentinel +inf unless the loop converges (`CONVERGED`:
+    the constraint met to `EXCESS_TOL`, the action settled to
+    `ACTION_TOL`); `message` says why the loop stopped: convergence, the
+    iteration limit, a zero constraint gradient (no control moves the
+    terminal state) or a failed line search.  `lambda_history` holds one
+    (iteration, action, residual) row per accepted iterate.
     """
     init = zero_control(n_steps, problem.coefficients.n_modes, problem.horizon)
     dt = init.dt
     shape = init.values.shape
-    last = {}
 
-    def excess(x: np.ndarray) -> float:
-        # SLSQP asks for the constraint and then its gradient at the same
-        # point; the gradient sweeps back through the march cached here.
-        if "x" not in last or not np.array_equal(last["x"], x):
-            res = march(problem, n_steps, penalty_n=penalty_n,
-                        drive=control_drive(problem, x.reshape(shape)))
-            last.update(x=x.copy(), march=res,
-                        e=float(event.excess(res.final, problem.grid)))
-        return last["e"]
+    def visit(x: np.ndarray):
+        res = march(problem, n_steps, penalty_n=penalty_n,
+                    drive=control_drive(problem, x.reshape(shape)))
+        return res, float(event.excess(res.final, problem.grid))
 
-    def excess_gradient(x: np.ndarray) -> np.ndarray:
-        excess(x)
-        return _excess_gradient(problem, event, last["march"]).ravel()
-
-    def action(x: np.ndarray):
-        return 0.5 * dt * float(x @ x), dt * x
-
-    x0 = init.values.ravel()
-    if excess(x0) <= 0.0:
+    x = init.values.ravel()
+    res, e = visit(x)
+    if e <= 0.0:
         return RateResult(init, 0.0, 0.0, True, [(0, 0.0, 0.0)],
                           "start is inside the event")
 
+    a = _excess_gradient(problem, event, res).ravel()
+    W = np.eye(x.size) / dt     # H^-1
+    f = mu = 0.0
     history = []
-
-    def record(x: np.ndarray) -> None:
-        history.append((len(history) + 1, action(x)[0],
-                        max(0.0, excess(x))))
-
-    sol = minimize(action, x0, jac=True, method="SLSQP",
-                   constraints={"type": "ineq",
-                                "fun": lambda x: -excess(x),
-                                "jac": lambda x: -excess_gradient(x)[None, :]},
-                   callback=record,
-                   options={"maxiter": max_iters,
-                            "ftol": SLSQP_FTOL})
-    k_final = init.with_values(sol.x.reshape(shape))
-    residual = max(0.0, excess(sol.x))
-    feasible = bool(sol.success)
+    message = "Iteration limit reached"
+    # pass max_iters + 1 takes no step: it only tests the last iterate
+    for it in range(1, max_iters + 2):
+        if not np.any(a):
+            message = "Constraint gradient is zero: no control moves the state"
+            break
+        g = dt * x
+        Wg, Wa = W @ g, W @ a
+        lam = max(0.0, (e - float(a @ Wg)) / float(a @ Wa))
+        d = -(Wg + lam * Wa)
+        gd = float(g @ d)
+        if abs(gd) + lam * abs(e) < ACTION_TOL and e <= EXCESS_TOL:
+            message = CONVERGED
+            break
+        if it > max_iters:
+            break
+        mu = max(lam, 0.5 * (mu + lam))    # Powell's merit weight, >= lam
+        merit = f + mu * max(0.0, e)
+        slope = gd - mu * max(0.0, e)
+        step = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            trial = x + step * d
+            res, e_new = visit(trial)
+            f_new = 0.5 * dt * float(trial @ trial)
+            if f_new + mu * max(0.0, e_new) <= merit + ARMIJO * step * slope:
+                break
+            step *= BACKTRACK
+        else:
+            message = "Line search failed to decrease the merit function"
+            break
+        a_new = _excess_gradient(problem, event, res).ravel()
+        s = trial - x
+        # the Lagrangian's gradient change, and H s = -step (g + lam a)
+        y = dt * s + lam * (a_new - a)
+        Hs = -step * (g + lam * a)
+        sHs, sy = float(s @ Hs), float(s @ y)
+        if sy < DAMPING * sHs:
+            theta = (1.0 - DAMPING) * sHs / (sHs - sy)
+            y = theta * y + (1.0 - theta) * Hs
+            sy = float(s @ y)
+        Wy = W @ y
+        W += ((1.0 + float(y @ Wy) / sy) * np.outer(s, s)
+              - np.outer(s, Wy) - np.outer(Wy, s)) / sy
+        x, e, a, f = trial, e_new, a_new, f_new
+        history.append((it, f, max(0.0, e)))
+    k_final = init.with_values(x.reshape(shape))
+    feasible = message == CONVERGED
     rate = rate_functional(k_final) if feasible else math.inf
-    return RateResult(k_final, rate, residual, feasible, history, sol.message)
+    return RateResult(k_final, rate, max(0.0, e), feasible, history, message)
 
 
 def kish_ess(weights: np.ndarray) -> float:

@@ -99,7 +99,8 @@ class TestConfigValidation:
 
     def test_feasibility_tol_rejected_before_any_solve(
             self, tmp_path, monkeypatch):
-        # feasibility is SLSQP's own success test; no tolerance is read
+        # feasibility is the rate solver's own convergence test, at its
+        # module constants; no tolerance is read
         cfg = load_config("rate_minimize")
         cfg["params"]["opt_config"] = {"feasibility_tol": 1e-3}
         self._rejected_before_any_solve(
@@ -502,9 +503,11 @@ class TestCli:
         assert res.exit_code != 0
 
 
-# scipy.stats took most of a second of every process's start-up; only a
-# forked Monte Carlo stream needs multiprocessing (about 5 ms)
-@pytest.mark.parametrize("module", ["scipy.stats", "multiprocessing"])
+# scipy.stats took most of a second of every process's start-up, and
+# scipy.optimize about 0.2 s and 20 MB of it; only a forked Monte Carlo
+# stream needs multiprocessing (about 5 ms)
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize",
+                                    "multiprocessing"])
 def test_harness_import_leaves_module_unloaded(module):
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import obslab.harness; "

@@ -9,9 +9,10 @@ import obslab.ldp
 from obslab.families import (heat_obstacle, linear_additive, make_problem,
                              quasilinear_full)
 from obslab.grid import Field, h_norm_array
-from obslab.ldp import (TargetEvent, _batched_hinges, _excess_gradient,
-                        _solution_values, condition_ii_test, kish_ess,
-                        mc_ldp_compare, minimize_rate, rate_functional)
+from obslab.ldp import (RELIABLE_ESS, TargetEvent, _batched_hinges,
+                        _excess_gradient, _solution_values, condition_ii_test,
+                        kish_ess, mc_ldp_compare, minimize_rate,
+                        rate_functional)
 from obslab.skeleton import constant_control, solve_penalized, zero_control
 from obslab.spde import _response_table, sample_terminal_states
 from obslab.stepping import control_drive, march
@@ -278,11 +279,13 @@ class TestMinimizeRate:
             marches.append(kwargs.get("drive"))
             return real_march(*args, **kwargs)
 
-        def no_solver(*args, **kwargs):
-            raise AssertionError("the solver ran for a start inside the ball")
+        def no_step(*args, **kwargs):
+            # every SQP step needs the excess gradient at its start point
+            raise AssertionError("a solver step ran for a start inside the "
+                                 "ball")
 
         monkeypatch.setattr("obslab.ldp.march", counting_march)
-        monkeypatch.setattr("obslab.ldp.minimize", no_solver)
+        monkeypatch.setattr("obslab.ldp._excess_gradient", no_step)
         res = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
         # one single-system march: a drive (n_steps,), no batch
         assert len(marches) == 1 and marches[0].shape == (50,)
@@ -291,8 +294,8 @@ class TestMinimizeRate:
         assert not np.any(res.minimizer.values)
 
     def test_gradient_adds_no_march(self, problem, bundled, monkeypatch):
-        # each point SLSQP visits costs one stored single-system march; its
-        # gradient sweeps back through that march
+        # each point the SQP loop visits costs one stored single-system
+        # march; its gradient sweeps back through that march
         event, _, res = bundled
         marches = []
         real_march = obslab.ldp.march
@@ -320,6 +323,15 @@ class TestMinimizeRate:
         assert res.message == "Iteration limit reached"
         assert len(res.lambda_history) == 1
 
+    def test_converges_on_its_last_allowed_iterate(self, problem, bundled):
+        # the convergence test also reads the iterate of the last allowed
+        # iteration
+        event, _, res = bundled
+        capped = minimize_rate(problem, event, n_steps=50, penalty_n=1e4,
+                               max_iters=len(res.lambda_history))
+        assert capped.feasible and capped.rate == res.rate
+        assert capped.message == "Optimization terminated successfully"
+
     def test_unreachable_event_is_infinite(self):
         # no noise modes act on heat_obstacle, so no control moves u at all
         prob = heat_obstacle()
@@ -328,13 +340,23 @@ class TestMinimizeRate:
         res = minimize_rate(prob, event, n_steps=50, penalty_n=1e4)
         assert not res.feasible
         assert res.rate == np.inf
-        assert res.message == "Positive directional derivative for linesearch"
-        assert res.lambda_history
+        assert res.message == ("Constraint gradient is zero: no control "
+                               "moves the state")
+        # no step is taken, so no iterate is recorded
+        assert res.lambda_history == []
 
     def test_matches_least_norm_oracle(self, bundled):
         _, oracle, res = bundled
         assert res.feasible
         assert abs(res.rate - oracle) / oracle <= 0.02
+
+    def test_matches_the_slsqp_rate(self, bundled):
+        # SLSQP, the solver this loop replaced, read 0.3299922856945419
+        # here in 8 iterates
+        _, _, res = bundled
+        assert res.feasible and res.constraint_residual <= 1e-10
+        assert abs(res.rate - 0.3299922856945419) <= 1e-6 * res.rate
+        assert len(res.lambda_history) < 8
 
     def test_lands_on_the_oracle_with_zero_residual(self, bundled):
         # the rate of a feasible point, not of the most infeasible
@@ -404,6 +426,22 @@ class TestBindingBarrier:
         assert np.all(gaps > 0.0)
         assert 1.5 <= gaps[0] / gaps[1] <= 3.0
         assert (max(rates) - min(rates)) / min(rates) <= 1e-3
+
+
+@pytest.mark.parametrize("n_steps, slsqp_rate, slsqp_iterates", [
+    (20, 0.2520627013494779, 22),
+    (40, 0.25198268493924325, 23),
+    (80, 0.25194680548173704, 25),
+    (160, 0.2519309165928568, 28)])
+def test_binding_rate_matches_slsqp(n_steps, slsqp_rate, slsqp_iterates):
+    # SLSQP, the solver this loop replaced, at penalty 1e4; the binding
+    # event has nearby KKT points at the 1e-7 level, so the two solvers'
+    # rates need not share more digits
+    problem, event, _ = binding_event(n_steps)
+    res = minimize_rate(problem, event, n_steps=n_steps, penalty_n=1e4)
+    assert res.feasible and res.constraint_residual <= 1e-10
+    assert abs(res.rate - slsqp_rate) <= 1e-6 * slsqp_rate
+    assert len(res.lambda_history) < slsqp_iterates
 
 
 class TestAffineResponse:
@@ -529,6 +567,23 @@ class TestMcCompare:
                              n_steps=n_steps)["per_epsilon"][0]
         assert row["hits"] == 1 and row["ess"] == 1.0
         assert row["eps_log_p"] is not None
+        assert row["reliable"] is False
+
+    def test_overshooting_drift_is_not_reliable(self, setup):
+        # importance sampling under twice the minimizer's drift overshoots
+        # the bundled centre; in the ball of radius 0.1 about it, 35 of 1000
+        # samples at eps = 0.1 land, but a few weights carry the estimate
+        # (ESS 4.7, largest share 0.41)
+        problem, event, rate, n_steps = setup
+        wide = TargetEvent(center=event.center, radius=0.1)
+        k = rate.minimizer
+        overshoot = dataclasses.replace(
+            rate, minimizer=k.with_values(2.0 * k.values))
+        row, = mc_ldp_compare(problem, wide, [0.1], 1000, seed=1,
+                              use_importance=True, rate_result=overshoot,
+                              n_steps=n_steps)["per_epsilon"]
+        assert row["hits"] >= RELIABLE_ESS
+        assert row["ess"] < RELIABLE_ESS
         assert row["reliable"] is False
 
     @pytest.mark.parametrize("importance", [False, True])

@@ -87,7 +87,7 @@ def groups() -> dict:
     return out
 
 
-# -- rate: `ldp.minimize_rate` with penalty 1e4 and SLSQP's defaults there
+# -- rate: `ldp.minimize_rate` with penalty 1e4 and its default iteration cap
 
 def _rate(family: str, overrides: dict, control: float, n_steps: int):
     """The ball of radius 0.02 about the terminal state under a constant
