@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .grid import Bracket, Grid, GridMismatchError, gradient_array
 from .skeleton import Solution
@@ -82,7 +83,7 @@ def _draw(n_paths: int, n_steps: int, horizon: float, grid: Grid,
     its rows of `out` = (paths, alive) when given, else into arrays of its
     own.  All starts are drawn first, then each chunk's normals, so the
     generator hands out the numbers of one draw of all of them."""
-    gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    gen = Generator(Philox(key=[seed, 0]))
     starts = gen.uniform(grid.x_min, grid.x_max, size=n_paths)
     times = np.linspace(0.0, horizon, n_steps + 1)
     sqrt_dt = np.sqrt(horizon / n_steps)

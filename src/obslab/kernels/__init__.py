@@ -11,11 +11,42 @@ with the samples of a batch as right-hand-side columns.
 The L D L^T substitution keeps the division out of its dependency chain,
 which pivoted elimination (`dgtsv`) does not; BENCH_tridiagonal.json holds
 the per-call times of both.
+
+Both routines come from scipy's compiled LAPACK wrapper,
+`scipy.linalg._flapack`, which is loaded here straight from its file.
+Importing it as `scipy.linalg.lapack` would first run `scipy.linalg`'s
+package `__init__`, and with it scipy's array-API layer (`numpy.f2py`,
+`numpy.testing`, `numpy.ma`), for two functions.  Measured on a 2-core
+x86-64 host (Python 3.11, scipy 1.17): the direct load, the light `scipy`
+package included, takes 12-22 ms, and `import obslab.harness` falls from
+0.32-0.45 s and a 60.2 MB peak to 0.17-0.29 s and 43.0 MB.  CPython keeps
+one copy of this single-phase extension, so a later `import scipy.linalg`
+gets the same module back and `scipy.linalg.lapack.dpttrf` is the function
+used here.
 """
+import importlib.machinery
+import importlib.util
+
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = ["ldl_factor", "thomas_batch"]
+
+
+def _load_flapack():
+    """scipy's `_flapack` extension, without running `scipy.linalg`."""
+    # find_spec imports the parent package `scipy` only
+    where = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack",
+                                                    where)
+    if spec is None:
+        raise ImportError(
+            f"scipy's compiled LAPACK module _flapack is not in {list(where)}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 
 def ldl_factor(diag: np.ndarray, off: np.ndarray) -> tuple:

@@ -256,7 +256,8 @@ def condition_ii_test(problem: ProblemSpec, k: Control,
     like 1/m by integration by parts.  `final_over_initial` is None when
     the first perturbation moves nothing (distance 0): no decay is seen.
     Every perturbed control is checked against `ball_radius` before any
-    solve.
+    solve; despite its name (the config key), it bounds the squared norm
+    integral of |k|^2 dt, as `Control.in_ball` does, not the norm itself.
     """
     T = problem.horizon
     t_mid = 0.5 * (k.times[:-1] + k.times[1:])

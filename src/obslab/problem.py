@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .grid import Field, Grid
 
@@ -142,7 +143,7 @@ def _probe_points(problem: ProblemSpec) -> np.ndarray:
     """Fixed-seed uniform (t, x, y, z) probes over the grid box times [-5, 5]^2."""
     lo = np.array([0.0, problem.grid.x_min, -PROBE_YZ_BOX, -PROBE_YZ_BOX])
     hi = np.array([problem.horizon, problem.grid.x_max, PROBE_YZ_BOX, PROBE_YZ_BOX])
-    gen = np.random.Generator(np.random.Philox(key=[20260826, 0]))
+    gen = Generator(Philox(key=[20260826, 0]))
     return gen.uniform(lo, hi, size=(PROBE_COUNT, 4))
 
 

@@ -74,9 +74,11 @@ class Control:
     def k_norm_sq(self) -> float:
         return float(self.dt * np.sum(self.values**2))
 
-    def in_ball(self, radius: float) -> bool:
-        """Membership in the radius-`radius` control ball S_N."""
-        return self.k_norm_sq() <= radius
+    def in_ball(self, bound: float) -> bool:
+        """Membership in the paper's control set S_N with N = `bound`: the
+        squared Cameron-Martin norm integral of |k|^2 dt is at most `bound`
+        (so the ball's radius is sqrt(bound))."""
+        return self.k_norm_sq() <= bound
 
     def with_values(self, values: np.ndarray) -> "Control":
         return Control(self.times, values)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .problem import ProblemSpec
 from .skeleton import Control, solve_penalized
@@ -70,7 +71,7 @@ class NoisePath:
 
 
 def _block_normals(seed: int, block_index: int, shape) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=[seed, block_index]))
+    gen = Generator(Philox(key=[seed, block_index]))
     return gen.standard_normal(shape)
 
 

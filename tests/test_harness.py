@@ -1,8 +1,10 @@
 """Experiment harness: config validation, runs, baselines, CLI."""
+import ctypes
 import json
 import logging
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -503,11 +505,12 @@ class TestCli:
         assert res.exit_code != 0
 
 
-# scipy.stats took most of a second of every process's start-up, and
-# scipy.optimize about 0.2 s and 20 MB of it; only a forked Monte Carlo
-# stream needs multiprocessing (about 5 ms)
+# scipy.stats took most of a second of every process's start-up,
+# scipy.optimize about 0.2 s and 20 MB of it, and scipy.linalg (run only to
+# reach the two LAPACK routines of obslab.kernels) another 0.2 s and 17 MB;
+# only a forked Monte Carlo stream needs multiprocessing (about 5 ms)
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize",
-                                    "multiprocessing"])
+                                    "scipy.linalg", "multiprocessing"])
 def test_harness_import_leaves_module_unloaded(module):
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import obslab.harness; "
@@ -515,3 +518,53 @@ def test_harness_import_leaves_module_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code, src, module], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_runs_import_nothing_the_harness_import_did_not(tmp_path):
+    # a module imported on first use inside harness.run lands in the timed
+    # wall time of that run rather than in start-up (numpy.random alone
+    # costs about 10 ms); neither config forks, so multiprocessing stays out
+    code = textwrap.dedent("""
+        import json, sys
+        from pathlib import Path
+        sys.path.insert(0, sys.argv[1])
+        import obslab.harness
+        before = set(sys.modules)
+        for kind in ("rate_minimize", "condition_ii"):
+            with open(Path(sys.argv[2]) / f"{kind}.json") as fh:
+                obslab.harness.run(json.load(fh), Path(sys.argv[3]) / kind)
+        print(json.dumps(sorted(name for name in set(sys.modules) - before
+                                if name.split(".")[0] != "obslab")))
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(REPO / "src"), str(CONFIGS),
+         str(tmp_path)], check=True, capture_output=True, text=True).stdout
+    assert json.loads(out) == []
+
+
+def test_package_import_raises_the_malloc_mmap_threshold():
+    # obslab's import frees one 1 MiB block so that glibc serves blocks up to
+    # that size from its heap and keeps its top; without it a rate run
+    # re-faults about 740 heap pages.  A 768 KiB block must not be mmapped.
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("needs glibc's mallinfo2")
+    code = textwrap.dedent("""
+        import ctypes, sys
+        sys.path.insert(0, sys.argv[1])
+        import numpy as np
+        import obslab
+
+        class Info(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+                "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+        libc = ctypes.CDLL(None)
+        libc.mallinfo2.restype = Info
+        before = libc.mallinfo2().hblks
+        block = np.empty(3 << 15)
+        print(libc.mallinfo2().hblks - before)
+    """)
+    out = subprocess.run([sys.executable, "-c", code, str(REPO / "src")],
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "0"

@@ -1,9 +1,12 @@
 """The tridiagonal kernel factors once and solves single and batched
 systems correctly."""
+import importlib.machinery
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
+import obslab.kernels
 from obslab.families import linear_additive
 from obslab.kernels import ldl_factor, thomas_batch
 
@@ -66,3 +69,32 @@ class TestCorrectness:
         assert info == 0
         x = thomas_batch(ldl_factor(diag, off), rhs)
         assert np.max(np.abs(x - lu.T)) <= 1e-14 * np.max(np.abs(lu))
+
+
+class TestScipyOracle:
+    """obslab.kernels loads scipy's compiled LAPACK module itself; once
+    scipy.linalg is imported too, both must be the one extension module."""
+
+    def test_same_routines_as_scipy_linalg(self):
+        assert obslab.kernels.lapack.dpttrf is lapack.dpttrf
+        assert obslab.kernels.lapack.dpttrs is lapack.dpttrs
+
+    @pytest.mark.parametrize("batch", [0, 17])
+    @pytest.mark.parametrize("n", [1, 3, 17, 401])
+    def test_bit_identical_to_scipy_linalg(self, rng, n, batch):
+        diag, off, rhs = random_system(rng, n, batch)
+        d, e = ldl_factor(diag, off)
+        # at n = 1 the off-diagonal is a placeholder LAPACK never reads
+        d_ref, e_ref, info = lapack.dpttrf(diag, off if n > 1 else np.zeros(1))
+        assert info == 0
+        assert np.array_equal(d, d_ref) and np.array_equal(e, e_ref)
+        x_ref, info = lapack.dpttrs(d_ref, e_ref, np.atleast_2d(rhs).T)
+        assert info == 0
+        x = thomas_batch((d, e), rhs)
+        assert np.array_equal(x, x_ref[:, 0] if batch == 0 else x_ref.T)
+
+    def test_missing_extension_is_an_import_error(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(lambda cls, name, path=None: None))
+        with pytest.raises(ImportError, match="_flapack is not in"):
+            obslab.kernels._load_flapack()
