@@ -29,6 +29,8 @@ from numpy.random import Generator, Philox
 
 from .grid import Bracket, Grid, GridMismatchError, gradient_array
 from .skeleton import Solution
+from .spde import mean_and_std_error
+from .stepping import control_drive
 
 # Steps per block of the backward read-off.  Each block reads step-major
 # copies of its own paths, so its arrays stay cache-sized: on the bundled
@@ -191,8 +193,8 @@ def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
     x = grid.x
     u = traj.values
     ux = gradient_array(u, grid.h)
-    # one dot per step: a matrix-vector product rounds differently
-    drive = np.array([float(co.mode_weights @ k) for k in sol.control.values])
+    # the march's own drive, dt sum_j c_j k^j per step
+    drive = control_drive(problem, sol.control.values)
 
     # every alive segment's residual, block by block in step-major order
     r_all = np.empty(np.count_nonzero(ensemble.alive[:, 1:]))
@@ -214,7 +216,7 @@ def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
         # padding's +0.0 could only flip the sign of a zero, which r**2
         # does not see.
         fval = np.asarray(co.f(t, w, Y, Z), dtype=float)
-        hk = np.asarray(co.h_shape(t, w, Y, Z), dtype=float) \
+        hd = np.asarray(co.h_shape(t, w, Y, Z), dtype=float) \
             * drive[i0:i1, None]
         S = np.asarray(problem.obstacle(t, w), dtype=float)
         pen = sol.n * np.maximum(S - Y, 0.0)
@@ -225,7 +227,7 @@ def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
                             dtype=float) + np.zeros(u_rows.shape)
         div_g = at.read(gradient_array(g_rows, grid.h))[:-1]
 
-        r = Y - Y_next - dt * (fval + hk + pen) + dt * div_g + Z * (W[1:] - w)
+        r = Y - Y_next - dt * (fval + pen) - hd + dt * div_g + Z * (W[1:] - w)
         r_use = r[use]
         r_all[filled:filled + len(r_use)] = r_use
         filled += len(r_use)
@@ -292,9 +294,10 @@ def star_integral_check(
     if len(g) < 2:
         raise ValueError(f"a standard error needs two surviving paths; "
                          f"{len(g)} survived the whole horizon")
+    mean, se = mean_and_std_error(g)
     return {
-        "mean_gap": float(np.mean(g)),
-        "std_error": float(np.std(g, ddof=1) / np.sqrt(len(g))),
+        "mean_gap": mean,
+        "std_error": se,
         "mean_abs_gap": float(np.mean(np.abs(g))),
         "n_paths_used": int(len(g)),
     }

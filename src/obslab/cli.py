@@ -66,3 +66,7 @@ def list_cmd():
     """List the available experiment kinds."""
     for kind in EXPERIMENT_KINDS:
         click.echo(kind)
+
+
+if __name__ == "__main__":
+    main()

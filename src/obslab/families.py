@@ -1,6 +1,6 @@
 """Bundled benchmark problems.
 
-Three families, each returned as a fully validated `ProblemSpec`:
+Three families, each returned as a `ProblemSpec`:
 
 * ``heat_obstacle`` — pure heat flow with an inactive barrier in the interior
   and a carved-out terminal slice; admits a closed-form Gaussian solution,
@@ -9,6 +9,9 @@ Three families, each returned as a fully validated `ProblemSpec`:
   a deterministic control is exactly linear, used for scaling studies.
 * ``quasilinear_full`` — smooth state-dependent drift, flux and noise shape
   with a time-ramped obstacle; the general-purpose stress case.
+
+The builders do not validate their problems: `problem.validate` does, and
+the harness runs it on every problem it builds.
 """
 from __future__ import annotations
 

@@ -154,7 +154,7 @@ def _run_skeleton_solve(config, problem):
         "vs_projection": dist,
         "complementarity": float(complementarity_residual(sk)),
     }
-    passed = sk.converged and dist <= config["params"].get("agree_tol", 2e-3)
+    passed = sk.converged and dist <= 2e-3
     return report, passed, {"skeleton_trajectory": sk.traj,
                             "projection_trajectory": proj.traj}
 
@@ -180,7 +180,7 @@ def _run_condition_ii(config, problem):
     report = condition_ii_test(problem, control,
                                p.get("amplitude", 1.0),
                                p.get("frequencies", [1, 2, 4, 8, 16]),
-                               ball_radius=p.get("ball_radius"),
+                               norm_sq_bound=p.get("norm_sq_bound"),
                                penalty_n=_penalty_n(config))
     ratio = report["final_over_initial"]
     passed = report["monotone_decreasing"] and ratio is not None \
@@ -244,8 +244,7 @@ def _run_rate_minimize(config, problem):
     n_steps = config["mesh"]["n_steps"]
     event = _event_from(config, problem, n_steps)
     result = minimize_rate(problem, event, n_steps=n_steps,
-                           penalty_n=_penalty_n(config),
-                           **config["params"].get("opt_config", {}))
+                           penalty_n=_penalty_n(config))
     report = {
         "rate": float(result.rate) if np.isfinite(result.rate) else "inf",
         "feasible": bool(result.feasible),
@@ -263,15 +262,14 @@ def _run_mc_compare(config, problem):
     n_steps = config["mesh"]["n_steps"]
     event = _event_from(config, problem, n_steps)
     penalty_n = _penalty_n(config)
-    rate = minimize_rate(problem, event, n_steps=n_steps, penalty_n=penalty_n,
-                         **p.get("opt_config", {}))
+    rate = minimize_rate(problem, event, n_steps=n_steps, penalty_n=penalty_n)
     report = mc_ldp_compare(
         problem, event, p.get("epsilon_list", [0.4, 0.2, 0.1, 0.05]),
         p.get("n_samples", 10000), config["seed"],
         use_importance=p.get("use_importance", True), rate_result=rate,
         penalty_n=penalty_n, n_steps=n_steps)
     report["rate"] = float(rate.rate) if np.isfinite(rate.rate) else "inf"
-    passed = report.get("relative_error", np.inf) <= p.get("rel_tol", 0.25)
+    passed = report.get("relative_error", np.inf) <= 0.25
     return report, bool(passed), {}
 
 

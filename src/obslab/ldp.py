@@ -245,7 +245,7 @@ def kish_ess(weights: np.ndarray) -> float:
 def condition_ii_test(problem: ProblemSpec, k: Control,
                       oscillation_amplitude: float,
                       frequencies: Sequence[int],
-                      ball_radius: Optional[float] = None,
+                      norm_sq_bound: Optional[float] = None,
                       penalty_n: float = 1e4) -> dict:
     """Stability of the solution map under weakly vanishing perturbations.
 
@@ -255,9 +255,8 @@ def condition_ii_test(problem: ProblemSpec, k: Control,
     * phi(t) dt| for the fixed smooth witness phi(t) = t / T, which decays
     like 1/m by integration by parts.  `final_over_initial` is None when
     the first perturbation moves nothing (distance 0): no decay is seen.
-    Every perturbed control is checked against `ball_radius` before any
-    solve; despite its name (the config key), it bounds the squared norm
-    integral of |k|^2 dt, as `Control.in_ball` does, not the norm itself.
+    Every perturbed control is checked against `norm_sq_bound`, a bound on
+    the integral of |k|^2 dt as in `Control.in_ball`, before any solve.
     """
     T = problem.horizon
     t_mid = 0.5 * (k.times[:-1] + k.times[1:])
@@ -267,7 +266,7 @@ def condition_ii_test(problem: ProblemSpec, k: Control,
         vals = k.values.copy()
         vals[:, 0] += oscillation_amplitude * wave
         km = k.with_values(vals)
-        if ball_radius is not None and not km.in_ball(ball_radius):
+        if norm_sq_bound is not None and not km.in_ball(norm_sq_bound):
             raise ValueError(f"perturbed control at m={m} leaves the control ball")
         perturbed.append((m, wave, km))
     base = solve_penalized(problem, k, penalty_n)

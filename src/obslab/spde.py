@@ -34,7 +34,8 @@ from numpy.random import Generator, Philox
 
 from .problem import ProblemSpec
 from .skeleton import Control, solve_penalized
-from .stepping import MarchResult, control_drive, march, noise_drive
+from .stepping import (MarchResult, control_drive, march, noise_drive,
+                       noise_drive_std)
 
 # Samples are drawn in fixed-size blocks, each from its own (seed, block)
 # key, so parallel workers produce byte-identical streams.
@@ -292,10 +293,8 @@ def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
     ranges = [(lo, min(lo + MC_BATCH, n_samples))
               for lo in range(0, n_samples, MC_BATCH)]
     workers = min(len(os.sched_getaffinity(0)), len(ranges))
-    # the noise drive's standard deviation per interval, sqrt(eps dt) |c|
-    sigma = (np.sqrt(epsilon * (problem.horizon / n_steps))
-             * problem.coefficients.weight_l2)
-    if table is not None and table.certifies_most(sigma):
+    if table is not None and table.certifies_most(
+            noise_drive_std(problem, epsilon, n_steps)):
         workers = 1  # a few step-marched rows do not pay for the pool
     if workers <= 1:
         yield from map(batch, ranges)

@@ -131,6 +131,14 @@ def noise_drive(problem: ProblemSpec, epsilon: float,
                                @ problem.coefficients.mode_weights)
 
 
+def noise_drive_std(problem: ProblemSpec, epsilon: float,
+                    n_steps: int) -> float:
+    """The standard deviation sqrt(eps dt) |c| of the noise drive on one
+    interval of an n_steps march, |c| the l2 norm of the mode weights."""
+    return float(np.sqrt(epsilon * (problem.horizon / n_steps))
+                 * problem.coefficients.weight_l2)
+
+
 def march(problem: ProblemSpec, n_steps: int, *,
           drive: np.ndarray,
           penalty_n: float = 0.0,

@@ -14,6 +14,7 @@ from obslab.families import make_problem, quasilinear_full
 from obslab.grid import Bracket, Grid, GridMismatchError, Trajectory, \
     gradient_array
 from obslab.skeleton import Control, solve_penalized, solve_projected
+from obslab.stepping import control_drive
 
 from test_stepping import free_heat_problem
 
@@ -174,6 +175,7 @@ def residual_per_step(sol, ensemble):
     co = problem.coefficients
     dt = ensemble.dt
     x = grid.x
+    drive = control_drive(problem, sol.control.values)
     residuals = []
     for i in range(len(ensemble.times) - 1):
         use = ensemble.alive[:, i + 1]
@@ -192,14 +194,14 @@ def residual_per_step(sol, ensemble):
         fval = np.asarray(co.f(t, w_i, Y, Z), dtype=float) + np.zeros_like(Y)
         hval = np.asarray(co.h_shape(t, w_i, Y, Z), dtype=float) \
             + np.zeros_like(Y)
-        hk = hval * float(co.mode_weights @ sol.control.values[i])
+        hd = hval * drive[i]
         S = np.asarray(problem.obstacle(t, w_i), dtype=float) \
             + np.zeros_like(Y)
         pen = sol.n * np.maximum(S - Y, 0.0)
         g_nodes = np.asarray(co.g(t, x, u_level, ux_level), dtype=float) \
             + np.zeros_like(x)
         div_g = at_i.read(gradient_array(g_nodes, grid.h))
-        r = Y - Y_next - dt * (fval + hk + pen) + dt * div_g + Z * dW
+        r = Y - Y_next - dt * (fval + pen) - hd + dt * div_g + Z * dW
         residuals.append(r)
     r_all = np.concatenate(residuals)
     return float(np.sqrt(np.mean(r_all**2)) / np.sqrt(dt))

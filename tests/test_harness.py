@@ -2,6 +2,7 @@
 import ctypes
 import json
 import logging
+import os
 import subprocess
 import sys
 import textwrap
@@ -12,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from obslab.cli import main
+from obslab.families import FAMILY_NAMES, make_problem
 from obslab.harness import (_RUNNERS, ConfigError, compare_baseline,
                             config_hash, load_schema, run, validate_config)
 from obslab.problem import CheckResult, ValidationReport, validate
@@ -58,7 +60,7 @@ class TestConfigValidation:
         cfg = load_config("mc_compare")
         cfg["event"] = {"kind": "sup_exceed", "level": 0.5}
         with pytest.raises(ConfigError,
-                           match=r"'sup_exceed' is not one of \['terminal_ball'\]"):
+                           match=r"event: .*'kind', 'level' were unexpected"):
             validate_config(cfg)
 
         def no_solve(*args, **kwargs):
@@ -88,7 +90,7 @@ class TestConfigValidation:
                                        "n0": 1000}
         self._rejected_before_any_solve(
             cfg, tmp_path / "rate", monkeypatch,
-            r"opt_config: .*'n0', 'solver', 'tol' were unexpected")
+            r"params: .*'opt_config' was unexpected")
 
     def test_minimizer_mesh_in_opt_config_rejected_before_any_solve(
             self, tmp_path, monkeypatch):
@@ -97,7 +99,7 @@ class TestConfigValidation:
         cfg["params"]["opt_config"] = {"n_steps": 25}
         self._rejected_before_any_solve(
             cfg, tmp_path / "mc", monkeypatch,
-            r"opt_config: .*'n_steps' was unexpected")
+            r"params: .*'opt_config' was unexpected")
 
     def test_feasibility_tol_rejected_before_any_solve(
             self, tmp_path, monkeypatch):
@@ -107,7 +109,7 @@ class TestConfigValidation:
         cfg["params"]["opt_config"] = {"feasibility_tol": 1e-3}
         self._rejected_before_any_solve(
             cfg, tmp_path / "rate", monkeypatch,
-            r"opt_config: .*'feasibility_tol' was unexpected")
+            r"params: .*'opt_config' was unexpected")
 
     def test_ball_without_radius_rejected_before_any_solve(
             self, tmp_path, monkeypatch):
@@ -226,10 +228,19 @@ class TestConfigValidation:
          r"'control' should not be valid"),
         ("mc_compare", "control", {"kind": "constant", "value": 1.0},
          r"'control' should not be valid"),
-    ] + [(kind, "event", {"kind": "terminal_ball", "radius": 0.02},
+    ] + [(kind, "event", {"radius": 0.02},
           r"'event' should not be valid")
          for kind in ("penalization_study", "skeleton_solve", "condition_i",
-                      "condition_ii", "bsde_check", "star_check")])
+                      "condition_ii", "bsde_check", "star_check")] + [
+        # the pass bounds are the runners' own, and a terminal ball is the
+        # one event
+        ("skeleton_solve", "params", {"agree_tol": 2e-3},
+         r"params: .*'agree_tol' was unexpected"),
+        ("mc_compare", "params", {"rel_tol": 0.25},
+         r"params: .*'rel_tol' was unexpected"),
+        ("rate_minimize", "event", {"kind": "terminal_ball", "radius": 0.02},
+         r"event: .*'kind' was unexpected"),
+    ])
     def test_unread_config_field_rejected_before_any_solve(
             self, kind, field, value, match, tmp_path, monkeypatch):
         cfg = load_config(kind)
@@ -267,7 +278,7 @@ class TestConfigValidation:
         ("condition_ii", "frequencies", [0, 1]),
         ("condition_ii", "frequencies", [2, 2]),
         ("condition_ii", "amplitude", "big"),
-        ("condition_ii", "ball_radius", 0.0),
+        ("condition_ii", "norm_sq_bound", 0.0),
         # one penalty gave a RankWarning in the decay-exponent fit
         ("penalization_study", "n_schedule", [1000.0]),
         ("penalization_study", "n_schedule", [1000.0, -1.0]),
@@ -276,11 +287,8 @@ class TestConfigValidation:
         ("condition_i", "deltas", "x"),
         ("condition_i", "deltas", []),
         ("condition_i", "deltas", [-0.1]),
-        ("skeleton_solve", "agree_tol", "big"),
-        ("skeleton_solve", "agree_tol", 0.0),
         # "no" is truthy, so it ran importance sampling
         ("mc_compare", "use_importance", "no"),
-        ("mc_compare", "rel_tol", -0.25),
     ])
     def test_bad_param_value_rejected_before_any_march(
             self, kind, key, value, tmp_path, monkeypatch):
@@ -339,6 +347,16 @@ class TestConfigValidation:
         kinds = load_schema()["properties"]["experiment"]["enum"]
         assert sorted(kinds) == sorted(_RUNNERS)
 
+    def test_schema_families_are_the_builders(self):
+        # _problem_from turns only a builder's TypeError or ValueError into
+        # a ConfigError: a schema family without a builder would escape it
+        # as make_problem's KeyError
+        families = load_schema()["properties"]["problem"]["properties"][
+            "family"]["enum"]
+        assert sorted(families) == sorted(FAMILY_NAMES)
+        for family in families:
+            assert make_problem(family).name == family
+
     def test_rate_experiment_without_event_rejected(self):
         cfg = load_config("rate_minimize")
         del cfg["event"]
@@ -352,8 +370,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as info:
             validate_config(cfg)
         message = str(info.value)
-        for part in ("'radius' is a required property", "'level' was unexpected",
-                     "'sup_exceed' is not one of", "max_iters: 0 is less than"):
+        for part in ("'radius' is a required property",
+                     "'kind', 'level' were unexpected",
+                     "'opt_config' was unexpected"):
             assert part in message
 
     def test_hash_insensitive_to_key_order(self):
@@ -503,6 +522,16 @@ class TestCli:
     def test_missing_config_errors(self, tmp_path):
         res = CliRunner().invoke(main, ["run", str(tmp_path / "no.json")])
         assert res.exit_code != 0
+
+    def test_module_run_lists_every_kind(self):
+        # without the __main__ guard, python -m obslab.cli printed nothing
+        # and exited 0
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        out = subprocess.run(
+            [sys.executable, "-m", "obslab.cli", "list-experiments"],
+            env=env, check=True, capture_output=True, text=True,
+            timeout=60).stdout
+        assert out.split() == list(_RUNNERS)
 
 
 # scipy.stats took most of a second of every process's start-up,

@@ -480,12 +480,13 @@ class TestConditionII:
     def test_ball_violation_rejected(self, linear_problem):
         k = constant_control(100, 1, linear_problem.horizon, 1.0)
         with pytest.raises(ValueError):
-            condition_ii_test(linear_problem, k, 5.0, [1], ball_radius=1.0)
+            condition_ii_test(linear_problem, k, 5.0, [1], norm_sq_bound=1.0)
 
     def test_ball_checked_before_any_solve(self, linear_problem,
                                            monkeypatch):
-        # the bundled condition_ii control and perturbations, in a ball of
-        # radius 0.6 that the perturbation at m = 1 leaves
+        # the bundled condition_ii control and perturbations, against a
+        # bound of 0.6 on the integral of |k|^2 dt that the perturbation at
+        # m = 1 exceeds
         solves = []
         real_solve = obslab.ldp.solve_penalized
 
@@ -497,7 +498,7 @@ class TestConditionII:
         k = constant_control(200, 1, linear_problem.horizon, 1.0)
         with pytest.raises(ValueError, match="m=1 leaves the control ball"):
             condition_ii_test(linear_problem, k, 1.0, [1, 2, 4, 8, 16],
-                              ball_radius=0.6)
+                              norm_sq_bound=0.6)
         assert solves == []
 
 

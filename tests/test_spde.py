@@ -19,7 +19,8 @@ from obslab.spde import (MC_BATCH, NOISE_BLOCK, _response_table,
                          condition_i_distance, sample_noise,
                          sample_noise_batch, sample_terminal_states,
                          sweep_epsilon)
-from obslab.stepping import DivergenceError, control_drive, march, noise_drive
+from obslab.stepping import (DivergenceError, control_drive, march,
+                             noise_drive, noise_drive_std)
 
 
 class TestNoiseSampling:
@@ -336,9 +337,8 @@ class TestResponseTable:
         table = _response_table(problem, 1e4, 50, None)
         _, certified = table.finals(noise_drive(
             problem, eps, sample_noise_batch(4096, 50, 1, dt, 3)))
-        sigma = (np.sqrt(eps * dt)
-                 * problem.coefficients.weight_l2)
-        assert table.certifies_most(sigma) == most
+        assert table.certifies_most(
+            noise_drive_std(problem, eps, 50)) == most
         assert (certified.mean() >= 16 / 17) == most
 
     def test_sweep_in_eps_builds_one_table(self, monkeypatch):
@@ -563,9 +563,7 @@ class TestWorkers:
         # the stream runs on the pool, the workers use the table too
         problem, eps = linear_additive(), 4.0
         table = _response_table(problem, 1e4, 50, None)
-        sigma = (np.sqrt(eps * problem.horizon / 50)
-                 * problem.coefficients.weight_l2)
-        assert not table.certifies_most(sigma)
+        assert not table.certifies_most(noise_drive_std(problem, eps, 50))
         _cores(monkeypatch, 2)
         stream = sample_terminal_states(problem, eps, 1e4, 50, self.N, 11,
                                         table=table)

@@ -16,7 +16,7 @@ from obslab.skeleton import (constant_control, solve_penalized,
                              solve_projected, zero_control)
 from obslab.stepping import (DivergenceError, StabilityError, control_drive,
                              control_gradient, march, march_adjoint,
-                             noise_drive, stability_limit)
+                             noise_drive, noise_drive_std, stability_limit)
 
 
 def _const_obstacle(level):
@@ -145,6 +145,19 @@ class TestControlAndNoise:
         noise = noise_drive(prob, 0.0, rng.standard_normal((n_steps, 1)))
         noisy = march(prob, n_steps, penalty_n=1e4, drive=control + noise)
         assert np.array_equal(det.traj, noisy.traj)
+
+    def test_noise_drive_std_is_the_drives_spread(self):
+        # four modes of unequal weight, N(0, dt) increments
+        prob = quasilinear_full(n_nodes=51)
+        n_steps, eps = 50, 0.3
+        dt = prob.horizon / n_steps
+        rng = np.random.default_rng(2)
+        noise = noise_drive(prob, eps, np.sqrt(dt) * rng.standard_normal(
+            (4000, n_steps, prob.coefficients.n_modes)))
+        sigma = noise_drive_std(prob, eps, n_steps)
+        assert np.isclose(sigma, np.sqrt(eps * dt * np.sum(
+            prob.coefficients.mode_weights**2)), rtol=1e-14, atol=0.0)
+        assert abs(np.std(noise) / sigma - 1.0) < 0.01
 
     def test_control_batch_matches_serial(self):
         prob = linear_additive(n_nodes=101)
