@@ -9,8 +9,13 @@ flux term of that recursion.
 
 An ensemble is drawn `PATH_CHUNK` paths at a time, each chunk's normals
 from the one generator in path order, so every path keeps its bits
-whatever the chunking.  The star check reads a stream of such chunks and
-never holds the whole ensemble.
+whatever the chunking.  Both checks read a stream of such chunks and never
+hold the whole ensemble: the star check keeps each full-horizon path's gap,
+the residual one running sum of squares and one count of segments per
+solution, over all the solutions' meshes in one pass.  The residual reads
+every ensemble in row slices of at most `PATH_CHUNK` paths and adds the
+per-step sums of squares in slice order, then step order, so a whole
+ensemble and its stream of chunks give the same bits.
 
 Both checks read the paths in blocks of `STEP_BLOCK` steps, each block
 from step-major copies of its own paths and alive flags, and call the
@@ -161,51 +166,39 @@ def _blocks(ensemble: PathEnsemble):
                np.ascontiguousarray(ensemble.alive[:, i0 + 1:i1 + 1].T))
 
 
-def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
-    """RMS one-step residual of the backward recursion, per sqrt(dt).
-
-    At each step the recursion balances the increment of Y against the
-    driver (f, the shifted drift, the penalty), the flux correction read as
-    the spatial derivative of the nodewise flux, and the martingale part
-    Z dW.  The residual is averaged over alive path segments and all steps,
-    then normalized by sqrt(dt) so the threshold is mesh-stable.
-
-    The steps are read in blocks of `STEP_BLOCK`: the block's points are
-    bracketed once, Y, Z and the flux derivative are read on the rows of
-    its start nodes and Y_next on the rows after them, and f, h_shape and
-    the obstacle are called once per block with a column of step times.
-
-    The penalty term n (S - Y)^+ needs a finite n: a projection `Solution`
-    (n = inf) raises ValueError.
-    """
-    if not np.isfinite(sol.n):
-        raise ValueError(f"the BSDE residual needs a penalized solution, "
-                         f"not one with n = {sol.n}")
-    problem = sol.problem
-    traj = sol.traj
-    grid = problem.grid
-    if len(traj.times) != len(ensemble.times) or not np.allclose(
-            traj.times, ensemble.times):
+def _factor(sol: Solution, times: np.ndarray) -> int:
+    """The coarsening factor that takes the path mesh `times` to the
+    solution's time mesh; ValueError where there is none."""
+    n_fine, n_steps = len(times) - 1, len(sol.traj.times) - 1
+    factor = n_fine // n_steps
+    if factor < 1 or n_fine % n_steps or not np.allclose(
+            sol.traj.times, times[::factor]):
         raise ValueError("solution and ensemble time meshes differ")
+    return factor
+
+
+def _step_sums(sol: Solution, ensemble: PathEnsemble,
+               factor: int) -> Iterator[tuple]:
+    """(sum of squares, count) of the alive segments' residuals of each
+    step that has one, in step order, on the ensemble coarsened by
+    `factor` to the solution's time mesh."""
+    if factor > 1:
+        ensemble = coarsen(ensemble, factor)
+    problem = sol.problem
+    grid = problem.grid
     dt = ensemble.dt
     times = ensemble.times
     co = problem.coefficients
     x = grid.x
-    u = traj.values
-    ux = gradient_array(u, grid.h)
+    u = sol.traj.values
     # the march's own drive, dt sum_j c_j k^j per step
     drive = control_drive(problem, sol.control.values)
-
-    # every alive segment's residual, block by block in step-major order
-    r_all = np.empty(np.count_nonzero(ensemble.alive[:, 1:]))
-    if not len(r_all):
-        raise ValueError("no surviving path segments in the ensemble")
-    filled = 0
     for i0, i1, W, use in _blocks(ensemble):
         if not np.any(use):
             continue
         at = Bracket(x, W)
-        u_rows, ux_rows = u[i0:i1 + 1], ux[i0:i1 + 1]
+        u_rows = u[i0:i1 + 1]
+        ux_rows = gradient_array(u_rows, grid.h)
         Y_all = at.read(u_rows)
         Y, Y_next = Y_all[:-1], Y_all[1:]
         Z = at.read(ux_rows)[:-1]
@@ -228,11 +221,86 @@ def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
         div_g = at.read(gradient_array(g_rows, grid.h))[:-1]
 
         r = Y - Y_next - dt * (fval + pen) - hd + dt * div_g + Z * (W[1:] - w)
-        r_use = r[use]
-        r_all[filled:filled + len(r_use)] = r_use
-        filled += len(r_use)
-    np.square(r_all, out=r_all)
-    return float(np.sqrt(np.mean(r_all)) / np.sqrt(dt))
+        # each step's alive residuals, contiguous in step-major order
+        sq = r[use]
+        sq *= sq
+        lo = 0
+        for hi in np.cumsum(np.count_nonzero(use, axis=1)):
+            if hi > lo:
+                yield float(np.sum(sq[lo:hi])), int(hi - lo)
+            lo = hi
+
+
+def bsde_residuals(solutions: Iterable[Solution],
+                   ensembles: Iterable[PathEnsemble]) -> list:
+    """`bsde_residual` of each solution, all read in one pass over a
+    stream of paths.
+
+    `ensembles` is a stream of chunks of one fine-mesh ensemble in path
+    order, as `path_chunks` yields them; a whole ensemble is the one chunk
+    `[ensemble]`.  Each solution's time mesh must coarsen the paths' mesh
+    (every factor-th node, `coarsen`), else ValueError; chunks on another
+    time mesh or grid than the first raise `GridMismatchError`.  Each chunk
+    is read once, in row slices of at most `PATH_CHUNK` paths, each slice
+    coarsened to every solution's mesh, so a whole ensemble and its
+    `path_chunks` stream give the same bits and no whole ensemble is held.
+    """
+    sols = list(solutions)
+    for sol in sols:
+        if not np.isfinite(sol.n):
+            raise ValueError(f"the BSDE residual needs a penalized solution, "
+                             f"not one with n = {sol.n}")
+    totals, counts = [0.0] * len(sols), [0] * len(sols)
+    # the first chunk's mesh: holding the chunk would keep its paths
+    times = grid = factors = None
+    for ens in ensembles:
+        if grid is None:
+            times, grid = ens.times, ens.grid
+            factors = [_factor(sol, times) for sol in sols]
+        elif ens.grid != grid or not np.array_equal(ens.times, times):
+            raise GridMismatchError("the chunks' time meshes or grids differ")
+        for p0 in range(0, ens.n_paths, PATH_CHUNK):
+            rows = slice(p0, p0 + PATH_CHUNK)
+            part = PathEnsemble(ens.paths[rows], ens.alive[rows], times,
+                                grid, ens.seed)
+            for j, (sol, factor) in enumerate(zip(sols, factors)):
+                for total, count in _step_sums(sol, part, factor):
+                    totals[j] += total
+                    counts[j] += count
+            del part
+        del ens   # neither is held while the next chunk is drawn
+    if times is None or not all(counts):
+        raise ValueError("no surviving path segments in the ensemble")
+    return [float(np.sqrt(total / count)
+                  / np.sqrt(times[factor] - times[0]))
+            for total, count, factor in zip(totals, counts, factors)]
+
+
+def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
+    """RMS one-step residual of the backward recursion, per sqrt(dt).
+
+    At each step the recursion balances the increment of Y against the
+    driver (f, the shifted drift, the penalty), the flux correction read as
+    the spatial derivative of the nodewise flux, and the martingale part
+    Z dW.  The residual is averaged over alive path segments and all steps,
+    then normalized by sqrt(dt) so the threshold is mesh-stable.
+
+    It is `bsde_residuals([sol], [ensemble])`: the paths stream through in
+    row slices of at most `PATH_CHUNK`, and only a running sum of squares
+    and a count of segments are kept.  Per slice and step the squares of
+    the alive residuals are summed (`np.sum`), and these sums are added in
+    slice order, then step order, so the result does not depend on
+    `STEP_BLOCK`.  The ensemble's mesh must coarsen to the solution's.
+
+    The steps are read in blocks of `STEP_BLOCK`: the block's points are
+    bracketed once, Y, Z and the flux derivative are read on the rows of
+    its start nodes and Y_next on the rows after them, and f, h_shape and
+    the obstacle are called once per block with a column of step times.
+
+    The penalty term n (S - Y)^+ needs a finite n: a projection `Solution`
+    (n = inf) raises ValueError.
+    """
+    return bsde_residuals([sol], [ensemble])[0]
 
 
 def _full_horizon_gaps(J_field, dJdx, ensemble: PathEnsemble) -> np.ndarray:

@@ -106,13 +106,19 @@ class Trajectory:
         digits (the digits `repr` picks), with orjson's exponent form
         (1e16, 1e-7) and positional form (0.0000123).  `from_csv`, or
         `float` on any cell, reads back the exact values; the bytes are a
-        function of the values alone."""
-        header = orjson.dumps(self.grid.x, option=orjson.OPT_SERIALIZE_NUMPY)
-        body = orjson.dumps(np.column_stack((self.times, self.values)),
-                            option=orjson.OPT_SERIALIZE_NUMPY)
+        function of the values alone.
+
+        The rows are written one at a time, each serialized from one
+        reused row buffer, so no copy of the whole table is made."""
+        opt = orjson.OPT_SERIALIZE_NUMPY
+        row = np.empty(self.grid.n_nodes + 1)
         with open(path, "wb") as fh:
-            fh.write(b"t," + header[1:-1] + b"\r\n"
-                     + body[2:-2].replace(b"],[", b"\r\n") + b"\r\n")
+            fh.write(b"t," + orjson.dumps(self.grid.x, option=opt)[1:-1]
+                     + b"\r\n")
+            for t, values in zip(self.times, self.values):
+                row[0] = t
+                row[1:] = values
+                fh.write(orjson.dumps(row, option=opt)[1:-1] + b"\r\n")
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":

@@ -120,6 +120,13 @@ def test_star_case_times_the_bundled_runner_with_its_draw():
     assert passed and report["n_paths_used"] > 2
 
 
+def test_bsde_case_times_the_bundled_runner_with_its_draw():
+    case = ab_cases.groups()["readoff"][1]["bsde_check_3000x400"]
+    report, passed, _ = case.setup()()
+    assert passed and [lv["n_steps"] for lv in report["levels"]] == \
+        [50, 100, 200, 400]
+
+
 def test_rate_case_runs_on_this_tree():
     # the rate cases call the minimizer as this tree defines it
     out = CASES["bundled_50"].setup()()

@@ -1,5 +1,6 @@
 """Backward-representation residual and stochastic-integral identities."""
 import dataclasses
+import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from obslab import bsde, harness
-from obslab.bsde import (PathEnsemble, bsde_residual, coarsen, path_chunks,
-                         sample_paths, star_integral_check)
+from obslab.bsde import (PathEnsemble, bsde_residual, bsde_residuals,
+                         coarsen, path_chunks, sample_paths,
+                         star_integral_check)
 from obslab.families import make_problem, quasilinear_full
 from obslab.grid import Bracket, Grid, GridMismatchError, Trajectory, \
     gradient_array
@@ -138,22 +140,86 @@ class TestChunkedDraw:
                     seed=12)
         J = lambda t, x: np.exp(-x**2)
         dJ = lambda t, x: -2.0 * x * np.exp(-x**2)
+        sol = solve_penalized(make_problem("linear_additive", n_nodes=51),
+                              None, 1e4, n_steps=20)
         chunks = [sample_paths(**args), sample_paths(**{**args, **other})]
         with pytest.raises(GridMismatchError, match="time meshes or grids"):
             star_integral_check(J, dJ, chunks)
+        with pytest.raises(GridMismatchError, match="time meshes or grids"):
+            bsde_residuals([sol], chunks)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+def _level_solution(n_steps, n_nodes):
+    """A level of the bundled `bsde_check`: quasilinear_full, zero
+    control, penalty 1e4."""
+    return solve_penalized(quasilinear_full(n_nodes=n_nodes), None, 1e4,
+                           n_steps=n_steps)
+
+
+class TestStreamedResidual:
+    """The residual read over a stream of chunks, every level in one pass,
+    has the bits of each level read alone from the whole ensemble."""
+
+    def test_streamed_residual_matches_whole_ensemble(self):
+        sol = _level_solution(50, 51)
+        args = (3000, 50, sol.problem.horizon, EXIT_BOX, 11)
+        whole = sample_paths(*args)
+        # three chunks, paths exiting in the first and the last
+        assert whole.n_paths > 2 * bsde.PATH_CHUNK
+        assert not np.all(whole.alive[:bsde.PATH_CHUNK, -1])
+        assert not np.all(whole.alive[-bsde.PATH_CHUNK:, -1])
+        [streamed] = bsde_residuals([sol], path_chunks(*args))
+        assert streamed.hex() == bsde_residual(sol, whole).hex()
+
+    def test_levels_in_one_pass_match_each_level_alone(self):
+        levels = ((25, 26), (50, 51), (100, 101), (200, 201))
+        sols = [_level_solution(*level) for level in levels]
+        args = (1500, 200, sols[0].problem.horizon, EXIT_BOX, 12)
+        whole = sample_paths(*args)
+        streamed = bsde_residuals(sols, path_chunks(*args))
+        assert [r.hex() for r in streamed] == [
+            bsde_residual(sol, coarsen(whole, 200 // n_steps)).hex()
+            for sol, (n_steps, _) in zip(sols, levels)]
+
+    def test_bundled_runner_draws_each_chunk_once(self, monkeypatch):
+        config = json.loads((CONFIGS / "bsde_check.json").read_text())
+        config["params"] = {"n_paths": 2100,
+                            "levels": [[25, 26], [50, 51], [100, 101]]}
+        problem = harness._problem_from(config)
+        calls, drawn = [], []
+
+        def counted(*args):
+            calls.append(args)
+            for chunk in path_chunks(*args):
+                drawn.append(chunk.n_paths)
+                yield chunk
+
+        def no_whole_ensemble(*args):
+            raise AssertionError("the whole ensemble was drawn")
+
+        monkeypatch.setattr(harness, "path_chunks", counted)
+        monkeypatch.setattr(harness, "sample_paths", no_whole_ensemble)
+        report, _, _ = harness._RUNNERS["bsde_check"](config, problem)
+        assert len(calls) == 1 and drawn == [1024, 1024, 52]
+        whole = sample_paths(*calls[0])
+        assert [row["residual"] for row in report["levels"]] == [
+            bsde_residual(_level_solution(n_steps, n_nodes),
+                          coarsen(whole, 100 // n_steps))
+            for n_steps, n_nodes in config["params"]["levels"]]
+
+
 class TestPeakMemory:
     """The runners of the bundled backward checks make no temporary of
     their whole ensemble's shape: the star check streams its 10 000 paths
-    (32 MB at 400 steps), and the residual holds one array of its
-    residuals (9.6 MB at 3 000 paths of 400 steps)."""
+    (32 MB at 400 steps), and the residual streams its 3 000 paths (10.8 MB
+    with their alive flags at 400 steps) through all four levels, keeping a
+    sum of squares per level where it held every residual (9.6 MB)."""
 
     @pytest.mark.parametrize("kind, limit_mb", [("star_check", 16),
-                                                ("bsde_check", 36)])
+                                                ("bsde_check", 20)])
     def test_traced_peak_of_the_bundled_runner(self, kind, limit_mb):
         config = json.loads((CONFIGS / f"{kind}.json").read_text())
         problem = harness._problem_from(config)
@@ -169,20 +235,25 @@ class TestPeakMemory:
 # -- one step at a time: the oracles of the blocked read-off ----------------
 
 def residual_per_step(sol, ensemble):
-    """`bsde_residual`, one step and its alive paths at a time."""
+    """`bsde_residual`, one step and its alive paths at a time: per slice
+    of `PATH_CHUNK` paths and step, the sum of the squared residuals, added
+    in slice order, then step order."""
     problem = sol.problem
     grid = problem.grid
     co = problem.coefficients
     dt = ensemble.dt
     x = grid.x
     drive = control_drive(problem, sol.control.values)
-    residuals = []
-    for i in range(len(ensemble.times) - 1):
-        use = ensemble.alive[:, i + 1]
+    total, count = 0.0, 0
+    for p0, i in itertools.product(
+            range(0, ensemble.n_paths, bsde.PATH_CHUNK),
+            range(len(ensemble.times) - 1)):
+        rows = slice(p0, p0 + bsde.PATH_CHUNK)
+        use = ensemble.alive[rows, i + 1]
         if not np.any(use):
             continue
-        w_i = ensemble.paths[use, i]
-        w_ip = ensemble.paths[use, i + 1]
+        w_i = ensemble.paths[rows, i][use]
+        w_ip = ensemble.paths[rows, i + 1][use]
         dW = w_ip - w_i
         t = float(ensemble.times[i])
         at_i = Bracket(x, w_i)
@@ -202,9 +273,9 @@ def residual_per_step(sol, ensemble):
             + np.zeros_like(x)
         div_g = at_i.read(gradient_array(g_nodes, grid.h))
         r = Y - Y_next - dt * (fval + pen) - hd + dt * div_g + Z * dW
-        residuals.append(r)
-    r_all = np.concatenate(residuals)
-    return float(np.sqrt(np.mean(r_all**2)) / np.sqrt(dt))
+        total += float(np.sum(r * r))
+        count += len(r)
+    return float(np.sqrt(total / count) / np.sqrt(dt))
 
 
 def star_per_step(J_field, dJdx, ensemble):

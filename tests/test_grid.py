@@ -1,8 +1,10 @@
 """Grid containers, difference stencils, norms, CSV round-trips, and
 read-off at off-grid points."""
 import csv
+import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -156,6 +158,35 @@ class TestCsvRoundTrip:
         problem = make_problem("quasilinear_full", n_nodes=401)
         traj = solve_skeleton(problem, n_steps=400).traj
         assert_csv_contract(traj, tmp_path)
+
+    @staticmethod
+    def _table(rng):
+        """401 time nodes of 401 grid nodes, standard normal values."""
+        return Trajectory(np.linspace(0.0, 1.0, 401),
+                          rng.standard_normal((401, 401)),
+                          Grid(-4.0, 4.0, 401))
+
+    def test_rows_spelled_as_one_dump_of_the_table(self, tmp_path, rng):
+        traj = self._table(rng)
+        opt = orjson.OPT_SERIALIZE_NUMPY
+        table = orjson.dumps(np.column_stack((traj.times, traj.values)),
+                             option=opt)
+        traj.to_csv(tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == \
+            b"t," + orjson.dumps(traj.grid.x, option=opt)[1:-1] + b"\r\n" \
+            + table[2:-2].replace(b"],[", b"\r\n") + b"\r\n"
+
+    def test_traced_peak_of_a_401_by_401_write(self, tmp_path, rng):
+        # a row at a time: no copy or spelling of the whole table (1.3 MB
+        # of doubles, 3.5 MB of text) is held
+        traj = self._table(rng)
+        tracemalloc.start()
+        try:
+            traj.to_csv(tmp_path / "traj.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < 1.0
 
 
 def assert_csv_contract(traj: Trajectory, directory) -> None:

@@ -83,34 +83,6 @@ class TestConfigValidation:
             run(cfg, out)
         assert not out.exists()
 
-    def test_stale_skeleton_minimizer_keys_rejected_before_any_solve(
-            self, tmp_path, monkeypatch):
-        cfg = load_config("rate_minimize")
-        cfg["params"]["opt_config"] = {"solver": "skeleton", "tol": 1e-3,
-                                       "n0": 1000}
-        self._rejected_before_any_solve(
-            cfg, tmp_path / "rate", monkeypatch,
-            r"params: .*'opt_config' was unexpected")
-
-    def test_minimizer_mesh_in_opt_config_rejected_before_any_solve(
-            self, tmp_path, monkeypatch):
-        # the minimizer always marches on mesh.n_steps
-        cfg = load_config("mc_compare")
-        cfg["params"]["opt_config"] = {"n_steps": 25}
-        self._rejected_before_any_solve(
-            cfg, tmp_path / "mc", monkeypatch,
-            r"params: .*'opt_config' was unexpected")
-
-    def test_feasibility_tol_rejected_before_any_solve(
-            self, tmp_path, monkeypatch):
-        # feasibility is the rate solver's own convergence test, at its
-        # module constants; no tolerance is read
-        cfg = load_config("rate_minimize")
-        cfg["params"]["opt_config"] = {"feasibility_tol": 1e-3}
-        self._rejected_before_any_solve(
-            cfg, tmp_path / "rate", monkeypatch,
-            r"params: .*'opt_config' was unexpected")
-
     def test_ball_without_radius_rejected_before_any_solve(
             self, tmp_path, monkeypatch):
         cfg = load_config("rate_minimize")
@@ -240,6 +212,11 @@ class TestConfigValidation:
          r"params: .*'rel_tol' was unexpected"),
         ("rate_minimize", "event", {"kind": "terminal_ball", "radius": 0.02},
          r"event: .*'kind' was unexpected"),
+        # the rate minimizer takes no settings, whatever opt_config holds
+        ("rate_minimize", "params", {"opt_config": {"tol": 1e-3}},
+         r"params: .*'opt_config' was unexpected"),
+        ("mc_compare", "params", {"opt_config": {"n_steps": 25}},
+         r"params: .*'opt_config' was unexpected"),
     ])
     def test_unread_config_field_rejected_before_any_solve(
             self, kind, field, value, match, tmp_path, monkeypatch):

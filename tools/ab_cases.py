@@ -160,6 +160,19 @@ def _star():
     return lambda: run(config, problem)
 
 
+def _bsde_check():
+    """The bundled `bsde_check` config's runner, as the experiment runs it:
+    the four levels' solves (quasilinear_full, 50 x 51 to 400 x 401, zero
+    control, penalty 1e4), then the read-off of all four along 3000 paths
+    of 400 steps (seed 11)."""
+    from obslab import harness
+    config = json.loads((HERE.parent / "configs" / "bsde_check.json")
+                        .read_text())
+    problem = harness._problem_from(config)
+    run = harness._RUNNERS["bsde_check"]
+    return lambda: run(config, problem)
+
+
 def _paths():
     """`sample_paths` of the bundled `star_check` shape: 10 000 paths of
     400 steps, linear_additive's box and horizon, seed 3."""
@@ -174,6 +187,7 @@ for _n_steps, _n_nodes in ((50, 51), (100, 101), (200, 201), (400, 401)):
     _add("readoff", f"bsde_residual_{_n_steps}x{_n_nodes}", 5, _residual,
          _n_steps, _n_nodes)
 _add("readoff", "star_check_10000x400", 5, _star)
+_add("readoff", "bsde_check_3000x400", 5, _bsde_check)
 _add("readoff", "sample_paths_10000x400", 5, _paths)
 
 
