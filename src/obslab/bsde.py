@@ -231,6 +231,20 @@ def _step_sums(sol: Solution, ensemble: PathEnsemble,
             lo = hi
 
 
+def _one_mesh(ensembles: Iterable[PathEnsemble]) -> Iterator[PathEnsemble]:
+    """The chunks of `ensembles` in order; a chunk on another time mesh or
+    grid than the first raises `GridMismatchError` before it is yielded."""
+    # the first chunk's mesh: holding the chunk would keep its paths
+    times = grid = None
+    for ens in ensembles:
+        if grid is None:
+            times, grid = ens.times, ens.grid
+        elif ens.grid != grid or not np.array_equal(ens.times, times):
+            raise GridMismatchError("the chunks' time meshes or grids differ")
+        yield ens
+        del ens   # not held while the next chunk is drawn
+
+
 def bsde_residuals(solutions: Iterable[Solution],
                    ensembles: Iterable[PathEnsemble]) -> list:
     """`bsde_residual` of each solution, all read in one pass over a
@@ -251,18 +265,15 @@ def bsde_residuals(solutions: Iterable[Solution],
             raise ValueError(f"the BSDE residual needs a penalized solution, "
                              f"not one with n = {sol.n}")
     totals, counts = [0.0] * len(sols), [0] * len(sols)
-    # the first chunk's mesh: holding the chunk would keep its paths
-    times = grid = factors = None
-    for ens in ensembles:
-        if grid is None:
-            times, grid = ens.times, ens.grid
+    times = factors = None
+    for ens in _one_mesh(ensembles):
+        if factors is None:
+            times = ens.times
             factors = [_factor(sol, times) for sol in sols]
-        elif ens.grid != grid or not np.array_equal(ens.times, times):
-            raise GridMismatchError("the chunks' time meshes or grids differ")
         for p0 in range(0, ens.n_paths, PATH_CHUNK):
             rows = slice(p0, p0 + PATH_CHUNK)
-            part = PathEnsemble(ens.paths[rows], ens.alive[rows], times,
-                                grid, ens.seed)
+            part = PathEnsemble(ens.paths[rows], ens.alive[rows], ens.times,
+                                ens.grid, ens.seed)
             for j, (sol, factor) in enumerate(zip(sols, factors)):
                 for total, count in _step_sums(sol, part, factor):
                     totals[j] += total
@@ -349,15 +360,10 @@ def star_integral_check(
     its start nodes, and each step's contribution is added to the per-path
     sums in step order.
     """
-    # the first chunk's mesh: holding the chunk would keep its paths
-    times = grid = None
     kept = []
-    for ens in ensembles:
-        if grid is None:
-            times, grid = ens.times, ens.grid
-        elif ens.grid != grid or not np.array_equal(ens.times, times):
-            raise GridMismatchError("the chunks' time meshes or grids differ")
+    for ens in _one_mesh(ensembles):
         kept.append(_full_horizon_gaps(J_field, dJdx, ens))
+        del ens   # not held while the next chunk is drawn
     g = np.concatenate(kept) if kept else np.empty(0)
     if len(g) < 2:
         raise ValueError(f"a standard error needs two surviving paths; "

@@ -34,6 +34,9 @@ from .spde import condition_i_distance
 
 log = logging.getLogger(__name__)
 
+# the penalty every bundled baseline was pinned at
+PENALTY_N = 1e4
+
 
 class ConfigError(ValueError):
     """The experiment configuration is malformed."""
@@ -83,10 +86,6 @@ def _problem_from(config: dict, **overrides):
     return problem
 
 
-def _penalty_n(config: dict) -> float:
-    return config["solver"].get("penalty_n", 1e4)
-
-
 def _control_from(config: dict, problem, n_steps: int) -> Control:
     spec = config.get("control", {"kind": "zero"})
     J = problem.coefficients.n_modes
@@ -102,7 +101,7 @@ def _event_from(config: dict, problem, n_steps: int) -> TargetEvent:
     spec = config["event"]
     k = constant_control(n_steps, problem.coefficients.n_modes,
                          problem.horizon, spec.get("center_control", 0.0))
-    sol = solve_penalized(problem, k, _penalty_n(config))
+    sol = solve_penalized(problem, k, PENALTY_N)
     return TargetEvent(center=Field(sol.traj.values[0], problem.grid),
                        radius=spec["radius"])
 
@@ -144,9 +143,7 @@ def _run_penalization_study(config, problem):
 def _run_skeleton_solve(config, problem):
     n_steps = config["mesh"]["n_steps"]
     control = _control_from(config, problem, n_steps)
-    sk = solve_skeleton(problem, control,
-                        **{k: v for k, v in config["solver"].items()
-                           if k in ("tol", "n0", "n_max")})
+    sk = solve_skeleton(problem, control)
     proj = solve_projected(problem, control)
     dist = float(ht_distance(sk.traj, proj.traj))
     report = {
@@ -168,7 +165,7 @@ def _run_condition_i(config, problem):
     control = _control_from(config, problem, n_steps)
     report = condition_i_distance(
         problem, p.get("epsilon_list", [0.1, 0.05, 0.025, 0.0125]),
-        control, _penalty_n(config), n_steps,
+        control, PENALTY_N, n_steps,
         p.get("n_samples", 200), config["seed"],
         deltas=p.get("deltas", [0.1]))
     slope = report["loglog_slope"]
@@ -184,7 +181,7 @@ def _run_condition_ii(config, problem):
                                p.get("amplitude", 1.0),
                                p.get("frequencies", [1, 2, 4, 8, 16]),
                                norm_sq_bound=p.get("norm_sq_bound"),
-                               penalty_n=_penalty_n(config))
+                               penalty_n=PENALTY_N)
     ratio = report["final_over_initial"]
     passed = report["monotone_decreasing"] and ratio is not None \
         and ratio <= 0.25
@@ -207,7 +204,7 @@ def _run_bsde_check(config, problem):
                           f"the finest level's {finest}")
     probs = [_problem_from(config, n_nodes=n_nodes) for _, n_nodes in levels]
     sols = [solve_penalized(prob, _control_from(config, prob, n_steps),
-                            _penalty_n(config), n_steps=n_steps)
+                            PENALTY_N, n_steps=n_steps)
             for (n_steps, _), prob in zip(levels, probs)]
     # drawn and read a chunk of paths at a time, every level in one pass:
     # the whole fine ensemble is never held
@@ -246,7 +243,7 @@ def _run_rate_minimize(config, problem):
     n_steps = config["mesh"]["n_steps"]
     event = _event_from(config, problem, n_steps)
     result = minimize_rate(problem, event, n_steps=n_steps,
-                           penalty_n=_penalty_n(config))
+                           penalty_n=PENALTY_N)
     report = {
         "rate": float(result.rate) if np.isfinite(result.rate) else "inf",
         "feasible": bool(result.feasible),
@@ -263,13 +260,12 @@ def _run_mc_compare(config, problem):
     p = config["params"]
     n_steps = config["mesh"]["n_steps"]
     event = _event_from(config, problem, n_steps)
-    penalty_n = _penalty_n(config)
-    rate = minimize_rate(problem, event, n_steps=n_steps, penalty_n=penalty_n)
+    rate = minimize_rate(problem, event, n_steps=n_steps, penalty_n=PENALTY_N)
     report = mc_ldp_compare(
         problem, event, p.get("epsilon_list", [0.4, 0.2, 0.1, 0.05]),
         p.get("n_samples", 10000), config["seed"],
-        use_importance=p.get("use_importance", True), rate_result=rate,
-        penalty_n=penalty_n, n_steps=n_steps)
+        use_importance=True, rate_result=rate,
+        penalty_n=PENALTY_N, n_steps=n_steps)
     report["rate"] = float(rate.rate) if np.isfinite(rate.rate) else "inf"
     passed = report.get("relative_error", np.inf) <= 0.25
     return report, bool(passed), {}

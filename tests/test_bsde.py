@@ -214,11 +214,12 @@ class TestStreamedResidual:
 class TestPeakMemory:
     """The runners of the bundled backward checks make no temporary of
     their whole ensemble's shape: the star check streams its 10 000 paths
-    (32 MB at 400 steps), and the residual streams its 3 000 paths (10.8 MB
+    (32 MB at 400 steps) and holds no chunk while the next is drawn (10.8 MB
+    traced when it did), and the residual streams its 3 000 paths (10.8 MB
     with their alive flags at 400 steps) through all four levels, keeping a
     sum of squares per level where it held every residual (9.6 MB)."""
 
-    @pytest.mark.parametrize("kind, limit_mb", [("star_check", 16),
+    @pytest.mark.parametrize("kind, limit_mb", [("star_check", 9),
                                                 ("bsde_check", 20)])
     def test_traced_peak_of_the_bundled_runner(self, kind, limit_mb):
         config = json.loads((CONFIGS / f"{kind}.json").read_text())

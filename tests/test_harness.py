@@ -1,5 +1,6 @@
 """Experiment harness: config validation, runs, baselines, CLI."""
 import ctypes
+import inspect
 import json
 import logging
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from obslab import harness
 from obslab.cli import main
 from obslab.families import FAMILY_NAMES, make_problem
 from obslab.harness import (_RUNNERS, ConfigError, compare_baseline,
@@ -181,18 +183,18 @@ class TestConfigValidation:
         # an infeasible rate fails the run
         ("rate_minimize", "params", {"expect_infeasible": True},
          r"params: .*'expect_infeasible' was unexpected"),
-        # only skeleton_solve reads n0 / n_max / tol, and it,
-        # penalization_study and star_check read no penalty_n
-        ("penalization_study", "solver", {"penalty_n": 1e4},
-         r"solver: .*'penalty_n' was unexpected"),
-        ("star_check", "solver", {"penalty_n": 1e4},
-         r"solver: .*'penalty_n' was unexpected"),
-        ("skeleton_solve", "solver", {"tol": 1e-3, "penalty_n": 1e4},
-         r"solver: .*'penalty_n' was unexpected"),
-        ("condition_i", "solver", {"penalty_n": 1e4, "n_max": 1e7},
-         r"solver: .*'n_max' was unexpected"),
-        ("mc_compare", "solver", {"penalty_n": 1e4, "tol": 1e-3},
-         r"solver: .*'tol' was unexpected"),
+        # every run marches at the harness's one penalty and skeleton
+        # schedule, and mc_compare always samples under importance
+        ("penalization_study", "solver", {},
+         r"<root>: .*'solver' was unexpected"),
+        ("skeleton_solve", "solver", {"n0": 1e3, "n_max": 1e7, "tol": 1e-3},
+         r"<root>: .*'solver' was unexpected"),
+        ("condition_i", "solver", {"penalty_n": 1e4},
+         r"<root>: .*'solver' was unexpected"),
+        ("mc_compare", "solver", {"penalty_n": 1e4},
+         r"<root>: .*'solver' was unexpected"),
+        ("mc_compare", "params", {"use_importance": True},
+         r"params: .*'use_importance' was unexpected"),
         # the rate experiments and star_check march no configured control
         ("star_check", "control", {"kind": "zero"},
          r"'control' should not be valid"),
@@ -264,8 +266,6 @@ class TestConfigValidation:
         ("condition_i", "deltas", "x"),
         ("condition_i", "deltas", []),
         ("condition_i", "deltas", [-0.1]),
-        # "no" is truthy, so it ran importance sampling
-        ("mc_compare", "use_importance", "no"),
     ])
     def test_bad_param_value_rejected_before_any_march(
             self, kind, key, value, tmp_path, monkeypatch):
@@ -319,6 +319,28 @@ class TestConfigValidation:
             cfg, tmp_path / "bsde", monkeypatch,
             r"problem fails validation:\nFAIL  level")
         assert seen == [201, 51]
+
+    @pytest.mark.parametrize("kind, solver, penalty", [
+        ("rate_minimize", "minimize_rate", "penalty_n"),
+        ("mc_compare", "minimize_rate", "penalty_n"),
+        ("condition_i", "condition_i_distance", "n")])
+    def test_rate_and_monte_carlo_runners_march_at_the_harness_penalty(
+            self, kind, solver, penalty, tmp_path, monkeypatch):
+        class Recorded(Exception):
+            pass
+
+        signature = inspect.signature(getattr(harness, solver))
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(signature.bind(*args, **kwargs).arguments[penalty])
+            raise Recorded
+
+        monkeypatch.setattr(f"obslab.harness.{solver}", record)
+        with pytest.raises(Recorded):
+            run(load_config(kind), tmp_path / kind)
+        # the penalty every bundled baseline was pinned at
+        assert seen == [harness.PENALTY_N] and harness.PENALTY_N == 1e4
 
     def test_schema_experiment_kinds_are_the_runners(self):
         kinds = load_schema()["properties"]["experiment"]["enum"]
