@@ -55,13 +55,14 @@ class PathEnsemble:
 
     `alive[p, i]` marks that path p has stayed strictly inside the box up to
     and including time node i; statistics only average over alive segments.
+    `grid` is the box that stops them; the draws (`sample_paths`,
+    `path_chunks`) take the seed.
     """
 
     paths: np.ndarray   # (n_paths, n_steps + 1)
     alive: np.ndarray   # (n_paths, n_steps + 1) bool
     times: np.ndarray   # n_steps + 1
     grid: Grid
-    seed: int
 
     def __post_init__(self):
         if self.paths.ndim != 2:
@@ -111,7 +112,7 @@ def _draw(n_paths: int, n_steps: int, horizon: float, grid: Grid,
         np.logical_and.accumulate(inside, axis=1, out=alive)
         del inside
         np.clip(paths, grid.x_min, grid.x_max, out=paths)
-        yield PathEnsemble(paths, alive, times, grid, seed)
+        yield PathEnsemble(paths, alive, times, grid)
 
 
 def path_chunks(n_paths: int, n_steps: int, horizon: float, grid: Grid,
@@ -131,7 +132,7 @@ def sample_paths(n_paths: int, n_steps: int, horizon: float, grid: Grid,
     for _ in _draw(n_paths, n_steps, horizon, grid, seed, (paths, alive)):
         pass
     return PathEnsemble(paths, alive, np.linspace(0.0, horizon, n_steps + 1),
-                        grid, seed)
+                        grid)
 
 
 def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
@@ -151,8 +152,7 @@ def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
     inside = (paths > grid.x_min) & (paths < grid.x_max)
     inside[:, 0] = ensemble.alive[:, 0]
     alive = np.logical_and.accumulate(inside, axis=1)
-    return PathEnsemble(paths, alive, ensemble.times[::factor], grid,
-                        ensemble.seed)
+    return PathEnsemble(paths, alive, ensemble.times[::factor], grid)
 
 
 def _blocks(ensemble: PathEnsemble):
@@ -273,7 +273,7 @@ def bsde_residuals(solutions: Iterable[Solution],
         for p0 in range(0, ens.n_paths, PATH_CHUNK):
             rows = slice(p0, p0 + PATH_CHUNK)
             part = PathEnsemble(ens.paths[rows], ens.alive[rows], ens.times,
-                                ens.grid, ens.seed)
+                                ens.grid)
             for j, (sol, factor) in enumerate(zip(sols, factors)):
                 for total, count in _step_sums(sol, part, factor):
                     totals[j] += total

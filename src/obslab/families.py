@@ -20,8 +20,6 @@ import numpy as np
 from .grid import Grid
 from .problem import CoefficientSet, LipschitzInfo, ProblemSpec
 
-FAMILY_NAMES = ("heat_obstacle", "linear_additive", "quasilinear_full")
-
 _X_MIN, _X_MAX = -4.0, 4.0
 
 
@@ -141,13 +139,13 @@ def quasilinear_full(n_nodes: int = 201, horizon: float = 0.3,
                        name="quasilinear_full")
 
 
+BUILDERS = {build.__name__: build
+            for build in (heat_obstacle, linear_additive, quasilinear_full)}
+FAMILY_NAMES = tuple(BUILDERS)
+
+
 def make_problem(name: str, **overrides) -> ProblemSpec:
     """Instantiate a bundled family by name, forwarding keyword overrides."""
-    builders = {
-        "heat_obstacle": heat_obstacle,
-        "linear_additive": linear_additive,
-        "quasilinear_full": quasilinear_full,
-    }
-    if name not in builders:
+    if name not in BUILDERS:
         raise KeyError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
-    return builders[name](**overrides)
+    return BUILDERS[name](**overrides)

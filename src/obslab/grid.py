@@ -64,6 +64,19 @@ class Field:
         object.__setattr__(self, "values", v)
 
 
+def time_mesh(times) -> np.ndarray:
+    """A read-only float copy of `times`, checked to be a uniform mesh: a
+    1-D array of at least two nodes with equal, positive steps."""
+    t = np.array(times, dtype=float)
+    if t.ndim != 1 or len(t) < 2:
+        raise ValueError("times must be a 1-D array with >= 2 entries")
+    dts = np.diff(t)
+    if not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-14) or dts[0] <= 0:
+        raise ValueError("times must be uniform and increasing")
+    t.flags.writeable = False
+    return t
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A time-indexed family of fields on a common grid and uniform mesh.
@@ -76,18 +89,12 @@ class Trajectory:
     grid: Grid
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = time_mesh(self.times)
         v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or len(t) < 2:
-            raise ValueError("times must be a 1-D array with >= 2 entries")
         if v.shape != (len(t), self.grid.n_nodes):
             raise ValueError(f"values shape {v.shape} inconsistent with mesh")
-        dts = np.diff(t)
-        if not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-14) or dts[0] <= 0:
-            raise ValueError("times must be uniform and increasing")
         if not np.all(np.isfinite(v)):
             raise ValueError("trajectory contains non-finite values")
-        t = t.copy(); t.flags.writeable = False
         v = v.copy(); v.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)

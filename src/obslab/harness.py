@@ -87,19 +87,19 @@ def _problem_from(config: dict, **overrides):
 
 
 def _control_from(config: dict, problem, n_steps: int) -> Control:
+    """The configured control; the schema admits "zero" and "constant"."""
     spec = config.get("control", {"kind": "zero"})
     J = problem.coefficients.n_modes
     if spec["kind"] == "zero":
         return zero_control(n_steps, J, problem.horizon)
-    if spec["kind"] == "constant":
-        return constant_control(n_steps, J, problem.horizon,
-                                spec.get("value", 1.0), spec.get("mode", 0))
-    raise ConfigError(f"unknown control kind {spec['kind']!r}")
+    return constant_control(n_steps, J, problem.horizon,
+                            spec.get("value", 1.0), spec.get("mode", 0))
 
 
-def _event_from(config: dict, problem, n_steps: int) -> TargetEvent:
+def _event_from(config: dict, problem) -> TargetEvent:
     spec = config["event"]
-    k = constant_control(n_steps, problem.coefficients.n_modes,
+    k = constant_control(config["mesh"]["n_steps"],
+                         problem.coefficients.n_modes,
                          problem.horizon, spec.get("center_control", 0.0))
     sol = solve_penalized(problem, k, PENALTY_N)
     return TargetEvent(center=Field(sol.traj.values[0], problem.grid),
@@ -149,7 +149,7 @@ def _run_skeleton_solve(config, problem):
     report = {
         "n_final": float(sk.n),
         "converged": bool(sk.converged),
-        "cauchy_gap": float(sk.cauchy_gap),
+        "cauchy_gap": float(sk.cauchy_history[-1][1]),
         "cauchy_history": [[float(n), float(g)] for n, g in sk.cauchy_history],
         "vs_projection": dist,
         "complementarity": float(complementarity_residual(sk)),
@@ -165,8 +165,7 @@ def _run_condition_i(config, problem):
     control = _control_from(config, problem, n_steps)
     report = condition_i_distance(
         problem, p.get("epsilon_list", [0.1, 0.05, 0.025, 0.0125]),
-        control, PENALTY_N, n_steps,
-        p.get("n_samples", 200), config["seed"],
+        control, PENALTY_N, p.get("n_samples", 200), config["seed"],
         deltas=p.get("deltas", [0.1]))
     slope = report["loglog_slope"]
     passed = report["monotone"] and slope is not None and 0.35 <= slope <= 0.65
@@ -241,7 +240,7 @@ def _run_star_check(config, problem):
 
 def _run_rate_minimize(config, problem):
     n_steps = config["mesh"]["n_steps"]
-    event = _event_from(config, problem, n_steps)
+    event = _event_from(config, problem)
     result = minimize_rate(problem, event, n_steps=n_steps,
                            penalty_n=PENALTY_N)
     report = {
@@ -259,7 +258,7 @@ def _run_rate_minimize(config, problem):
 def _run_mc_compare(config, problem):
     p = config["params"]
     n_steps = config["mesh"]["n_steps"]
-    event = _event_from(config, problem, n_steps)
+    event = _event_from(config, problem)
     rate = minimize_rate(problem, event, n_steps=n_steps, penalty_n=PENALTY_N)
     report = mc_ldp_compare(
         problem, event, p.get("epsilon_list", [0.4, 0.2, 0.1, 0.05]),

@@ -9,8 +9,8 @@ march.  `ldl_factor` therefore factors it once as L D L^T (LAPACK's
 `dpttrf`), and `thomas_batch` solves each step from the factors (`dpttrs`),
 with the samples of a batch as right-hand-side columns.
 The L D L^T substitution keeps the division out of its dependency chain,
-which pivoted elimination (`dgtsv`) does not; BENCH_tridiagonal.json holds
-the per-call times of both.
+which pivoted elimination (`dgtsv`) does not; the `tridiagonal` group of
+tools/ab.py times both per call on this matrix (BENCH_tridiagonal.json).
 
 Both routines come from scipy's compiled LAPACK wrapper,
 `scipy.linalg._flapack`, which is loaded here straight from its file.

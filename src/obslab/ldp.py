@@ -63,20 +63,20 @@ class TargetEvent:
         if self.radius <= 0:
             raise ValueError("a terminal ball needs radius > 0")
 
-    def excess(self, final_states: np.ndarray, grid) -> np.ndarray:
+    def excess(self, final_states: np.ndarray) -> np.ndarray:
         """Signed distance |u - center|_H - radius per state along the
-        leading axis; <= 0 iff the state is inside."""
+        leading axis, on the centre's grid; <= 0 iff the state is inside."""
         return h_norm_array(final_states - self.center.values,
-                            grid.h) - self.radius
+                            self.center.grid.h) - self.radius
 
-    def hinge(self, final_states: np.ndarray, grid) -> np.ndarray:
+    def hinge(self, final_states: np.ndarray) -> np.ndarray:
         """Distance outside the ball per state; zero iff the state is
         inside."""
-        return np.maximum(0.0, self.excess(final_states, grid))
+        return np.maximum(0.0, self.excess(final_states))
 
-    def contains_final(self, final_states: np.ndarray, grid) -> np.ndarray:
+    def contains_final(self, final_states: np.ndarray) -> np.ndarray:
         """Vectorized membership of terminal states."""
-        return self.excess(final_states, grid) <= 0.0
+        return self.excess(final_states) <= 0.0
 
 
 @dataclass
@@ -110,7 +110,7 @@ def _batched_hinges(problem: ProblemSpec, template: Control,
     """Event excess for a batch of control value matrices in one march."""
     res = march(problem, template.n_steps, penalty_n=penalty_n,
                 drive=control_drive(problem, value_batch), store=False)
-    return event.excess(res.final, problem.grid)
+    return event.excess(res.final)
 
 
 def _excess_gradient(problem: ProblemSpec, event: TargetEvent,
@@ -163,7 +163,7 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent, *,
     def visit(x: np.ndarray):
         res = march(problem, n_steps, penalty_n=penalty_n,
                     drive=control_drive(problem, x.reshape(shape)))
-        return res, float(event.excess(res.final, problem.grid))
+        return res, float(event.excess(res.final))
 
     x = init.values.ravel()
     res, e = visit(x)
@@ -313,7 +313,7 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
     control = k_star if use_importance else None
 
     def read(eps, res, inc):
-        hit = event.contains_final(res.final, problem.grid)
+        hit = event.contains_final(res.final)
         weight = hit.astype(float)
         if use_importance:
             # inc are the shifted-measure increments; the exponent is

@@ -21,7 +21,7 @@ import numpy as np
 # from this module: the traced benchmark (perfbench/layers.py) names them as
 # probe sites.
 from .grid import (Trajectory, h_norm_array, ht_distance,  # noqa: F401
-                   v_norm_sq_array)
+                   time_mesh, v_norm_sq_array)
 from .problem import ProblemSpec
 from .stepping import barrier_table, control_drive, march
 
@@ -43,18 +43,12 @@ class Control:
     values: np.ndarray  # (n_steps, J)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = time_mesh(self.times)
         v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or len(t) < 2:
-            raise ValueError("times must be a 1-D array with >= 2 entries")
-        dts = np.diff(t)
-        if not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-14) or dts[0] <= 0:
-            raise ValueError("control times must be uniform and increasing")
         if v.ndim != 2 or v.shape[0] != len(t) - 1:
             raise ValueError(f"control values shape {v.shape} inconsistent with mesh")
         if not np.all(np.isfinite(v)):
             raise ValueError("control contains non-finite values")
-        t = t.copy(); t.flags.writeable = False
         v = v.copy(); v.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
@@ -100,7 +94,8 @@ def constant_control(n_steps: int, n_modes: int, horizon: float,
 class Solution:
     """A stored solve: the path u and the density of its reflection measure
     (n = inf for the projection scheme), from which the barrier statistics
-    are read.  The Cauchy fields describe `solve_skeleton`'s schedule."""
+    are read.  `converged` and `cauchy_history` describe `solve_skeleton`'s
+    schedule, one (n, Cauchy gap) row per doubling; the last gap is final."""
 
     traj: Trajectory
     density: Trajectory
@@ -108,7 +103,6 @@ class Solution:
     control: Control
     problem: ProblemSpec
     converged: bool = True
-    cauchy_gap: float = 0.0
     cauchy_history: tuple = ()
 
     @cached_property
@@ -208,8 +202,7 @@ def solve_skeleton(problem: ProblemSpec, control: Optional[Control] = None,
     if not converged:
         log.warning("penalty schedule hit n_max=%g with Cauchy gap %.3g > "
                     "tol=%g", n_max, history[-1][1], tol)
-    return replace(prev, converged=converged, cauchy_gap=history[-1][1],
-                   cauchy_history=tuple(history))
+    return replace(prev, converged=converged, cauchy_history=tuple(history))
 
 
 def complementarity_residual(sol: Solution) -> float:

@@ -105,9 +105,8 @@ def sample_noise_batch(n_samples: int, n_steps: int, n_modes: int, dt: float,
 
 
 def condition_i_distance(problem: ProblemSpec, epsilon_list: Sequence[float],
-                         control: Control, n: float, n_steps: int,
-                         n_samples: int, seed: int,
-                         deltas: Sequence[float] = (0.1,)) -> dict:
+                         control: Control, n: float, n_samples: int,
+                         seed: int, deltas: Sequence[float] = (0.1,)) -> dict:
     """Couple the controlled noisy solution to its zero-noise skeleton.
 
     The skeleton under `control` is solved once; `sweep_epsilon` marches
@@ -116,8 +115,9 @@ def condition_i_distance(problem: ProblemSpec, epsilon_list: Sequence[float],
     mean distance is 0: no rate can be read.
     """
     _require_two_samples(n_samples)  # before the skeleton solve
-    det = solve_penalized(problem, control, n, n_steps=n_steps)
-    sweep = sweep_epsilon(problem, epsilon_list, n, n_steps, n_samples, seed,
+    det = solve_penalized(problem, control, n)
+    sweep = sweep_epsilon(problem, epsilon_list, n, control.n_steps,
+                          n_samples, seed,
                           lambda eps, res, inc: (res.distances,),
                           control=control, reference=det.traj.values)
     per_eps = []

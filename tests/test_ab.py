@@ -1,5 +1,6 @@
 """tools/ab.py: the paired before/after timer."""
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -131,3 +132,28 @@ def test_rate_case_runs_on_this_tree():
     # the rate cases call the minimizer as this tree defines it
     out = CASES["bundled_50"].setup()()
     assert 0.0 < out["rate"] < float("inf") and out["iterates"] >= 1
+
+
+def test_code_digest_names_the_timed_files(tmp_path):
+    # copied as tools/ab.py copies a side; neither copy has a .git
+    copies = [tmp_path / "one", tmp_path / "two"]
+    for copy in copies:
+        for sub in ("src", "perfbench"):
+            shutil.copytree(ROOT / sub, copy / sub, ignore=ab.COPY_IGNORE)
+    digest = ab.code_digest(copies[0])
+    assert len(digest) == 64 and int(digest, 16) >= 0
+    assert ab.code_digest(copies[1]) == digest
+    edited = copies[1] / "src" / "obslab" / "__init__.py"
+    data = bytearray(edited.read_bytes())
+    data[0] ^= 1
+    edited.write_bytes(bytes(data))
+    assert ab.code_digest(copies[1]) != digest
+
+
+def test_tridiagonal_case_times_both_solves_per_call():
+    [name] = ab_cases.groups()["tridiagonal"][1]
+    out = CASES[name].setup()()
+    assert sorted(out) == sorted(f"batch_{batch}_{routine}_s"
+                                 for batch in (1, 50, 256)
+                                 for routine in ("dgtsv", "dpttrs"))
+    assert all(0.0 < seconds < 1.0 for seconds in out.values())

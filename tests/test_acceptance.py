@@ -143,7 +143,7 @@ def test_criterion_07_small_noise_coupling():
     prob = linear_additive()
     k = constant_control(100, 1, prob.horizon, 1.0)
     rep = condition_i_distance(prob, [0.1, 0.05, 0.025, 0.0125], k,
-                               1e4, 100, 200, seed=7)
+                               1e4, 200, seed=7)
     elapsed = time.monotonic() - t0
     slope = rep["loglog_slope"]
     ok = rep["monotone"] and 0.35 <= slope <= 0.65 and elapsed < 600

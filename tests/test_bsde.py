@@ -57,7 +57,7 @@ class TestPathEnsemble:
         parts = {"paths": np.zeros((3, 4)),
                  "alive": np.ones((3, 4), dtype=bool),
                  "times": np.linspace(0.0, 0.3, 4),
-                 "grid": Grid(-1.0, 1.0, 11), "seed": 0}
+                 "grid": Grid(-1.0, 1.0, 11)}
         parts[field] = value
         with pytest.raises(ValueError, match=message):
             PathEnsemble(**parts)
@@ -79,7 +79,7 @@ def sample_paths_one_draw(n_paths, n_steps, horizon, grid, seed):
     alive = np.logical_and.accumulate(inside, axis=1)
     np.clip(paths, grid.x_min, grid.x_max, out=paths)
     times = np.linspace(0.0, horizon, n_steps + 1)
-    return PathEnsemble(paths, alive, times, grid, seed)
+    return PathEnsemble(paths, alive, times, grid)
 
 
 def _same_bits(a, b):
@@ -93,7 +93,7 @@ def _joined(chunks):
     chunks = list(chunks)
     return PathEnsemble(np.concatenate([c.paths for c in chunks]),
                         np.concatenate([c.alive for c in chunks]),
-                        chunks[0].times, chunks[0].grid, chunks[0].seed)
+                        chunks[0].times, chunks[0].grid)
 
 
 # a 2.5 box: about a third of the paths of half a time unit leave it
@@ -389,7 +389,7 @@ class TestResidual:
         ens = sample_paths(200, 50, prob.horizon, prob.grid, seed=4)
         inner = np.all(np.abs(ens.paths) < 2.0, axis=1)
         ens_in = type(ens)(paths=ens.paths[inner], alive=ens.alive[inner],
-                           times=ens.times, grid=ens.grid, seed=ens.seed)
+                           times=ens.times, grid=ens.grid)
         assert bsde_residual(sol, ens_in) < 1e-10
 
     def test_perturbed_solution_increases_residual(self):
@@ -457,7 +457,7 @@ class TestStarIntegral:
         ens = sample_paths(8000, 200, T, Grid(-8.0, 8.0, 161), seed=7)
         inner = np.abs(ens.paths[:, 0]) < 5.0  # keep exits negligible
         ens_in = type(ens)(paths=ens.paths[inner], alive=ens.alive[inner],
-                           times=ens.times, grid=ens.grid, seed=ens.seed)
+                           times=ens.times, grid=ens.grid)
         J = lambda t, x: np.asarray(x, dtype=float)
         dJ = lambda t, x: np.ones_like(np.asarray(x, dtype=float))
         rep = star_integral_check(J, dJ, [ens_in])
@@ -470,7 +470,7 @@ class TestStarIntegral:
         grid = Grid(-1.0, 1.0, 21)
         paths = np.array([[0.0, 0.1, 0.2], [0.5, 0.9, 1.0]])
         alive = np.array([[True, True, True], [True, True, False]])
-        ens = PathEnsemble(paths, alive, np.array([0.0, 0.1, 0.2]), grid, 0)
+        ens = PathEnsemble(paths, alive, np.array([0.0, 0.1, 0.2]), grid)
         J = lambda t, x: np.asarray(x, dtype=float)
         dJ = lambda t, x: np.ones_like(np.asarray(x, dtype=float))
         with pytest.raises(ValueError, match="two surviving paths"):

@@ -12,7 +12,7 @@ from obslab.families import make_problem
 from obslab.grid import (Bracket, Grid, GridMismatchError, Trajectory,
                          gradient_array, h_norm_array, ht_distance,
                          laplacian_array, v_norm_sq_array)
-from obslab.skeleton import solve_skeleton
+from obslab.skeleton import Control, solve_skeleton
 
 
 def observed_order(errors, factors=2.0):
@@ -44,6 +44,40 @@ class TestGrid:
             Grid(1.0, -1.0, 11)
         with pytest.raises(ValueError):
             Grid(-1.0, 1.0, 1)
+
+
+def _control_on(times):
+    return Control(times, np.zeros((max(len(times) - 1, 0), 1)))
+
+
+def _trajectory_on(times):
+    grid = Grid(-1.0, 1.0, 5)
+    return Trajectory(times, np.zeros((len(times), grid.n_nodes)), grid)
+
+
+class TestTimeMesh:
+    @pytest.mark.parametrize("build", [_control_on, _trajectory_on],
+                             ids=["control", "trajectory"])
+    @pytest.mark.parametrize("times, message", [
+        (np.array([0.0]), "times must be a 1-D array with >= 2 entries"),
+        (np.array([[0.0, 0.1], [0.2, 0.3]]),
+         "times must be a 1-D array with >= 2 entries"),
+        (np.array([0.0, 0.1, 0.3]), "times must be uniform and increasing"),
+        (np.array([0.2, 0.1, 0.0]), "times must be uniform and increasing"),
+    ], ids=["one_node", "two_d", "non_uniform", "decreasing"])
+    def test_bad_mesh_rejected_alike(self, build, times, message):
+        # Control and Trajectory share one check, and so one message
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(times)
+
+    @pytest.mark.parametrize("build", [_control_on, _trajectory_on],
+                             ids=["control", "trajectory"])
+    def test_times_held_as_a_read_only_copy(self, build):
+        times = np.linspace(0.0, 1.0, 5)
+        held = build(times).times
+        assert np.array_equal(held, times) and not held.flags.writeable
+        times[0] = -1.0
+        assert held[0] == 0.0
 
 
 class TestStencils:

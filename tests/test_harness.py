@@ -219,6 +219,9 @@ class TestConfigValidation:
          r"params: .*'opt_config' was unexpected"),
         ("mc_compare", "params", {"opt_config": {"n_steps": 25}},
          r"params: .*'opt_config' was unexpected"),
+        # the schema names the two control kinds; no runner reads another
+        ("skeleton_solve", "control", {"kind": "sine"},
+         r"config field control/kind: 'sine' is not one of"),
     ])
     def test_unread_config_field_rejected_before_any_solve(
             self, kind, field, value, match, tmp_path, monkeypatch):
@@ -283,7 +286,7 @@ class TestConfigValidation:
         # the levels pick the meshes; the runner never reads mesh.n_steps
         cfg = load_config("bsde_check")
         cfg["mesh"] = {"n_steps": 400}
-        monkeypatch.setattr("obslab.harness.sample_paths", lambda *a, **k:
+        monkeypatch.setattr("obslab.harness.path_chunks", lambda *a, **k:
                             pytest.fail("paths sampled before the check"))
         self._rejected_before_any_solve(
             cfg, tmp_path / "bsde", monkeypatch,
@@ -294,7 +297,7 @@ class TestConfigValidation:
         # every level reads a coarsened copy of the finest level's paths
         cfg = load_config("bsde_check")
         cfg["params"]["levels"] = [[50, 51], [75, 76]]
-        monkeypatch.setattr("obslab.harness.sample_paths", lambda *a, **k:
+        monkeypatch.setattr("obslab.harness.path_chunks", lambda *a, **k:
                             pytest.fail("paths sampled before the check"))
         self._params_rejected_before_any_solve(
             cfg, tmp_path / "bsde", monkeypatch,

@@ -93,8 +93,8 @@ class TestTerminalBall:
         # the third state lies on the sphere, to the last bit
         radius = float(h_norm_array(states[2] - center.values, grid.h))
         event = TargetEvent(center=center, radius=radius)
-        inside = event.contains_final(states, grid)
-        hinge = event.hinge(states, grid)
+        inside = event.contains_final(states)
+        hinge = event.hinge(states)
         assert inside.tolist() == [True, True, True, False, False]
         assert np.array_equal(hinge == 0.0, inside)
         assert np.all(hinge[~inside] > 0.0)
@@ -106,11 +106,11 @@ class TestTerminalBall:
                                                      grid.h)
         states = np.array([0.25, 0.5, 2.0])[:, None] * unit
         event = TargetEvent(center=center, radius=0.5)
-        excess = event.excess(states, grid)
+        excess = event.excess(states)
         np.testing.assert_allclose(excess, [-0.25, 0.0, 1.5], atol=1e-14)
-        assert np.array_equal(event.hinge(states, grid),
+        assert np.array_equal(event.hinge(states),
                               np.maximum(0.0, excess))
-        assert np.array_equal(event.contains_final(states, grid),
+        assert np.array_equal(event.contains_final(states),
                               excess <= 0.0)
 
     def test_radius_must_be_positive(self, linear_problem):
@@ -138,7 +138,7 @@ class TestTerminalBall:
         batched = _batched_hinges(problem, template, values, event, 1e4)
         single = np.array([
             event.excess(_solution_values(problem, template.with_values(v),
-                                          1e4), problem.grid)
+                                          1e4))
             for v in values])
         assert np.all(single > 0.0)
         if atol == 0.0:
@@ -606,7 +606,7 @@ class TestMcCompare:
                 problem, eps, 1e4, n_steps, n, seed + i_eps, control=k,
                 table=table))
             hit = event.contains_final(
-                np.concatenate([res.final for res in results]), problem.grid)
+                np.concatenate([res.final for res in results]))
             w = hit.astype(float)
             if importance:
                 dot = np.einsum("sij,ij->s", np.concatenate(incs), k.values)

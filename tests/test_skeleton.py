@@ -69,7 +69,7 @@ class TestSkeletonLimit:
     def test_inactive_obstacle_converges_first_doubling(self, linear_problem):
         sk = solve_skeleton(linear_problem, None, n_steps=100, tol=1e-3)
         assert sk.n == 2000
-        assert sk.cauchy_gap <= 1e-6
+        assert sk.cauchy_history[-1][1] <= 1e-6
 
     def test_cauchy_history_decreasing(self, heat_problem):
         sk = solve_skeleton(heat_problem, None, n_steps=200, tol=1e-4)
@@ -85,8 +85,7 @@ class TestSkeletonLimit:
         assert "hit n_max=4000" in caplog.text
         assert sk.converged is False
         assert sk.n == 4000
-        assert sk.cauchy_gap == sk.cauchy_history[-1][1]
-        assert sk.cauchy_gap > 1e-6
+        assert sk.cauchy_history[-1][1] > 1e-6
         last = solve_penalized(heat_problem, None, 4000, n_steps=200)
         assert np.array_equal(sk.density.values, last.density.values)
 

@@ -141,8 +141,8 @@ class TestVarianceScaling:
 class TestConditionI:
     def test_zero_noise_shape_distance_zero(self, heat_problem):
         k = zero_control(50, 1, heat_problem.horizon)
-        rep = condition_i_distance(heat_problem, [0.1, 0.05], k, 1e4, 50,
-                                   8, seed=0)
+        rep = condition_i_distance(heat_problem, [0.1, 0.05], k, 1e4, 8,
+                                   seed=0)
         for row in rep["per_epsilon"]:
             assert row["mean_distance"] == 0.0
         assert rep["loglog_slope"] is None  # no rate to read
@@ -150,8 +150,8 @@ class TestConditionI:
     def test_sqrt_epsilon_scaling(self, linear_problem):
         k = constant_control(100, 1, linear_problem.horizon, 1.0)
         rep = condition_i_distance(linear_problem,
-                                   [0.1, 0.05, 0.025, 0.0125], k, 1e4, 100,
-                                   50, seed=7)
+                                   [0.1, 0.05, 0.025, 0.0125], k, 1e4, 50,
+                                   seed=7)
         assert rep["monotone"]
         assert 0.35 <= rep["loglog_slope"] <= 0.65
 
@@ -173,7 +173,7 @@ class TestConditionI:
                        + noise_drive(prob, eps, inc), store=False,
                        reference=skeleton.traj.values).distances
         assert np.array_equal(streamed, direct)
-        row = condition_i_distance(prob, [eps, eps / 2], k, 1e4, n_steps, n,
+        row = condition_i_distance(prob, [eps, eps / 2], k, 1e4, n,
                                    seed)["per_epsilon"][0]
         assert row["mean_distance"] == float(np.mean(direct))
         assert row["std_error"] == float(np.std(direct, ddof=1) / np.sqrt(n))
@@ -188,8 +188,8 @@ class TestConditionI:
 
         monkeypatch.setattr(obslab.spde, "solve_penalized", counted)
         k = constant_control(50, 1, linear_problem.horizon, 1.0)
-        condition_i_distance(linear_problem, [0.1, 0.05, 0.025], k, 1e4, 50,
-                             8, seed=0)
+        condition_i_distance(linear_problem, [0.1, 0.05, 0.025], k, 1e4, 8,
+                             seed=0)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("n_samples", [0, 1])
@@ -202,8 +202,8 @@ class TestConditionI:
             monkeypatch.setattr(obslab.spde, name, no_march)
         k = constant_control(50, 1, linear_problem.horizon, 1.0)
         with pytest.raises(ValueError, match="at least 2 samples"):
-            condition_i_distance(linear_problem, [0.1], k, 1e4, 50,
-                                 n_samples, seed=0)
+            condition_i_distance(linear_problem, [0.1], k, 1e4, n_samples,
+                                 seed=0)
         event = TargetEvent(Field(np.zeros(linear_problem.grid.n_nodes),
                                   linear_problem.grid), 0.02)
         with pytest.raises(ValueError, match="at least 2 samples"):
@@ -354,7 +354,7 @@ class TestResponseTable:
         assert len(report["per_epsilon"]) == 3
         # condition (i) reads path distances: no table
         k = constant_control(50, 1, problem.horizon, 1.2)
-        report = condition_i_distance(problem, [0.4, 0.2, 0.1], k, 1e4, 50,
+        report = condition_i_distance(problem, [0.4, 0.2, 0.1], k, 1e4,
                                       self.N, seed=3)
         assert len(built) == 1
         assert len(report["per_epsilon"]) == 3
@@ -535,7 +535,7 @@ class TestWorkers:
         k = constant_control(50, 1, problem.horizon, 1.0)
 
         def report():
-            return condition_i_distance(problem, [0.1, 0.05], k, 1e4, 50,
+            return condition_i_distance(problem, [0.1, 0.05], k, 1e4,
                                         2 * MC_BATCH + 17, seed=7,
                                         deltas=[0.05, 0.1])
 
@@ -546,10 +546,10 @@ class TestWorkers:
 
     def test_condition_i_report_unchanged_on_a_state_dependent_problem(
             self, monkeypatch):
-        problem, n_steps, k = _forking_case()
+        problem, _, k = _forking_case()
 
         def report():
-            return condition_i_distance(problem, [0.2, 0.1], k, 1e4, n_steps,
+            return condition_i_distance(problem, [0.2, 0.1], k, 1e4,
                                         2 * MC_BATCH + 17, seed=7,
                                         deltas=[0.05, 0.1])
 

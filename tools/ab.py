@@ -3,8 +3,9 @@
     python3 tools/ab.py --before OLD [GROUP ...]
 
 OLD is the root of another checkout (default: this one, which makes an A/A
-run).  The GROUPs are `rate`, `readoff`, `step` and `e2e` (default: all);
-tools/ab_cases.py holds their cases and their round and repeat counts.
+run).  The GROUPs are `rate`, `readoff`, `step`, `tridiagonal` and `e2e`
+(default: all); tools/ab_cases.py holds their cases and their round and
+repeat counts.
 Each group's result goes to BENCH_<group>.json at the root of this
 checkout, and one line per case and metric to standard output.
 
@@ -27,7 +28,10 @@ and the case gets no ratio.  A side that exits nonzero, prints no result,
 or (end to end) prints "correct": false is listed under "failed" with its
 round; that round gets no ratio, and the other side's run still counts
 for its own median.  The machine record is the one perfbench/run.py prints,
-plus the BLAS thread variables the caller set.
+plus the BLAS thread variables the caller set.  Each side's tree record
+names its commit (`git describe`, null outside a git checkout) and the
+sha256 of the copied tree's src/ and perfbench/ files, which names the
+code that was timed even when the checkout is dirty or an export.
 
 Every timed interpreter runs single-threaded BLAS unless the caller sets
 the thread variables (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS,
@@ -39,6 +43,7 @@ single-threaded, the figures the benchmark's own runs read.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -54,6 +59,8 @@ from ab_cases import groups
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("before", "after")
 TIMEOUT_S = 900
+# what a side's copy leaves out of its tree, and so out of its code digest
+COPY_IGNORE = shutil.ignore_patterns(".*", "__pycache__")
 
 
 def order(rnd: int) -> tuple:
@@ -142,6 +149,21 @@ def describe(tree: Path):
     return proc.stdout.strip() or None
 
 
+def code_digest(tree: Path) -> str:
+    """sha256 over the files under a copied tree's src/ and perfbench/, in
+    sorted order of their paths relative to the tree: each path, a NUL,
+    the file's byte count, a NUL, then its bytes."""
+    files = [path.relative_to(tree).as_posix()
+             for sub in ("src", "perfbench")
+             for path in (tree / sub).rglob("*") if path.is_file()]
+    digest = hashlib.sha256()
+    for rel in sorted(files):
+        data = (tree / rel).read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def line(name: str, metric: str, entry: dict) -> str:
     text = f"{name} {metric}:"
     for side in SIDES:
@@ -157,14 +179,14 @@ def line(name: str, metric: str, entry: dict) -> str:
 
 
 def run_and_write(group: str, rounds: int, cases: dict, trees: dict,
-                  commits: dict, machine: dict) -> None:
+                  timed: dict, machine: dict) -> None:
     """Run one group, print a line per case and metric, and write its
     BENCH_<group>.json."""
     runs = run_group(cases, rounds, trees)
     result = {"group": group, "rounds": rounds, "order": "ABBA",
               "statistic": "per round: median over repeats; per case: "
                            "median and IQR over rounds",
-              "trees": commits, "machine": machine, "cases": {}}
+              "trees": timed, "machine": machine, "cases": {}}
     for name, case in cases.items():
         result["cases"][name] = dict(case.settings(), **summarize(runs[name]))
         for metric, entry in result["cases"][name]["metrics"].items():
@@ -205,14 +227,15 @@ def main(argv=None) -> int:
     cap_blas_threads(os.environ)
     host = dict(machine(), blas_threads_set_by_caller=caller)
     sources = {"before": args.before.resolve(), "after": ROOT}
-    commits = {side: describe(sources[side]) for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {side: Path(shutil.copytree(
-            sources[side], Path(tmp) / side,
-            ignore=shutil.ignore_patterns(".*", "__pycache__")))
+            sources[side], Path(tmp) / side, ignore=COPY_IGNORE))
             for side in SIDES}
+        timed = {side: {"git_describe": describe(sources[side]),
+                        "code_sha256": code_digest(trees[side])}
+                 for side in SIDES}
         for group in args.groups or table:
-            run_and_write(group, *table[group], trees, commits, host)
+            run_and_write(group, *table[group], trees, timed, host)
     return 0
 
 
