@@ -257,14 +257,12 @@ def _run_rate_minimize(config, problem):
 
 def _run_mc_compare(config, problem):
     p = config["params"]
-    n_steps = config["mesh"]["n_steps"]
     event = _event_from(config, problem)
-    rate = minimize_rate(problem, event, n_steps=n_steps, penalty_n=PENALTY_N)
+    rate = minimize_rate(problem, event, n_steps=config["mesh"]["n_steps"],
+                         penalty_n=PENALTY_N)
     report = mc_ldp_compare(
-        problem, event, p.get("epsilon_list", [0.4, 0.2, 0.1, 0.05]),
-        p.get("n_samples", 10000), config["seed"],
-        use_importance=True, rate_result=rate,
-        penalty_n=PENALTY_N, n_steps=n_steps)
+        problem, event, rate, p.get("epsilon_list", [0.4, 0.2, 0.1, 0.05]),
+        p.get("n_samples", 10000), config["seed"], use_importance=True)
     report["rate"] = float(rate.rate) if np.isfinite(rate.rate) else "inf"
     passed = report.get("relative_error", np.inf) <= 0.25
     return report, bool(passed), {}

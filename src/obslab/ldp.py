@@ -2,15 +2,15 @@
 Monte Carlo rare-event comparison.
 
 The action of a control is half its squared Cameron-Martin norm; the rate of
-a target event is the least action over controls steering the deterministic
-solver into the event.  That problem has one smooth inequality, the event's
-excess, so its sequential quadratic programming step has a closed form: the
-minimizer is a small SQP loop with a damped BFGS model of the Lagrangian's
-Hessian, an analytic action gradient and the excess gradient from a discrete
-adjoint of the march.  The rare-event comparison reads the terminal states
-of `spde.sweep_epsilon` (optionally under an importance-sampling drift at
-the minimizer) as event weights, and compares eps * log p to the negated
-rate.
+a target event, a functional of u(0) with a value and a cotangent, is the
+least action over controls steering the deterministic solver into the event.
+Its one smooth inequality, the excess, gives the sequential quadratic
+programming step a closed form: a small SQP loop with a damped BFGS model of
+the Lagrangian's Hessian, an analytic action gradient and the cotangent swept
+back by a discrete adjoint of the march.  The rare-event comparison reads the
+terminal states of `spde.sweep_epsilon` on the rate result's mesh and penalty
+(optionally under an importance-sampling drift at the minimizer) as event
+weights, and compares eps * log p to the negated rate.
 """
 from __future__ import annotations
 
@@ -78,10 +78,18 @@ class TargetEvent:
         """Vectorized membership of terminal states."""
         return self.excess(final_states) <= 0.0
 
+    def cotangent(self, final: np.ndarray) -> np.ndarray:
+        """Gradient h d / |d|_H of the excess on one final state, d = u(0) -
+        center; 0 at d = 0, where the excess has no gradient."""
+        d = final - self.center.values
+        norm = float(h_norm_array(d, self.center.grid.h))
+        return self.center.grid.h * d / norm if norm else np.zeros_like(d)
+
 
 @dataclass
 class RateResult:
     minimizer: Control
+    penalty_n: float    # the penalty that every visited point was marched at
     rate: float
     constraint_residual: float
     feasible: bool
@@ -116,19 +124,10 @@ def _batched_hinges(problem: ProblemSpec, template: Control,
 def _excess_gradient(problem: ProblemSpec, event: TargetEvent,
                      res: MarchResult) -> np.ndarray:
     """Gradient of the event excess over the control values, from the
-    stored penalty march `res` under their drive.
-
-    The excess |d|_H - radius, d = u(0) - center, has the cotangent
-    h d / |d|_H on u(0); at d = 0, where it has no gradient, the result is
-    0.  The march's drive gradient reaches the values through
-    `control_gradient`.
-    """
-    h = problem.grid.h
-    d = res.final - event.center.values
-    norm = float(h_norm_array(d, h))
-    if norm == 0.0:
-        return np.zeros((len(res.drive), problem.coefficients.n_modes))
-    return control_gradient(problem, march_adjoint(problem, res, h * d / norm))
+    stored penalty march `res` under their drive: the event's cotangent on
+    u(0), swept back through the march and reduced to the values."""
+    cotangent = event.cotangent(res.final)
+    return control_gradient(problem, march_adjoint(problem, res, cotangent))
 
 
 def minimize_rate(problem: ProblemSpec, event: TargetEvent, *,
@@ -168,7 +167,7 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent, *,
     x = init.values.ravel()
     res, e = visit(x)
     if e <= 0.0:
-        return RateResult(init, 0.0, 0.0, True, [(0, 0.0, 0.0)],
+        return RateResult(init, penalty_n, 0.0, 0.0, True, [(0, 0.0, 0.0)],
                           "start is inside the event")
 
     a = _excess_gradient(problem, event, res).ravel()
@@ -223,7 +222,8 @@ def minimize_rate(problem: ProblemSpec, event: TargetEvent, *,
     k_final = init.with_values(x.reshape(shape))
     feasible = message == CONVERGED
     rate = rate_functional(k_final) if feasible else math.inf
-    return RateResult(k_final, rate, max(0.0, e), feasible, history, message)
+    return RateResult(k_final, penalty_n, rate, max(0.0, e), feasible,
+                      history, message)
 
 
 def kish_ess(weights: np.ndarray) -> float:
@@ -288,12 +288,12 @@ def condition_ii_test(problem: ProblemSpec, k: Control,
 
 
 def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
-                   epsilon_list: Sequence[float], n_samples: int, seed: int,
-                   use_importance: bool = False,
-                   rate_result: Optional[RateResult] = None,
-                   penalty_n: float = 1e4, n_steps: int = 50) -> dict:
+                   rate_result: RateResult, epsilon_list: Sequence[float],
+                   n_samples: int, seed: int,
+                   use_importance: bool = False) -> dict:
     """Small-noise event probabilities against the rate-function prediction.
 
+    The samples march on the minimizer's mesh at `rate_result`'s penalty.
     Per epsilon, p is estimated by plain Monte Carlo or, when requested, by
     importance sampling under the drift of the minimizing control with the
     exact discrete likelihood ratio.  eps * log p is extrapolated linearly
@@ -303,13 +303,10 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
     plain Monte Carlo) and the largest weight's share of their sum.  Only
     the `reliable` estimates, ESS at least `RELIABLE_ESS`, are extrapolated.
     """
-    if use_importance:
-        if rate_result is None or not rate_result.feasible:
-            raise ValueError("importance sampling needs a feasible rate result")
-        k_star = rate_result.minimizer
-        if k_star.n_steps != n_steps:
-            raise ValueError("minimizer mesh does not match n_steps")
-        k_sq = k_star.k_norm_sq()
+    k_star = rate_result.minimizer
+    if use_importance and not rate_result.feasible:
+        raise ValueError("importance sampling needs a feasible rate result")
+    k_sq = k_star.k_norm_sq()
     control = k_star if use_importance else None
 
     def read(eps, res, inc):
@@ -324,8 +321,8 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
 
     per_eps = []
     for eps, (hit, acc) in zip(epsilon_list, sweep_epsilon(
-            problem, epsilon_list, penalty_n, n_steps, n_samples, seed, read,
-            control=control)):
+            problem, epsilon_list, rate_result.penalty_n, k_star.n_steps,
+            n_samples, seed, read, control=control)):
         p_hat, se = mean_and_std_error(acc)
         ess = kish_ess(acc)
         per_eps.append({
@@ -351,7 +348,7 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
         m = max(2, len(e) // 2 + 1)
         coeff = np.polyfit(e[order][:m], y[order][:m], 1)
         report["extrapolated_eps_log_p"] = float(coeff[1])
-    if rate_result is not None and np.isfinite(rate_result.rate):
+    if np.isfinite(rate_result.rate):
         report["minus_rate"] = -float(rate_result.rate)
         if "extrapolated_eps_log_p" in report and rate_result.rate > 0:
             report["relative_error"] = float(

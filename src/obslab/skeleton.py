@@ -143,7 +143,8 @@ def _check_control(problem: ProblemSpec, control: Optional[Control],
         return zero_control(n_steps, problem.coefficients.n_modes, problem.horizon)
     if n_steps is not None and control.n_steps != n_steps:
         raise ValueError(f"control has {control.n_steps} steps, expected {n_steps}")
-    if abs(control.times[-1] - problem.horizon) > 1e-12 * max(1.0, problem.horizon):
+    if control.times[0] != 0.0 or abs(control.times[-1] - problem.horizon) \
+            > 1e-12 * max(1.0, problem.horizon):
         raise ValueError("control mesh does not span the problem horizon")
     if control.n_modes != problem.coefficients.n_modes:
         raise ValueError("control mode count does not match the problem")

@@ -148,12 +148,3 @@ def test_code_digest_names_the_timed_files(tmp_path):
     data[0] ^= 1
     edited.write_bytes(bytes(data))
     assert ab.code_digest(copies[1]) != digest
-
-
-def test_tridiagonal_case_times_both_solves_per_call():
-    [name] = ab_cases.groups()["tridiagonal"][1]
-    out = CASES[name].setup()()
-    assert sorted(out) == sorted(f"batch_{batch}_{routine}_s"
-                                 for batch in (1, 50, 256)
-                                 for routine in ("dgtsv", "dpttrs"))
-    assert all(0.0 < seconds < 1.0 for seconds in out.values())

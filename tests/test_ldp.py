@@ -113,6 +113,30 @@ class TestTerminalBall:
         assert np.array_equal(event.contains_final(states),
                               excess <= 0.0)
 
+    def test_cotangent_matches_central_differences(self, linear_problem):
+        # at random final states off the centre, node by node
+        grid = linear_problem.grid
+        rng = np.random.default_rng(11)
+        event = TargetEvent(Field(rng.standard_normal(grid.n_nodes), grid),
+                            0.3)
+        step = 1e-4
+        shifts = step * np.eye(grid.n_nodes)
+        for final in rng.standard_normal((3, grid.n_nodes)):
+            oracle = (event.excess(final + shifts)
+                      - event.excess(final - shifts)) / (2.0 * step)
+            cotangent = event.cotangent(final)
+            assert cotangent.shape == final.shape
+            assert np.max(np.abs(cotangent - oracle)) \
+                <= 1e-8 * np.max(np.abs(oracle))
+
+    def test_cotangent_is_zero_at_the_centre(self, linear_problem):
+        grid = linear_problem.grid
+        event = TargetEvent(Field(np.linspace(-1.0, 1.0, grid.n_nodes),
+                                  grid), 0.1)
+        cotangent = event.cotangent(event.center.values.copy())
+        assert cotangent.shape == (grid.n_nodes,)
+        assert np.all(np.isfinite(cotangent)) and not np.any(cotangent)
+
     def test_radius_must_be_positive(self, linear_problem):
         center = Field(np.zeros(linear_problem.grid.n_nodes),
                        linear_problem.grid)
@@ -518,12 +542,10 @@ class TestMcCompare:
 
     def test_plain_and_importance_agree(self, setup):
         problem, event, rate, n_steps = setup
-        plain = mc_ldp_compare(problem, event, [0.4], 4000, seed=1,
-                               use_importance=False, rate_result=rate,
-                               n_steps=n_steps)
-        weighted = mc_ldp_compare(problem, event, [0.4], 4000, seed=2,
-                                  use_importance=True, rate_result=rate,
-                                  n_steps=n_steps)
+        plain = mc_ldp_compare(problem, event, rate, [0.4], 4000, seed=1,
+                               use_importance=False)
+        weighted = mc_ldp_compare(problem, event, rate, [0.4], 4000, seed=2,
+                                  use_importance=True)
         p1, s1 = (plain["per_epsilon"][0][k] for k in ("p_hat", "std_error"))
         p2, s2 = (weighted["per_epsilon"][0][k]
                   for k in ("p_hat", "std_error"))
@@ -532,12 +554,10 @@ class TestMcCompare:
     def test_importance_reduces_variance_when_rare(self, setup):
         problem, event, rate, n_steps = setup
         eps = 0.05
-        plain = mc_ldp_compare(problem, event, [eps], 4000, seed=3,
-                               use_importance=False, rate_result=rate,
-                               n_steps=n_steps)
-        weighted = mc_ldp_compare(problem, event, [eps], 4000, seed=4,
-                                  use_importance=True, rate_result=rate,
-                                  n_steps=n_steps)
+        plain = mc_ldp_compare(problem, event, rate, [eps], 4000, seed=3,
+                               use_importance=False)
+        weighted = mc_ldp_compare(problem, event, rate, [eps], 4000, seed=4,
+                                  use_importance=True)
         row_p = plain["per_epsilon"][0]
         row_w = weighted["per_epsilon"][0]
         assert row_w["p_hat"] < 1e-3
@@ -550,9 +570,8 @@ class TestMcCompare:
     def test_weight_health_per_epsilon(self, setup):
         problem, event, rate, n_steps = setup
         for importance in (False, True):
-            rep = mc_ldp_compare(problem, event, [0.4], 1000, seed=6,
-                                 use_importance=importance, rate_result=rate,
-                                 n_steps=n_steps)
+            rep = mc_ldp_compare(problem, event, rate, [0.4], 1000, seed=6,
+                                 use_importance=importance)
             row = rep["per_epsilon"][0]
             assert row["hits"] > 0
             # (sum w)^2 <= hits * sum w^2, with equality for 0/1 weights
@@ -563,9 +582,9 @@ class TestMcCompare:
 
     def test_one_hit_is_not_reliable(self, setup):
         # plain Monte Carlo at eps = 0.05 (p about 9e-5) sees a single hit
-        problem, event, _, n_steps = setup
-        row = mc_ldp_compare(problem, event, [0.05], 10000, seed=2,
-                             n_steps=n_steps)["per_epsilon"][0]
+        problem, event, rate, _ = setup
+        row = mc_ldp_compare(problem, event, rate, [0.05], 10000,
+                             seed=2)["per_epsilon"][0]
         assert row["hits"] == 1 and row["ess"] == 1.0
         assert row["eps_log_p"] is not None
         assert row["reliable"] is False
@@ -575,14 +594,13 @@ class TestMcCompare:
         # the bundled centre; in the ball of radius 0.1 about it, 35 of 1000
         # samples at eps = 0.1 land, but a few weights carry the estimate
         # (ESS 4.7, largest share 0.41)
-        problem, event, rate, n_steps = setup
+        problem, event, rate, _ = setup
         wide = TargetEvent(center=event.center, radius=0.1)
         k = rate.minimizer
         overshoot = dataclasses.replace(
             rate, minimizer=k.with_values(2.0 * k.values))
-        row, = mc_ldp_compare(problem, wide, [0.1], 1000, seed=1,
-                              use_importance=True, rate_result=overshoot,
-                              n_steps=n_steps)["per_epsilon"]
+        row, = mc_ldp_compare(problem, wide, overshoot, [0.1], 1000, seed=1,
+                              use_importance=True)["per_epsilon"]
         assert row["hits"] >= RELIABLE_ESS
         assert row["ess"] < RELIABLE_ESS
         assert row["reliable"] is False
@@ -595,9 +613,8 @@ class TestMcCompare:
         # exact likelihood ratio, and the weights summed as they are
         problem, event, rate, n_steps = setup
         eps_list, n, seed = [0.4, 0.05], 10000, 42
-        report = mc_ldp_compare(problem, event, eps_list, n, seed,
-                                use_importance=importance, rate_result=rate,
-                                n_steps=n_steps)
+        report = mc_ldp_compare(problem, event, rate, eps_list, n, seed,
+                                use_importance=importance)
         k = rate.minimizer if importance else None
         table = _response_table(problem, 1e4, n_steps, k)
         for i_eps, (eps, row) in enumerate(zip(eps_list,
@@ -619,14 +636,34 @@ class TestMcCompare:
             if row["hits"]:
                 assert row["max_weight_share"] == float(np.max(w) / np.sum(w))
 
+    @pytest.mark.parametrize("importance", [False, True])
+    def test_streams_march_at_the_rate_results_mesh_and_penalty(
+            self, setup, importance, monkeypatch):
+        problem, event, _, _ = setup
+        rate = minimize_rate(problem, event, n_steps=100, penalty_n=1e3)
+        assert rate.feasible and rate.penalty_n == 1e3
+        swept = []
+
+        def recorded(problem, epsilon_list, penalty_n, n_steps, *args,
+                     **kwargs):
+            swept.append((n_steps, penalty_n))
+            return iter(())
+
+        monkeypatch.setattr(obslab.ldp, "sweep_epsilon", recorded)
+        mc_ldp_compare(problem, event, rate, [0.4], 100, seed=0,
+                       use_importance=importance)
+        assert swept == [(100, 1e3)]
+
     def test_whole_space_event_probability_one(self, setup):
         problem, _, _, n_steps = setup
         base = solve_penalized(problem, None, 1e4, n_steps=n_steps)
         everything = TargetEvent(center=Field(base.traj.values[0],
                                               problem.grid),
                                  radius=1e6)
-        rep = mc_ldp_compare(problem, everything, [0.4, 0.2], 500, seed=5,
-                             n_steps=n_steps)
+        inside = minimize_rate(problem, everything, n_steps=n_steps,
+                               penalty_n=1e4)
+        rep = mc_ldp_compare(problem, everything, inside, [0.4, 0.2], 500,
+                             seed=5)
         for row in rep["per_epsilon"]:
             assert row["p_hat"] == 1.0
             assert row["eps_log_p"] == 0.0
@@ -669,8 +706,7 @@ class TestKishEss:
             n_steps=50)
         event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
         rate = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
-        row, = mc_ldp_compare(problem, event, [7e-4], 2000, seed=1,
-                              use_importance=True, rate_result=rate,
-                              n_steps=50)["per_epsilon"]
+        row, = mc_ldp_compare(problem, event, rate, [7e-4], 2000, seed=1,
+                              use_importance=True)["per_epsilon"]
         assert 0.0 < row["p_hat"] < 1e-162
         assert 1.0 <= row["ess"] <= row["hits"]

@@ -34,6 +34,23 @@ class TestControl:
         assert k.k_norm_sq() == 0.0
         assert k.values.shape == (20, 3)
 
+    @pytest.mark.parametrize("solve", [
+        lambda problem, k: solve_penalized(problem, k, 1e4),
+        solve_projected, solve_skeleton],
+        ids=["penalized", "projected", "skeleton"])
+    @pytest.mark.parametrize("start, end", [(0.25, 1.0), (0.0, 0.75)],
+                             ids=["late_start", "short_end"])
+    def test_mesh_off_the_horizon_rejected(self, linear_problem, solve,
+                                           start, end):
+        # a late start would march at the mesh's span / 50 while the
+        # control's dt, and so its action, reads a smaller step
+        T = linear_problem.horizon
+        k = Control(np.linspace(start * T, end * T, 51),
+                    np.zeros((50, linear_problem.coefficients.n_modes)))
+        with pytest.raises(ValueError,
+                           match="control mesh does not span the problem"):
+            solve(linear_problem, k)
+
 
 class TestAgainstProjection:
     def test_inactive_obstacle_projection_is_identity(self, linear_problem):

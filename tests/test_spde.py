@@ -13,7 +13,7 @@ import obslab.spde
 from obslab.families import heat_obstacle, linear_additive, quasilinear_full
 from obslab.grid import Field
 from obslab.kernels import ldl_factor, thomas_batch
-from obslab.ldp import TargetEvent, mc_ldp_compare, minimize_rate
+from obslab.ldp import RateResult, TargetEvent, mc_ldp_compare, minimize_rate
 from obslab.skeleton import constant_control, solve_penalized, zero_control
 from obslab.spde import (MC_BATCH, NOISE_BLOCK, _response_table,
                          condition_i_distance, sample_noise,
@@ -206,8 +206,11 @@ class TestConditionI:
                                  seed=0)
         event = TargetEvent(Field(np.zeros(linear_problem.grid.n_nodes),
                                   linear_problem.grid), 0.02)
+        rate = RateResult(zero_control(50, 1, linear_problem.horizon), 1e4,
+                          0.0, 0.0, True)
         with pytest.raises(ValueError, match="at least 2 samples"):
-            mc_ldp_compare(linear_problem, event, [0.1], n_samples, seed=0)
+            mc_ldp_compare(linear_problem, event, rate, [0.1], n_samples,
+                           seed=0)
 
 
 class TestResponseTable:
@@ -347,8 +350,9 @@ class TestResponseTable:
             problem, constant_control(50, 1, problem.horizon, 1.2), 1e4,
             n_steps=50)
         event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
+        rate = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
         built = _built_tables(monkeypatch)
-        report = mc_ldp_compare(problem, event, [0.4, 0.2, 0.1], self.N,
+        report = mc_ldp_compare(problem, event, rate, [0.4, 0.2, 0.1], self.N,
                                 seed=3)
         assert len(built) == 1
         assert len(report["per_epsilon"]) == 3
@@ -521,8 +525,8 @@ class TestWorkers:
         rate = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
 
         def report():
-            return mc_ldp_compare(problem, event, [0.4, 0.2], self.N, seed=3,
-                                  use_importance=True, rate_result=rate)
+            return mc_ldp_compare(problem, event, rate, [0.4, 0.2], self.N,
+                                  seed=3, use_importance=True)
 
         _cores(monkeypatch, 2)
         forked = report()

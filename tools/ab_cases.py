@@ -352,52 +352,6 @@ _add("step", "pool_stream", 1, _pool_stream)
 _add("step", "serial_stream_4096", 1, _serial_stream)
 
 
-# -- tridiagonal: the kernel's two LAPACK solves, per call
-
-def _tridiagonal():
-    """Seconds per call of pivoted elimination (`dgtsv`) and of the
-    L D L^T substitution (`dpttrs`), both from `obslab.kernels.lapack`, on
-    the matrix M that the batched march factors (linear_additive, `STEPS`
-    steps: all 201 nodes, identity rows at the pinned two) at batch 1, 50
-    and 256, the right-hand sides as columns, as `thomas_batch` passes
-    them.  `dpttrs` reads the march's own factors; `dgtsv` gets M's bands,
-    rebuilt from them.  Each solve is called about 20 000 / batch times in
-    a row, and the mean is its time per call."""
-    import numpy as np
-    from obslab.families import linear_additive
-    from obslab.kernels import lapack
-    from obslab.stepping import _diffusion_factor
-    prob = linear_additive()
-    nx = prob.grid.n_nodes
-    dt = prob.horizon / STEPS
-    d, e = _diffusion_factor(nx, dt / (4.0 * prob.grid.h**2))
-    # M = L D L^T, L unit lower bidiagonal with subdiagonal e
-    off = e * d[:-1]
-    diag = d + np.concatenate(([0.0], e * off))
-    rng = np.random.default_rng(0)
-    rhs = {batch: rng.standard_normal((batch, nx)).T for batch in (1, 50, 256)}
-
-    def per_call(solve, batch: int) -> float:
-        number = max(1, 20000 // batch)
-        t0 = time.perf_counter()
-        for _ in range(number):
-            solve()
-        return (time.perf_counter() - t0) / number
-
-    def call():
-        out = {}
-        for batch, b in rhs.items():
-            out[f"batch_{batch}_dgtsv_s"] = per_call(
-                lambda: lapack.dgtsv(off, diag, off, b), batch)
-            out[f"batch_{batch}_dpttrs_s"] = per_call(
-                lambda: lapack.dpttrs(d, e, b), batch)
-        return out
-    return call
-
-
-_add("tridiagonal", "per_call_201", 5, _tridiagonal)
-
-
 def run_case(src: str, name: str) -> dict:
     sys.path.insert(0, src)
     case = CASES[name]
