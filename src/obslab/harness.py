@@ -203,7 +203,7 @@ def _run_bsde_check(config, problem):
                           f"the finest level's {finest}")
     probs = [_problem_from(config, n_nodes=n_nodes) for _, n_nodes in levels]
     sols = [solve_penalized(prob, _control_from(config, prob, n_steps),
-                            PENALTY_N, n_steps=n_steps)
+                            PENALTY_N)
             for (n_steps, _), prob in zip(levels, probs)]
     # drawn and read a chunk of paths at a time, every level in one pass:
     # the whole fine ensemble is never held
@@ -262,7 +262,7 @@ def _run_mc_compare(config, problem):
                          penalty_n=PENALTY_N)
     report = mc_ldp_compare(
         problem, event, rate, p.get("epsilon_list", [0.4, 0.2, 0.1, 0.05]),
-        p.get("n_samples", 10000), config["seed"], use_importance=True)
+        p.get("n_samples", 10000), config["seed"])
     report["rate"] = float(rate.rate) if np.isfinite(rate.rate) else "inf"
     passed = report.get("relative_error", np.inf) <= 0.25
     return report, bool(passed), {}

@@ -8,9 +8,9 @@ Its one smooth inequality, the excess, gives the sequential quadratic
 programming step a closed form: a small SQP loop with a damped BFGS model of
 the Lagrangian's Hessian, an analytic action gradient and the cotangent swept
 back by a discrete adjoint of the march.  The rare-event comparison reads the
-terminal states of `spde.sweep_epsilon` on the rate result's mesh and penalty
-(optionally under an importance-sampling drift at the minimizer) as event
-weights, and compares eps * log p to the negated rate.
+terminal states of `spde.sweep_epsilon` under the rate result's minimizer, on
+its mesh and at its penalty, as importance-sampling event weights (plain Monte
+Carlo under a zero minimizer), and compares eps * log p to the negated rate.
 """
 from __future__ import annotations
 
@@ -245,8 +245,8 @@ def kish_ess(weights: np.ndarray) -> float:
 def condition_ii_test(problem: ProblemSpec, k: Control,
                       oscillation_amplitude: float,
                       frequencies: Sequence[int],
-                      norm_sq_bound: Optional[float] = None,
-                      penalty_n: float = 1e4) -> dict:
+                      penalty_n: float,
+                      norm_sq_bound: Optional[float] = None) -> dict:
     """Stability of the solution map under weakly vanishing perturbations.
 
     Adds a * sin(2 pi m t / T) to the first mode for each frequency m and
@@ -289,40 +289,38 @@ def condition_ii_test(problem: ProblemSpec, k: Control,
 
 def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
                    rate_result: RateResult, epsilon_list: Sequence[float],
-                   n_samples: int, seed: int,
-                   use_importance: bool = False) -> dict:
+                   n_samples: int, seed: int) -> dict:
     """Small-noise event probabilities against the rate-function prediction.
 
-    The samples march on the minimizer's mesh at `rate_result`'s penalty.
-    Per epsilon, p is estimated by plain Monte Carlo or, when requested, by
-    importance sampling under the drift of the minimizing control with the
-    exact discrete likelihood ratio.  eps * log p is extrapolated linearly
-    in eps and compared to the negated rate.  Each epsilon also reports the
-    health of its estimate: the samples inside the event (`hits`), the
-    Kish effective sample size of the weights (`ess`; equal to `hits` for
-    plain Monte Carlo) and the largest weight's share of their sum.  Only
-    the `reliable` estimates, ESS at least `RELIABLE_ESS`, are extrapolated.
+    The samples march on the minimizer's mesh at `rate_result`'s penalty,
+    under the minimizer's drift.  Per epsilon, p is estimated by importance
+    sampling with the exact discrete likelihood ratio; under a zero
+    minimizer every weight is the 0/1 hit indicator, so the estimate is
+    plain Monte Carlo (`importance` reports whether the drift is nonzero).
+    eps * log p is extrapolated linearly in eps and compared to the negated
+    rate.  Each epsilon also reports the health of its estimate: the
+    samples inside the event (`hits`), the Kish effective sample size of
+    the weights (`ess`; equal to `hits` for 0/1 weights) and the largest
+    weight's share of their sum.  Only the `reliable` estimates, ESS at
+    least `RELIABLE_ESS`, are extrapolated.
     """
     k_star = rate_result.minimizer
-    if use_importance and not rate_result.feasible:
+    if not rate_result.feasible:
         raise ValueError("importance sampling needs a feasible rate result")
     k_sq = k_star.k_norm_sq()
-    control = k_star if use_importance else None
 
     def read(eps, res, inc):
         hit = event.contains_final(res.final)
-        weight = hit.astype(float)
-        if use_importance:
-            # inc are the shifted-measure increments; the exponent is
-            # -<k*, dB>/sqrt(eps) - |k*|^2/(2 eps).
-            dot = np.einsum("sij,ij->s", inc, k_star.values)
-            weight = weight * np.exp(-dot / np.sqrt(eps) - k_sq / (2.0 * eps))
-        return hit, weight
+        # inc are the shifted-measure increments; the exponent is
+        # -<k*, dB>/sqrt(eps) - |k*|^2/(2 eps), and 0 under the zero control.
+        dot = np.einsum("sij,ij->s", inc, k_star.values)
+        return hit, hit.astype(float) * np.exp(-dot / np.sqrt(eps)
+                                               - k_sq / (2.0 * eps))
 
     per_eps = []
     for eps, (hit, acc) in zip(epsilon_list, sweep_epsilon(
-            problem, epsilon_list, rate_result.penalty_n, k_star.n_steps,
-            n_samples, seed, read, control=control)):
+            problem, epsilon_list, rate_result.penalty_n, k_star, n_samples,
+            seed, read)):
         p_hat, se = mean_and_std_error(acc)
         ess = kish_ess(acc)
         per_eps.append({
@@ -338,7 +336,7 @@ def mc_ldp_compare(problem: ProblemSpec, event: TargetEvent,
         })
     ok = [r for r in per_eps if r["reliable"]]
     report = {"per_epsilon": per_eps, "n_samples": int(n_samples),
-              "seed": int(seed), "importance": bool(use_importance)}
+              "seed": int(seed), "importance": bool(k_sq > 0.0)}
     if len(ok) >= 2:
         e = np.array([r["epsilon"] for r in ok])
         y = np.array([r["eps_log_p"] for r in ok])

@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -135,46 +134,35 @@ class Solution:
         return float(np.sqrt(dt * self.problem.grid.h * np.sum(post * pre)))
 
 
-def _check_control(problem: ProblemSpec, control: Optional[Control],
-                   n_steps: Optional[int]) -> Control:
-    if control is None:
-        if n_steps is None:
-            raise ValueError("give either a control or an explicit n_steps")
-        return zero_control(n_steps, problem.coefficients.n_modes, problem.horizon)
-    if n_steps is not None and control.n_steps != n_steps:
-        raise ValueError(f"control has {control.n_steps} steps, expected {n_steps}")
+def _check_control(problem: ProblemSpec, control: Control) -> None:
     if control.times[0] != 0.0 or abs(control.times[-1] - problem.horizon) \
             > 1e-12 * max(1.0, problem.horizon):
         raise ValueError("control mesh does not span the problem horizon")
     if control.n_modes != problem.coefficients.n_modes:
         raise ValueError("control mode count does not match the problem")
-    return control
 
 
-def _solve(problem: ProblemSpec, control: Optional[Control],
-           n_steps: Optional[int], n: float, **split) -> Solution:
-    control = _check_control(problem, control, n_steps)
+def _solve(problem: ProblemSpec, control: Control, **split) -> Solution:
+    _check_control(problem, control)
     res = march(problem, control.n_steps,
                 drive=control_drive(problem, control.values), **split)
     return Solution(Trajectory(control.times, res.traj, problem.grid),
                     Trajectory(control.times, res.density, problem.grid),
-                    n, control, problem)
+                    np.inf if res.project else res.penalty_n, control, problem)
 
 
-def solve_penalized(problem: ProblemSpec, control: Optional[Control],
-                    n: float, n_steps: Optional[int] = None) -> Solution:
+def solve_penalized(problem: ProblemSpec, control: Control,
+                    n: float) -> Solution:
     """Fixed-penalty march; the workhorse behind the skeleton limit."""
-    return _solve(problem, control, n_steps, n, penalty_n=n)
+    return _solve(problem, control, penalty_n=n)
 
 
-def solve_projected(problem: ProblemSpec, control: Optional[Control] = None,
-                    n_steps: Optional[int] = None) -> Solution:
+def solve_projected(problem: ProblemSpec, control: Control) -> Solution:
     """Projection-scheme march: the independent oracle for the same limit."""
-    return _solve(problem, control, n_steps, np.inf, project=True)
+    return _solve(problem, control, project=True)
 
 
-def solve_skeleton(problem: ProblemSpec, control: Optional[Control] = None,
-                   n_steps: Optional[int] = None, tol: float = 1e-3,
+def solve_skeleton(problem: ProblemSpec, control: Control, tol: float = 1e-3,
                    n0: float = N0_DEFAULT,
                    n_max: float = N_MAX_DEFAULT) -> Solution:
     """Penalty-parameter doubling until consecutive solutions are Cauchy.
@@ -186,7 +174,6 @@ def solve_skeleton(problem: ProblemSpec, control: Optional[Control] = None,
     if 2 * n0 > n_max:
         raise ValueError(f"n0={n0:g} leaves no doubling below n_max={n_max:g}; "
                          "need 2 * n0 <= n_max")
-    control = _check_control(problem, control, n_steps)
     prev = solve_penalized(problem, control, n0)
     n = n0
     history = []

@@ -2,8 +2,8 @@
 
 The noisy solution is the shared reversed-time march (`stepping.march`)
 under the drive of its Brownian increments, sqrt(eps) sum_j c_j dB^j per
-step (`stepping.noise_drive`), plus, when a control is present, the
-control's drive dt sum_j c_j k^j (`stepping.control_drive`).
+step (`stepping.noise_drive`), plus its control's drive dt sum_j c_j k^j
+(`stepping.control_drive`); plain noise is the zero control.
 This module draws the increments and streams batches of noisy marches;
 `sweep_epsilon`, one stream per eps, is the one Monte Carlo loop of the
 package.  The rare-event comparison reads its terminal states, condition
@@ -33,7 +33,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .problem import ProblemSpec
-from .skeleton import Control, solve_penalized
+from .skeleton import Control, _check_control, solve_penalized
 from .stepping import (MarchResult, control_drive, march, noise_drive,
                        noise_drive_std)
 
@@ -116,10 +116,9 @@ def condition_i_distance(problem: ProblemSpec, epsilon_list: Sequence[float],
     """
     _require_two_samples(n_samples)  # before the skeleton solve
     det = solve_penalized(problem, control, n)
-    sweep = sweep_epsilon(problem, epsilon_list, n, control.n_steps,
-                          n_samples, seed,
+    sweep = sweep_epsilon(problem, epsilon_list, n, control, n_samples, seed,
                           lambda eps, res, inc: (res.distances,),
-                          control=control, reference=det.traj.values)
+                          reference=det.traj.values)
     per_eps = []
     for eps, (d,) in zip(epsilon_list, sweep):
         mean, se = mean_and_std_error(d)
@@ -189,10 +188,10 @@ class ResponseTable:
         return mean + 4.0 * sd < self.limit
 
 
-def _response_table(problem: ProblemSpec, n: float, n_steps: int,
-                    control: Optional[Control]) -> Optional[ResponseTable]:
+def _response_table(problem: ProblemSpec, n: float,
+                    control: Control) -> Optional[ResponseTable]:
     """The response table of a `state_free` problem's noisy march under
-    `control` (zero when None), or None where it cannot be certified.
+    `control` on its mesh, or None where it cannot be certified.
 
     Two marches build it.  The penalized solve under the control (no
     noise) must keep a positive least gap to the barrier (`min_gap`), so
@@ -205,14 +204,15 @@ def _response_table(problem: ProblemSpec, n: float, n_steps: int,
     be at least sqrt(h) times the gap.  Every reach below the limit
     therefore proves the impulse march linear.
     """
-    base = solve_penalized(problem, control, n, n_steps=n_steps)
+    base = solve_penalized(problem, control, n)
     path = base.traj.values
     scale = 1.0 + np.max(np.abs(path))
     limit = np.sqrt(problem.grid.h) * (base.min_gap - RESPONSE_MARGIN * scale)
     if not limit > 0.0:
         return None
+    n_steps = control.n_steps
     rows = np.arange(n_steps)
-    drives = np.repeat(control_drive(problem, base.control.values)[None],
+    drives = np.repeat(control_drive(problem, control.values)[None],
                        n_steps, axis=0)
     drives[rows, rows] += 1.0
     kicked = march(problem, n_steps, penalty_n=n, drive=drives, store=False,
@@ -224,8 +224,7 @@ def _response_table(problem: ProblemSpec, n: float, n_steps: int,
 
 
 def _terminal_batch(problem: ProblemSpec, epsilon: float, n: float,
-                    n_steps: int, seed: int, values: Optional[np.ndarray],
-                    bounds: tuple,
+                    control: Control, seed: int, bounds: tuple,
                     reference: Optional[np.ndarray] = None,
                     table: Optional[ResponseTable] = None) -> tuple:
     """The noisy finals of the samples [lo, hi), and their increments.
@@ -237,10 +236,11 @@ def _terminal_batch(problem: ProblemSpec, epsilon: float, n: float,
     row with non-finite increments raises `DivergenceError` there.
     """
     lo, hi = bounds
+    n_steps = control.n_steps
     inc = sample_noise_batch(hi - lo, n_steps, problem.coefficients.n_modes,
                              problem.horizon / n_steps, seed, first_sample=lo)
     noise = noise_drive(problem, epsilon, inc)
-    base = 0.0 if values is None else control_drive(problem, values)
+    base = control_drive(problem, control.values)
     if table is None:
         return march(problem, n_steps, penalty_n=n, drive=base + noise,
                      store=False, reference=reference), inc
@@ -267,16 +267,16 @@ def _run_inherited(bounds: tuple) -> tuple:
 
 
 def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
-                           n_steps: int, n_samples: int, seed: int,
-                           control: Optional[Control] = None,
+                           control: Control, n_samples: int, seed: int,
                            reference: Optional[np.ndarray] = None,
                            table: Optional[ResponseTable] = None):
     """Generator of (unstored `MarchResult`, its noise increments) batches.
 
-    Streams Monte Carlo batches of `MC_BATCH` samples, in sample order,
-    without storing trajectories.  Each result holds the states at forward
-    time 0 (`final`) and, given a forward-ordered `reference` path, each
-    sample's path distance to it (`distances`).
+    Streams Monte Carlo batches of `MC_BATCH` samples, in sample order, on
+    the mesh of `control` and under its drive, without storing
+    trajectories.  Each result holds the states at forward time 0 (`final`)
+    and, given a forward-ordered `reference` path, each sample's path
+    distance to it (`distances`).
 
     Given a `table`, each sample it certifies takes its final from it and
     the others take the step march; with none (the default) every sample
@@ -287,14 +287,13 @@ def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
     stream ends, the batches not yet started are cancelled and the workers
     are joined.
     """
-    values = None if control is None else control.values
-    batch = functools.partial(_terminal_batch, problem, epsilon, n, n_steps,
-                              seed, values, reference=reference, table=table)
+    batch = functools.partial(_terminal_batch, problem, epsilon, n, control,
+                              seed, reference=reference, table=table)
     ranges = [(lo, min(lo + MC_BATCH, n_samples))
               for lo in range(0, n_samples, MC_BATCH)]
     workers = min(len(os.sched_getaffinity(0)), len(ranges))
     if table is not None and table.certifies_most(
-            noise_drive_std(problem, epsilon, n_steps)):
+            noise_drive_std(problem, epsilon, control.n_steps)):
         workers = 1  # a few step-marched rows do not pay for the pool
     if workers <= 1:
         yield from map(batch, ranges)
@@ -326,24 +325,26 @@ def mean_and_std_error(x: np.ndarray) -> tuple:
 
 
 def sweep_epsilon(problem: ProblemSpec, epsilon_list: Sequence[float],
-                  n: float, n_steps: int, n_samples: int, seed: int, read,
-                  control: Optional[Control] = None,
+                  n: float, control: Control, n_samples: int, seed: int, read,
                   reference: Optional[np.ndarray] = None):
     """Generator, per epsilon, of the reads of one terminal-state stream.
 
-    Stream i runs at epsilon_list[i] with seed + i, under `control` and
-    against `reference`.  `read(eps, result, increments)` maps each batch
-    to a tuple of per-sample arrays, concatenated in sample order.  A
-    response table applies to a `state_free` problem without a `reference`
-    whose samples outnumber the table's n_steps + 1 rows; it does not
-    depend on eps, so the sweep builds it at most once.
+    Stream i runs at epsilon_list[i] with seed + i, on the mesh of
+    `control` and under its drive, against `reference`.  The control is
+    checked against the problem once, before any march.
+    `read(eps, result, increments)` maps each batch to a tuple of
+    per-sample arrays, concatenated in sample order.  A response table
+    applies to a `state_free` problem without a `reference` whose samples
+    outnumber the table's n_steps + 1 rows; it does not depend on eps, so
+    the sweep builds it at most once.
     """
     _require_two_samples(n_samples)
-    table = (_response_table(problem, n, n_steps, control)
+    _check_control(problem, control)
+    table = (_response_table(problem, n, control)
              if problem.coefficients.state_free and reference is None
-             and n_samples > n_steps + 1 else None)
+             and n_samples > control.n_steps + 1 else None)
     for i_eps, eps in enumerate(epsilon_list):
         batches = [read(eps, res, inc) for res, inc in sample_terminal_states(
-            problem, eps, n, n_steps, n_samples, seed + i_eps,
-            control=control, reference=reference, table=table)]
+            problem, eps, n, control, n_samples, seed + i_eps,
+            reference=reference, table=table)]
         yield tuple(map(np.concatenate, zip(*batches)))

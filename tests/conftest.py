@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from obslab.families import heat_obstacle, linear_additive, quasilinear_full
+from obslab.skeleton import zero_control
+
+
+def zero(problem, n_steps):
+    """The zero control on `n_steps` steps of `problem`'s horizon: plain
+    noise, and the uncontrolled solve."""
+    return zero_control(n_steps, problem.coefficients.n_modes,
+                        problem.horizon)
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ from obslab.skeleton import (Control, constant_control, solve_penalized,
                              solve_projected, solve_skeleton)
 from obslab.spde import condition_i_distance
 
+from conftest import zero
 from test_ldp import least_norm_oracle
 from test_stepping import free_heat_problem, terminal_heat_solution, TERMINAL
 
@@ -38,16 +39,16 @@ def test_criterion_01_heat_equation_exactness():
     # The stopwatch covers set-up plus the 400-step solve only; bound 5 s.
     t0 = time.monotonic()
     prob = free_heat_problem(401, TERMINAL)
-    sol = solve_penalized(prob, None, 1e4, n_steps=400)
+    sol = solve_penalized(prob, zero(prob, 400), 1e4)
     elapsed = time.monotonic() - t0
     taus = prob.horizon - sol.traj.times
     ref_vals = terminal_heat_solution(prob.grid.x[None, :], taus[:, None])
     ref_vals[:, 0] = ref_vals[:, -1] = 0.0
     dist = ht_distance(sol.traj, Trajectory(sol.traj.times, ref_vals,
                                             prob.grid))
-    fine = solve_penalized(prob, None, 1e4, n_steps=1600)
-    errs = [np.max(np.abs(solve_penalized(prob, None, 1e4,
-                                          n_steps=n).traj.values[0]
+    fine = solve_penalized(prob, zero(prob, 1600), 1e4)
+    errs = [np.max(np.abs(solve_penalized(prob, zero(prob, n),
+                                          1e4).traj.values[0]
                           - fine.traj.values[0]))
             for n in (50, 100, 200)]
     orders = np.log(np.array(errs[:-1]) / errs[1:]) / np.log(2.0)
@@ -60,8 +61,7 @@ def test_criterion_01_heat_equation_exactness():
 def test_criterion_02_penalty_decay_rate():
     prob = heat_obstacle()
     ns = np.array([1e3, 1e4, 1e5, 1e6])
-    norms = np.array([solve_penalized(prob, None, n,
-                                      n_steps=200).penalty_l2
+    norms = np.array([solve_penalized(prob, zero(prob, 200), n).penalty_l2
                       for n in ns])
     exponent = float(-np.polyfit(np.log(ns), np.log(norms), 1)[0])
     scaled = ns * norms**2
@@ -77,8 +77,8 @@ def test_criterion_03_skeleton_matches_projection():
     for name, prob in (("heat", heat_obstacle()),
                        ("linear", linear_additive()),
                        ("quasilinear", quasilinear_full())):
-        sk = solve_skeleton(prob, None, n_steps=200, tol=1e-3)
-        proj = solve_projected(prob, None, n_steps=200)
+        sk = solve_skeleton(prob, zero(prob, 200), tol=1e-3)
+        proj = solve_projected(prob, zero(prob, 200))
         dists[name] = float(ht_distance(sk.traj, proj.traj))
     ok = all(d <= 2e-3 for d in dists.values())
     record(3, "skeleton vs projection",
@@ -91,8 +91,8 @@ def test_criterion_04_complementarity():
     # projection's dnu_p: its mass converges to nu_p's, and it charges no
     # set where the projected solution lies strictly above the barrier.
     prob = heat_obstacle()
-    proj = solve_projected(prob, None, n_steps=200)
-    sols = [solve_penalized(prob, None, n, n_steps=200)
+    proj = solve_projected(prob, zero(prob, 200))
+    sols = [solve_penalized(prob, zero(prob, 200), n)
             for n in (1e3, 1e4, 1e5)]
     dtdx = proj.traj.dt * prob.grid.h
     mass_p = float(np.sum(proj.barrier_density()))
@@ -139,7 +139,7 @@ def test_criterion_05_uniform_convergence_over_control_family():
 def test_criterion_06_weak_convergence_continuity():
     prob = linear_additive()
     k = constant_control(200, 1, prob.horizon, 1.0)
-    rep = condition_ii_test(prob, k, 1.0, [1, 2, 4, 8, 16])
+    rep = condition_ii_test(prob, k, 1.0, [1, 2, 4, 8, 16], penalty_n=1e4)
     ratio = rep["final_over_initial"]
     ok = rep["monotone_decreasing"] and ratio <= 0.25
     record(6, "oscillatory-control continuity",
@@ -165,15 +165,14 @@ def test_criterion_08_rate_vs_quadratic_program():
     prob = linear_additive()
     n_steps = 50
     shifted = solve_penalized(
-        prob, constant_control(n_steps, 1, prob.horizon, 1.2), 1e4,
-        n_steps=n_steps)
+        prob, constant_control(n_steps, 1, prob.horizon, 1.2), 1e4)
     event = TargetEvent(center=Field(shifted.traj.values[0], prob.grid),
                         radius=0.02)
     oracle = least_norm_oracle(prob, event, n_steps)
     res = minimize_rate(prob, event, n_steps=n_steps, penalty_n=1e4)
     rel = abs(res.rate - oracle) / oracle
 
-    base = solve_penalized(prob, None, 1e4, n_steps=n_steps)
+    base = solve_penalized(prob, zero(prob, n_steps), 1e4)
     self_event = TargetEvent(center=Field(base.traj.values[0], prob.grid),
                              radius=0.05)
     self_rate = minimize_rate(prob, self_event,
@@ -197,13 +196,12 @@ def test_criterion_09_ldp_monte_carlo_agreement():
     prob = linear_additive()
     n_steps = 50
     shifted = solve_penalized(
-        prob, constant_control(n_steps, 1, prob.horizon, 1.2), 1e4,
-        n_steps=n_steps)
+        prob, constant_control(n_steps, 1, prob.horizon, 1.2), 1e4)
     event = TargetEvent(center=Field(shifted.traj.values[0], prob.grid),
                         radius=0.02)
     rate = minimize_rate(prob, event, n_steps=n_steps, penalty_n=1e4)
     rep = mc_ldp_compare(prob, event, rate, [0.4, 0.2, 0.1, 0.05], 100000,
-                         seed=42, use_importance=True)
+                         seed=42)
     elapsed = time.monotonic() - t0
     rel = rep.get("relative_error", np.inf)
     ok = rel <= 0.25 and elapsed < 900
@@ -214,8 +212,9 @@ def test_criterion_09_ldp_monte_carlo_agreement():
 
 def test_criterion_10_bsde_and_star_identity():
     levels = ((50, 51), (100, 101), (200, 201), (400, 401))
-    sols = {ns: solve_penalized(quasilinear_full(n_nodes=nn), None, 1e4,
-                                n_steps=ns) for ns, nn in levels}
+    probs = {ns: quasilinear_full(n_nodes=nn) for ns, nn in levels}
+    sols = {ns: solve_penalized(prob, zero(prob, ns), 1e4)
+            for ns, prob in probs.items()}
     T = 0.3
     fine = sample_paths(3000, 400, T, Grid(-4.0, 4.0, 401), seed=11)
     res = np.array([bsde_residual(sols[ns], coarsen(fine, 400 // ns))

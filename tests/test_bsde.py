@@ -18,6 +18,7 @@ from obslab.grid import Bracket, Grid, GridMismatchError, Trajectory, \
 from obslab.skeleton import Control, solve_penalized, solve_projected
 from obslab.stepping import control_drive
 
+from conftest import zero
 from test_stepping import free_heat_problem
 
 
@@ -140,8 +141,8 @@ class TestChunkedDraw:
                     seed=12)
         J = lambda t, x: np.exp(-x**2)
         dJ = lambda t, x: -2.0 * x * np.exp(-x**2)
-        sol = solve_penalized(make_problem("linear_additive", n_nodes=51),
-                              None, 1e4, n_steps=20)
+        prob = make_problem("linear_additive", n_nodes=51)
+        sol = solve_penalized(prob, zero(prob, 20), 1e4)
         chunks = [sample_paths(**args), sample_paths(**{**args, **other})]
         with pytest.raises(GridMismatchError, match="time meshes or grids"):
             star_integral_check(J, dJ, chunks)
@@ -155,8 +156,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 def _level_solution(n_steps, n_nodes):
     """A level of the bundled `bsde_check`: quasilinear_full, zero
     control, penalty 1e4."""
-    return solve_penalized(quasilinear_full(n_nodes=n_nodes), None, 1e4,
-                           n_steps=n_steps)
+    prob = quasilinear_full(n_nodes=n_nodes)
+    return solve_penalized(prob, zero(prob, n_steps), 1e4)
 
 
 class TestStreamedResidual:
@@ -330,13 +331,13 @@ class TestBlockedReadOff:
     def test_residual_bits_match_per_step(self, family, overrides, modes,
                                           n_steps):
         prob = make_problem(family, n_nodes=51, **overrides)
-        control = None
+        control = zero(prob, n_steps)
         if modes is not None:
             values = np.zeros((n_steps, prob.coefficients.n_modes))
             values[:, :2] = modes
             control = Control(np.linspace(0.0, prob.horizon, n_steps + 1),
                               values)
-        sol = solve_penalized(prob, control, 1e4, n_steps=n_steps)
+        sol = solve_penalized(prob, control, 1e4)
         # a 2.5 box inside the grid's: about a third of the paths exit,
         # most of them inside a block
         ens = sample_paths(400, n_steps, prob.horizon, Grid(-2.5, 2.5, 51),
@@ -349,7 +350,7 @@ class TestBlockedReadOff:
 
     def test_residual_skips_a_block_with_no_alive_segment(self):
         prob = quasilinear_full(n_nodes=51, obstacle_amplitude=0.8)
-        sol = solve_penalized(prob, None, 1e4, n_steps=50)
+        sol = solve_penalized(prob, zero(prob, 50), 1e4)
         ens = _dead_from(sample_paths(400, 50, prob.horizon, prob.grid,
                                       seed=4), 20)
         # steps 32 ... 47 form one block, and no path is alive in it
@@ -359,7 +360,7 @@ class TestBlockedReadOff:
 
     def test_residual_of_no_alive_segment_rejected(self):
         prob = quasilinear_full(n_nodes=51)
-        sol = solve_penalized(prob, None, 1e4, n_steps=20)
+        sol = solve_penalized(prob, zero(prob, 20), 1e4)
         ens = _dead_from(sample_paths(40, 20, prob.horizon, prob.grid,
                                       seed=4), 1)
         with pytest.raises(ValueError, match="no surviving"):
@@ -385,7 +386,7 @@ class TestResidual:
         # layer away from the interior paths.
         one = lambda x: np.ones_like(np.asarray(x, dtype=float))
         prob = free_heat_problem(101, one, horizon=0.01)
-        sol = solve_penalized(prob, None, 1e4, n_steps=50)
+        sol = solve_penalized(prob, zero(prob, 50), 1e4)
         ens = sample_paths(200, 50, prob.horizon, prob.grid, seed=4)
         inner = np.all(np.abs(ens.paths) < 2.0, axis=1)
         ens_in = type(ens)(paths=ens.paths[inner], alive=ens.alive[inner],
@@ -398,7 +399,7 @@ class TestResidual:
         # larger curvature dominates.
         terminal = lambda x: 0.1 * np.exp(-np.asarray(x, dtype=float)**2 / 8.0)
         prob = free_heat_problem(201, terminal, horizon=0.5)
-        sol = solve_penalized(prob, None, 1e4, n_steps=200)
+        sol = solve_penalized(prob, zero(prob, 200), 1e4)
         ens = sample_paths(1000, 200, prob.horizon, prob.grid, seed=5)
         base = bsde_residual(sol, ens)
 
@@ -408,7 +409,7 @@ class TestResidual:
         assert bsde_residual(bad, ens) >= 5.0 * base
 
     def test_mesh_mismatch_rejected(self, linear_problem):
-        sol = solve_penalized(linear_problem, None, 1e4, n_steps=100)
+        sol = solve_penalized(linear_problem, zero(linear_problem, 100), 1e4)
         ens = sample_paths(10, 50, linear_problem.horizon,
                            linear_problem.grid, seed=6)
         with pytest.raises(ValueError):
@@ -417,15 +418,14 @@ class TestResidual:
     def test_projection_solution_rejected(self):
         # n = inf: the penalty term would read inf * 0 = NaN
         prob = quasilinear_full(n_nodes=51, obstacle_amplitude=0.8)
-        sol = solve_projected(prob, None, n_steps=50)
+        sol = solve_projected(prob, zero(prob, 50))
         ens = sample_paths(300, 50, prob.horizon, prob.grid, seed=0)
         with pytest.raises(ValueError, match="needs a penalized solution"):
             bsde_residual(sol, ens)
 
     def test_order_half_under_refinement(self):
         levels = ((50, 51), (100, 101), (200, 201), (400, 401))
-        sols = {ns: solve_penalized(quasilinear_full(n_nodes=nn), None, 1e4,
-                                    n_steps=ns) for ns, nn in levels}
+        sols = {ns: _level_solution(ns, nn) for ns, nn in levels}
         T = 0.3
         fine = sample_paths(3000, 400, T, Grid(-4.0, 4.0, 401), seed=11)
         res = np.array([bsde_residual(sols[ns], coarsen(fine, 400 // ns))

@@ -14,6 +14,8 @@ from obslab.grid import (Bracket, Grid, GridMismatchError, Trajectory,
                          laplacian_array, v_norm_sq_array)
 from obslab.skeleton import Control, solve_skeleton
 
+from conftest import zero
+
 
 def observed_order(errors, factors=2.0):
     e = np.asarray(errors, dtype=float)
@@ -190,7 +192,7 @@ class TestCsvRoundTrip:
 
     def test_csv_contract_on_a_skeleton(self, tmp_path):
         problem = make_problem("quasilinear_full", n_nodes=401)
-        traj = solve_skeleton(problem, n_steps=400).traj
+        traj = solve_skeleton(problem, zero(problem, 400)).traj
         assert_csv_contract(traj, tmp_path)
 
     @staticmethod

@@ -17,6 +17,8 @@ from obslab.skeleton import constant_control, solve_penalized, zero_control
 from obslab.spde import _response_table, sample_terminal_states
 from obslab.stepping import control_drive, march
 
+from conftest import zero
+
 
 def least_norm_oracle(problem, event, n_steps, penalty_n=1e4):
     """Direct quadratic-program solution of the terminal-ball least-norm task.
@@ -30,7 +32,7 @@ def least_norm_oracle(problem, event, n_steps, penalty_n=1e4):
     J = problem.coefficients.n_modes
     dt = problem.horizon / n_steps
     h = problem.grid.h
-    base = solve_penalized(problem, None, penalty_n, n_steps=n_steps)
+    base = solve_penalized(problem, zero(problem, n_steps), penalty_n)
     u0 = base.traj.values[0]
 
     dim = n_steps * J
@@ -39,8 +41,7 @@ def least_norm_oracle(problem, event, n_steps, penalty_n=1e4):
     for idx in range(dim):
         vals = np.zeros((n_steps, J))
         vals[idx // J, idx % J] = 1.0
-        sol = solve_penalized(problem, k.with_values(vals), penalty_n,
-                              n_steps=n_steps)
+        sol = solve_penalized(problem, k.with_values(vals), penalty_n)
         cols[:, idx] = sol.traj.values[0] - u0
     b = event.center.values - u0
     A_s = np.sqrt(h) * cols
@@ -179,7 +180,7 @@ def binding_event(n_steps):
     problem = quasilinear_full(n_nodes=101, obstacle_amplitude=0.8)
     generator = constant_control(n_steps, problem.coefficients.n_modes,
                                  problem.horizon, -2.0)
-    shifted = solve_penalized(problem, generator, 1e4, n_steps=n_steps)
+    shifted = solve_penalized(problem, generator, 1e4)
     event = TargetEvent(center=Field(shifted.traj.values[0], problem.grid),
                         radius=0.02)
     return problem, event, generator
@@ -275,7 +276,7 @@ class TestMinimizeRate:
         n_steps = 50
         shifted = solve_penalized(
             problem, constant_control(n_steps, 1, problem.horizon, 1.2),
-            1e4, n_steps=n_steps)
+            1e4)
         event = TargetEvent(center=Field(shifted.traj.values[0],
                                          problem.grid),
                             radius=0.02)
@@ -284,7 +285,7 @@ class TestMinimizeRate:
         return event, oracle, res
 
     def test_self_centered_event_has_zero_rate(self, problem):
-        base = solve_penalized(problem, None, 1e4, n_steps=50)
+        base = solve_penalized(problem, zero(problem, 50), 1e4)
         event = TargetEvent(center=Field(base.traj.values[0], problem.grid),
                             radius=0.05)
         res = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
@@ -293,7 +294,7 @@ class TestMinimizeRate:
 
     def test_start_inside_ball_is_one_march_and_no_solve(self, problem,
                                                           monkeypatch):
-        base = solve_penalized(problem, None, 1e4, n_steps=50)
+        base = solve_penalized(problem, zero(problem, 50), 1e4)
         event = TargetEvent(center=Field(base.traj.values[0], problem.grid),
                             radius=0.05)
         marches = []
@@ -405,8 +406,7 @@ class TestBindingBarrier:
 
     def test_barrier_binds_at_the_minimizer(self, solved):
         problem, _, _, res = solved
-        sol = solve_penalized(problem, res.minimizer, 1e4,
-                              n_steps=res.minimizer.n_steps)
+        sol = solve_penalized(problem, res.minimizer, 1e4)
         # the state dips below the obstacle, so the penalty density
         # n (u - L)^- exceeds 1 somewhere
         assert sol.min_gap < -1e-4
@@ -496,7 +496,8 @@ class TestAffineResponse:
 class TestConditionII:
     def test_distances_decay_with_frequency(self, linear_problem):
         k = constant_control(200, 1, linear_problem.horizon, 1.0)
-        rep = condition_ii_test(linear_problem, k, 1.0, [1, 2, 4, 8])
+        rep = condition_ii_test(linear_problem, k, 1.0, [1, 2, 4, 8],
+                                penalty_n=1e4)
         assert rep["monotone_decreasing"]
         witnesses = [r["witness_integral"] for r in rep["rows"]]
         assert all(a > b for a, b in zip(witnesses, witnesses[1:]))
@@ -504,7 +505,8 @@ class TestConditionII:
     def test_ball_violation_rejected(self, linear_problem):
         k = constant_control(100, 1, linear_problem.horizon, 1.0)
         with pytest.raises(ValueError):
-            condition_ii_test(linear_problem, k, 5.0, [1], norm_sq_bound=1.0)
+            condition_ii_test(linear_problem, k, 5.0, [1], penalty_n=1e4,
+                              norm_sq_bound=1.0)
 
     def test_ball_checked_before_any_solve(self, linear_problem,
                                            monkeypatch):
@@ -522,8 +524,16 @@ class TestConditionII:
         k = constant_control(200, 1, linear_problem.horizon, 1.0)
         with pytest.raises(ValueError, match="m=1 leaves the control ball"):
             condition_ii_test(linear_problem, k, 1.0, [1, 2, 4, 8, 16],
-                              norm_sq_bound=0.6)
+                              penalty_n=1e4, norm_sq_bound=0.6)
         assert solves == []
+
+
+def _plain(rate):
+    """`rate` with the zero control on its minimizer's mesh: under it, the
+    Monte Carlo comparison is plain Monte Carlo."""
+    k = rate.minimizer
+    return dataclasses.replace(
+        rate, minimizer=k.with_values(np.zeros_like(k.values)))
 
 
 class TestMcCompare:
@@ -533,7 +543,7 @@ class TestMcCompare:
         n_steps = 50
         shifted = solve_penalized(
             problem, constant_control(n_steps, 1, problem.horizon, 1.2),
-            1e4, n_steps=n_steps)
+            1e4)
         event = TargetEvent(center=Field(shifted.traj.values[0],
                                          problem.grid),
                             radius=0.02)
@@ -542,10 +552,9 @@ class TestMcCompare:
 
     def test_plain_and_importance_agree(self, setup):
         problem, event, rate, n_steps = setup
-        plain = mc_ldp_compare(problem, event, rate, [0.4], 4000, seed=1,
-                               use_importance=False)
-        weighted = mc_ldp_compare(problem, event, rate, [0.4], 4000, seed=2,
-                                  use_importance=True)
+        plain = mc_ldp_compare(problem, event, _plain(rate), [0.4], 4000,
+                               seed=1)
+        weighted = mc_ldp_compare(problem, event, rate, [0.4], 4000, seed=2)
         p1, s1 = (plain["per_epsilon"][0][k] for k in ("p_hat", "std_error"))
         p2, s2 = (weighted["per_epsilon"][0][k]
                   for k in ("p_hat", "std_error"))
@@ -554,10 +563,9 @@ class TestMcCompare:
     def test_importance_reduces_variance_when_rare(self, setup):
         problem, event, rate, n_steps = setup
         eps = 0.05
-        plain = mc_ldp_compare(problem, event, rate, [eps], 4000, seed=3,
-                               use_importance=False)
-        weighted = mc_ldp_compare(problem, event, rate, [eps], 4000, seed=4,
-                                  use_importance=True)
+        plain = mc_ldp_compare(problem, event, _plain(rate), [eps], 4000,
+                               seed=3)
+        weighted = mc_ldp_compare(problem, event, rate, [eps], 4000, seed=4)
         row_p = plain["per_epsilon"][0]
         row_w = weighted["per_epsilon"][0]
         assert row_w["p_hat"] < 1e-3
@@ -569,21 +577,41 @@ class TestMcCompare:
 
     def test_weight_health_per_epsilon(self, setup):
         problem, event, rate, n_steps = setup
-        for importance in (False, True):
-            rep = mc_ldp_compare(problem, event, rate, [0.4], 1000, seed=6,
-                                 use_importance=importance)
+        for sampled in (_plain(rate), rate):
+            rep = mc_ldp_compare(problem, event, sampled, [0.4], 1000, seed=6)
             row = rep["per_epsilon"][0]
             assert row["hits"] > 0
             # (sum w)^2 <= hits * sum w^2, with equality for 0/1 weights
             assert 1.0 <= row["ess"] <= row["hits"] * (1 + 1e-12)
             assert 1.0 / row["hits"] <= row["max_weight_share"] <= 1.0
-            if not importance:
-                assert row["ess"] == pytest.approx(row["hits"], rel=1e-12)
+
+    def test_zero_drift_is_plain_monte_carlo_exactly(self, setup):
+        # under the zero control every likelihood ratio is exp(0) = 1, so
+        # the weights are the 0/1 hit indicators of the stream
+        problem, event, rate, _ = setup
+        eps_list, n, seed = [0.4, 0.2, 0.05], 10000, 6
+        plain = _plain(rate)
+        report = mc_ldp_compare(problem, event, plain, eps_list, n, seed)
+        assert report["importance"] is False
+        assert report["per_epsilon"][0]["hits"] > 0
+        table = _response_table(problem, 1e4, plain.minimizer)
+        for i_eps, (eps, row) in enumerate(zip(eps_list,
+                                               report["per_epsilon"])):
+            results, _ = zip(*sample_terminal_states(
+                problem, eps, 1e4, plain.minimizer, n, seed + i_eps,
+                table=table))
+            hit = event.contains_final(
+                np.concatenate([res.final for res in results]))
+            assert row["hits"] == np.count_nonzero(hit)
+            assert row["p_hat"] == row["hits"] / n
+            assert row["ess"] == row["hits"]
+            assert row["std_error"] == float(
+                np.std(hit.astype(float), ddof=1) / np.sqrt(n))
 
     def test_one_hit_is_not_reliable(self, setup):
         # plain Monte Carlo at eps = 0.05 (p about 9e-5) sees a single hit
         problem, event, rate, _ = setup
-        row = mc_ldp_compare(problem, event, rate, [0.05], 10000,
+        row = mc_ldp_compare(problem, event, _plain(rate), [0.05], 10000,
                              seed=2)["per_epsilon"][0]
         assert row["hits"] == 1 and row["ess"] == 1.0
         assert row["eps_log_p"] is not None
@@ -599,8 +627,8 @@ class TestMcCompare:
         k = rate.minimizer
         overshoot = dataclasses.replace(
             rate, minimizer=k.with_values(2.0 * k.values))
-        row, = mc_ldp_compare(problem, wide, overshoot, [0.1], 1000, seed=1,
-                              use_importance=True)["per_epsilon"]
+        row, = mc_ldp_compare(problem, wide, overshoot, [0.1], 1000,
+                              seed=1)["per_epsilon"]
         assert row["hits"] >= RELIABLE_ESS
         assert row["ess"] < RELIABLE_ESS
         assert row["reliable"] is False
@@ -613,15 +641,14 @@ class TestMcCompare:
         # exact likelihood ratio, and the weights summed as they are
         problem, event, rate, n_steps = setup
         eps_list, n, seed = [0.4, 0.05], 10000, 42
-        report = mc_ldp_compare(problem, event, rate, eps_list, n, seed,
-                                use_importance=importance)
-        k = rate.minimizer if importance else None
-        table = _response_table(problem, 1e4, n_steps, k)
+        rate = rate if importance else _plain(rate)
+        report = mc_ldp_compare(problem, event, rate, eps_list, n, seed)
+        k = rate.minimizer
+        table = _response_table(problem, 1e4, k)
         for i_eps, (eps, row) in enumerate(zip(eps_list,
                                                report["per_epsilon"])):
             results, incs = zip(*sample_terminal_states(
-                problem, eps, 1e4, n_steps, n, seed + i_eps, control=k,
-                table=table))
+                problem, eps, 1e4, k, n, seed + i_eps, table=table))
             hit = event.contains_final(
                 np.concatenate([res.final for res in results]))
             w = hit.astype(float)
@@ -644,19 +671,19 @@ class TestMcCompare:
         assert rate.feasible and rate.penalty_n == 1e3
         swept = []
 
-        def recorded(problem, epsilon_list, penalty_n, n_steps, *args,
+        def recorded(problem, epsilon_list, penalty_n, control, *args,
                      **kwargs):
-            swept.append((n_steps, penalty_n))
+            swept.append((control.n_steps, penalty_n))
             return iter(())
 
         monkeypatch.setattr(obslab.ldp, "sweep_epsilon", recorded)
-        mc_ldp_compare(problem, event, rate, [0.4], 100, seed=0,
-                       use_importance=importance)
+        mc_ldp_compare(problem, event, rate if importance else _plain(rate),
+                       [0.4], 100, seed=0)
         assert swept == [(100, 1e3)]
 
     def test_whole_space_event_probability_one(self, setup):
         problem, _, _, n_steps = setup
-        base = solve_penalized(problem, None, 1e4, n_steps=n_steps)
+        base = solve_penalized(problem, zero(problem, n_steps), 1e4)
         everything = TargetEvent(center=Field(base.traj.values[0],
                                               problem.grid),
                                  radius=1e6)
@@ -702,11 +729,10 @@ class TestKishEss:
         # hit's weight is below 1e-162, where the squares underflow to 0
         problem = linear_additive()
         shifted = solve_penalized(
-            problem, constant_control(50, 1, problem.horizon, 1.2), 1e4,
-            n_steps=50)
+            problem, constant_control(50, 1, problem.horizon, 1.2), 1e4)
         event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
         rate = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
-        row, = mc_ldp_compare(problem, event, rate, [7e-4], 2000, seed=1,
-                              use_importance=True)["per_epsilon"]
+        row, = mc_ldp_compare(problem, event, rate, [7e-4], 2000,
+                              seed=1)["per_epsilon"]
         assert 0.0 < row["p_hat"] < 1e-162
         assert 1.0 <= row["ess"] <= row["hits"]

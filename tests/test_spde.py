@@ -22,6 +22,8 @@ from obslab.spde import (MC_BATCH, NOISE_BLOCK, _response_table,
 from obslab.stepping import (DivergenceError, control_drive, march,
                              noise_drive, noise_drive_std)
 
+from conftest import zero
+
 
 class TestNoiseSampling:
     def test_single_path_shape_and_scale(self):
@@ -47,8 +49,7 @@ class TestNoiseSampling:
     def test_stream_draws_each_block_once(self, path, monkeypatch):
         # the step-march stream runs serially here, so that its draws are
         # seen; three blocks, the last one ragged
-        problem, n_steps, k = (_forking_case() if path == "step"
-                               else (linear_additive(), 50, None))
+        problem, _, k = _forking_case() if path == "step" else _plain_case()
         _cores(monkeypatch, 1)
         drawn = []
         block_normals = obslab.spde._block_normals
@@ -60,8 +61,7 @@ class TestNoiseSampling:
         monkeypatch.setattr(obslab.spde, "_block_normals", counted)
         built = _built_tables(monkeypatch)
         n = 2 * NOISE_BLOCK + 17
-        list(sweep_epsilon(problem, [0.2], 1e4, n_steps, n, 11, _finals,
-                           control=k))
+        list(sweep_epsilon(problem, [0.2], 1e4, k, n, 11, _finals))
         assert [table is None for table in built] == \
             ([] if path == "step" else [False])
         assert drawn == [(11, 0), (11, 1), (11, 2)]
@@ -72,7 +72,7 @@ class TestDegenerateCoupling:
         noise = sample_noise(100, 1, linear_problem.horizon / 100, seed=2)
         sto = march(linear_problem, 100, penalty_n=1e4,
                     drive=noise_drive(linear_problem, 0.0, noise.increments))
-        det = solve_penalized(linear_problem, None, 1e4, n_steps=100)
+        det = solve_penalized(linear_problem, zero(linear_problem, 100), 1e4)
         assert np.array_equal(sto.traj, det.traj.values)
 
     def test_zero_noise_shape_ignores_seed(self, heat_problem):
@@ -90,8 +90,9 @@ class TestVarianceScaling:
     def terminal_samples(self, linear_problem):
         def batch(eps, seed):
             outs = []
-            for res, _ in sample_terminal_states(linear_problem, eps, 1e4,
-                                                 50, 2000, seed):
+            for res, _ in sample_terminal_states(
+                    linear_problem, eps, 1e4, zero(linear_problem, 50), 2000,
+                    seed):
                 outs.append(res.final)
             return np.concatenate(outs)
         return batch
@@ -161,10 +162,10 @@ class TestConditionI:
         prob = quasilinear_full(n_nodes=101)
         k = constant_control(n_steps, prob.coefficients.n_modes,
                              prob.horizon, -1.0)
-        skeleton = solve_penalized(prob, k, 1e4, n_steps=n_steps)
+        skeleton = solve_penalized(prob, k, 1e4)
         streamed = np.concatenate([
             res.distances for res, _ in sample_terminal_states(
-                prob, eps, 1e4, n_steps, n, seed, control=k,
+                prob, eps, 1e4, k, n, seed,
                 reference=skeleton.traj.values)])
         inc = sample_noise_batch(n, n_steps, prob.coefficients.n_modes,
                                  prob.horizon / n_steps, seed)
@@ -213,6 +214,32 @@ class TestConditionI:
                            seed=0)
 
 
+class TestSweepControl:
+    @pytest.mark.parametrize("wrong, message", [
+        # unchecked, the march would step at 0.3/20 while the control's dt
+        # reads 1/20
+        ("horizon", "control mesh does not span the problem horizon"),
+        # unchecked, one mode on the four-mode family fails only inside a
+        # batch, as numpy's matmul error (from a forked worker at 3000
+        # samples)
+        ("modes", "control mode count does not match the problem"),
+    ])
+    def test_control_checked_before_any_march(self, wrong, message,
+                                              monkeypatch):
+        problem = quasilinear_full(n_nodes=101)
+        k = (zero_control(20, 4, 1.0) if wrong == "horizon"
+             else zero_control(20, 1, problem.horizon))
+
+        def no_march(*args, **kwargs):
+            pytest.fail("a march started before the control check")
+
+        for module in (obslab.spde, obslab.skeleton):
+            monkeypatch.setattr(module, "march", no_march)
+        monkeypatch.setattr(obslab.spde, "sample_noise_batch", no_march)
+        with pytest.raises(ValueError, match=message):
+            list(sweep_epsilon(problem, [0.2], 1e4, k, 3000, 0, _finals))
+
+
 class TestResponseTable:
     """A final-state stream on a `state_free` problem evaluates the samples
     its response table certifies as base + D G, and marches the rest."""
@@ -242,18 +269,18 @@ class TestResponseTable:
                                          monkeypatch):
         problem = linear_additive()
         k = constant_control(50, 1, problem.horizon, 1.2) if controlled \
-            else None
+            else zero(problem, 50)
         calls = self._counted_marches(monkeypatch)
-        table = _response_table(problem, 1e4, 50, k)
+        table = _response_table(problem, 1e4, k)
         results, incs = zip(*sample_terminal_states(
-            problem, eps, 1e4, 50, self.N, 5, control=k, table=table))
+            problem, eps, 1e4, k, self.N, 5, table=table))
         # the table's two noise-free marches, and no step march
         assert calls == [True, True]
         inc = np.concatenate(incs)
         assert np.array_equal(inc, sample_noise_batch(
             self.N, 50, 1, problem.horizon / 50, 5))
         drive = noise_drive(problem, eps, inc)
-        if k is not None:
+        if controlled:
             drive = control_drive(problem, k.values) + drive
         direct = march(problem, 50, penalty_n=1e4, drive=drive, store=False)
         finals = np.concatenate([res.final for res in results])
@@ -271,17 +298,17 @@ class TestResponseTable:
                                                   monkeypatch):
         problem = self._weighted([0.6, 0.8])
         k = constant_control(50, 2, problem.horizon, 1.2) if controlled \
-            else None
+            else zero(problem, 50)
         calls = self._counted_marches(monkeypatch)
-        table = _response_table(problem, 1e4, 50, k)
+        table = _response_table(problem, 1e4, k)
         assert table is not None
         results, incs = zip(*sample_terminal_states(
-            problem, 0.4, 1e4, 50, self.N, 5, control=k, table=table))
+            problem, 0.4, 1e4, k, self.N, 5, table=table))
         assert calls == [True, True]  # every row read from the table
         inc = np.concatenate(incs)
         assert inc.shape == (self.N, 50, 2)
         drive = noise_drive(problem, 0.4, inc)
-        if k is not None:
+        if controlled:
             drive = control_drive(problem, k.values) + drive
         direct = march(problem, 50, penalty_n=1e4, drive=drive, store=False)
         finals = np.concatenate([res.final for res in results])
@@ -292,12 +319,13 @@ class TestResponseTable:
         # no noise reaches the state: the table is built all the same, and
         # its finals, like the step march's, are the base
         problem = self._weighted([0.0])
-        base = solve_penalized(problem, None, 1e4, n_steps=50).traj.values[0]
-        table = _response_table(problem, 1e4, 50, None)
+        k = zero(problem, 50)
+        base = solve_penalized(problem, k, 1e4).traj.values[0]
+        table = _response_table(problem, 1e4, k)
         assert table is not None
         _cores(monkeypatch, 1)
         for given in (table, None):
-            finals, _ = _stream(problem, 50, self.N, table=given)
+            finals, _ = _stream(problem, k, self.N, table=given)
             assert np.array_equal(finals, np.broadcast_to(base, finals.shape))
 
     def test_uncertified_rows_take_the_step_march(self, monkeypatch):
@@ -317,8 +345,9 @@ class TestResponseTable:
 
         monkeypatch.setattr(obslab.spde, "sample_noise_batch", boosted)
         calls = self._counted_marches(monkeypatch)
-        table = _response_table(problem, 1e4, 50, None)
-        results, incs = zip(*sample_terminal_states(problem, eps, 1e4, 50,
+        k = zero(problem, 50)
+        table = _response_table(problem, 1e4, k)
+        results, incs = zip(*sample_terminal_states(problem, eps, 1e4, k,
                                                     self.N, 5, table=table))
         assert calls == [True, True, False, False]  # one step march a range
         inc = np.concatenate(incs)
@@ -337,7 +366,7 @@ class TestResponseTable:
     def test_certifies_most_matches_the_certified_share(self, eps, most):
         problem = linear_additive()
         dt = problem.horizon / 50
-        table = _response_table(problem, 1e4, 50, None)
+        table = _response_table(problem, 1e4, zero(problem, 50))
         _, certified = table.finals(noise_drive(
             problem, eps, sample_noise_batch(4096, 50, 1, dt, 3)))
         assert table.certifies_most(
@@ -347,8 +376,7 @@ class TestResponseTable:
     def test_sweep_in_eps_builds_one_table(self, monkeypatch):
         problem = linear_additive()
         shifted = solve_penalized(
-            problem, constant_control(50, 1, problem.horizon, 1.2), 1e4,
-            n_steps=50)
+            problem, constant_control(50, 1, problem.horizon, 1.2), 1e4)
         event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
         rate = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
         built = _built_tables(monkeypatch)
@@ -363,7 +391,8 @@ class TestResponseTable:
         assert len(built) == 1
         assert len(report["per_epsilon"]) == 3
         # the least sample count that pays for the table's 51 rows
-        list(sweep_epsilon(problem, [0.4, 0.2], 1e4, 50, 52, 3, _finals))
+        list(sweep_epsilon(problem, [0.4, 0.2], 1e4, zero(problem, 50), 52, 3,
+                           _finals))
         assert len(built) == 2
 
     def test_non_finite_noise_raises_from_the_step_march(self, monkeypatch):
@@ -372,9 +401,9 @@ class TestResponseTable:
                             lambda n, *a, **kw: np.full((n, 50, 1), np.nan))
         calls = self._counted_marches(monkeypatch)
         problem = linear_additive()
+        k = zero(problem, 50)
         with pytest.raises(DivergenceError):
-            _stream(problem, 50, self.N,
-                    table=_response_table(problem, 1e4, 50, None))
+            _stream(problem, k, self.N, table=_response_table(problem, 1e4, k))
         assert calls == [True, True, False]
 
     @pytest.mark.parametrize("problem", [
@@ -386,10 +415,11 @@ class TestResponseTable:
     ], ids=["heat_obstacle", "near_barrier"])
     def test_no_table_where_it_cannot_be_certified(self, problem,
                                                    monkeypatch):
-        assert _response_table(problem, 1e4, 50, None) is None
+        k = zero(problem, 50)
+        assert _response_table(problem, 1e4, k) is None
         _cores(monkeypatch, 1)
         # the sweep tries the table, gets none, and marches every sample
-        [(finals, inc)] = sweep_epsilon(problem, [0.2], 1e4, 50, self.N, 11,
+        [(finals, inc)] = sweep_epsilon(problem, [0.2], 1e4, k, self.N, 11,
                                         lambda eps, res, inc: (res.final, inc))
         direct = march(problem, 50, penalty_n=1e4,
                        drive=noise_drive(problem, 0.2, inc),
@@ -402,20 +432,18 @@ class TestResponseTable:
         "state_dependent",  # the march is not affine in its drive
     ])
     def test_no_table_where_it_does_not_apply(self, case, monkeypatch):
-        problem, n_steps, control = linear_additive(), 50, None
+        problem, n_steps, control = _plain_case()
         n_samples = n_steps + 1 if case == "few_samples" else self.N
         if case == "state_dependent":
-            problem, n_steps, control = _forking_case()
+            problem, _, control = _forking_case()
         monkeypatch.setattr(obslab.spde, "_response_table",
                             lambda *a, **kw: pytest.fail("table built"))
         reference = None
         if case == "reference":
-            reference = solve_penalized(problem, None, 1e4,
-                                        n_steps=n_steps).traj.values
+            reference = solve_penalized(problem, control, 1e4).traj.values
         _cores(monkeypatch, 1)
-        [(finals,)] = sweep_epsilon(problem, [0.2], 1e4, n_steps, n_samples,
-                                    5, _finals, control=control,
-                                    reference=reference)
+        [(finals,)] = sweep_epsilon(problem, [0.2], 1e4, control, n_samples,
+                                    5, _finals, reference=reference)
         assert len(finals) == n_samples
 
 
@@ -423,6 +451,12 @@ def _forking_case():
     """A stream that runs on the pool: its coefficients read the state."""
     problem = quasilinear_full(n_nodes=101)
     return problem, 20, constant_control(20, 4, problem.horizon, -1.0)
+
+
+def _plain_case():
+    """A plain-noise stream whose finals a response table can read."""
+    problem = linear_additive()
+    return problem, 50, zero(problem, 50)
 
 
 def _finals(eps, res, inc):
@@ -449,9 +483,9 @@ def _cores(monkeypatch, count):
                         lambda pid: set(range(count)))
 
 
-def _stream(problem, n_steps, n_samples, **kw):
+def _stream(problem, control, n_samples, **kw):
     """Concatenated (finals, increments) of one terminal-state stream."""
-    results, incs = zip(*sample_terminal_states(problem, 0.2, 1e4, n_steps,
+    results, incs = zip(*sample_terminal_states(problem, 0.2, 1e4, control,
                                                 n_samples, 11, **kw))
     return (np.concatenate([res.final for res in results]),
             np.concatenate(incs))
@@ -477,56 +511,55 @@ class TestWorkers:
     @pytest.fixture(params=["linear_additive", "linear_additive_table",
                             "quasilinear_full"])
     def case(self, request):
-        """(problem, n_steps, stream keywords); the table case takes every
+        """(problem, control, stream keywords); the table case takes every
         certified final from the response table."""
         if request.param == "linear_additive":
-            return linear_additive(), 50, {}
+            problem, _, k = _plain_case()
+            return problem, k, {}
         if request.param == "linear_additive_table":
-            problem = linear_additive()
-            table = _response_table(problem, 1e4, 50, None)
+            problem, _, k = _plain_case()
+            table = _response_table(problem, 1e4, k)
             assert table is not None
-            return problem, 50, {"table": table}
-        problem = quasilinear_full(n_nodes=101)
-        return problem, 20, {"control": constant_control(
-            20, 4, problem.horizon, -1.0)}
+            return problem, k, {"table": table}
+        problem, _, k = _forking_case()
+        return problem, k, {}
 
     @pytest.mark.parametrize("cores", [2, 3])
     def test_forked_matches_serial(self, case, cores, monkeypatch):
-        problem, n_steps, kw = case
+        problem, control, kw = case
         _cores(monkeypatch, cores)
-        forked = _stream(problem, n_steps, self.N, **kw)
+        forked = _stream(problem, control, self.N, **kw)
         _cores(monkeypatch, 1)
-        serial = _stream(problem, n_steps, self.N, **kw)
+        serial = _stream(problem, control, self.N, **kw)
         assert np.array_equal(forked[0], serial[0])
         assert np.array_equal(forked[1], serial[1])
 
     def test_batch_size_leaves_finals_unchanged(self, case, monkeypatch):
-        problem, n_steps, kw = case
+        problem, control, kw = case
         assert MC_BATCH < 2048
         n = 2048 + 100
-        small = _stream(problem, n_steps, n, **kw)
+        small = _stream(problem, control, n, **kw)
         _cores(monkeypatch, 1)
         monkeypatch.setattr(obslab.spde, "MC_BATCH", 2048)
-        large = _stream(problem, n_steps, n, **kw)
+        large = _stream(problem, control, n, **kw)
         assert np.array_equal(small[0], large[0])
         assert np.array_equal(small[1], large[1])
         # one-row ranges, where a plain matrix product takes another path
         monkeypatch.setattr(obslab.spde, "MC_BATCH", 1)
-        single = _stream(problem, n_steps, 5, **kw)
+        single = _stream(problem, control, 5, **kw)
         assert np.array_equal(small[0][:5], single[0])
         assert np.array_equal(small[1][:5], single[1])
 
     def test_mc_compare_report_unchanged(self, monkeypatch):
         problem = linear_additive()
         shifted = solve_penalized(
-            problem, constant_control(50, 1, problem.horizon, 1.2), 1e4,
-            n_steps=50)
+            problem, constant_control(50, 1, problem.horizon, 1.2), 1e4)
         event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
         rate = minimize_rate(problem, event, n_steps=50, penalty_n=1e4)
 
         def report():
             return mc_ldp_compare(problem, event, rate, [0.4, 0.2], self.N,
-                                  seed=3, use_importance=True)
+                                  seed=3)
 
         _cores(monkeypatch, 2)
         forked = report()
@@ -565,11 +598,11 @@ class TestWorkers:
     def test_mostly_uncertified_stream_forks(self, monkeypatch):
         # at eps = 4 the table certifies about a quarter of the samples:
         # the stream runs on the pool, the workers use the table too
-        problem, eps = linear_additive(), 4.0
-        table = _response_table(problem, 1e4, 50, None)
+        (problem, _, k), eps = _plain_case(), 4.0
+        table = _response_table(problem, 1e4, k)
         assert not table.certifies_most(noise_drive_std(problem, eps, 50))
         _cores(monkeypatch, 2)
-        stream = sample_terminal_states(problem, eps, 1e4, 50, self.N, 11,
+        stream = sample_terminal_states(problem, eps, 1e4, k, self.N, 11,
                                         table=table)
         first = [next(stream)]
         assert multiprocessing.active_children() != []  # the workers are live
@@ -580,7 +613,7 @@ class TestWorkers:
         _, certified = table.finals(noise)
         assert 0.1 < certified.mean() < 0.5
         _cores(monkeypatch, 1)
-        results, _ = zip(*sample_terminal_states(problem, eps, 1e4, 50,
+        results, _ = zip(*sample_terminal_states(problem, eps, 1e4, k,
                                                  self.N, 11, table=table))
         assert np.array_equal(forked,
                               np.concatenate([res.final for res in results]))
@@ -590,37 +623,36 @@ class TestWorkers:
         assert np.max(np.abs(forked - direct)) <= 1e-12
 
     def test_no_worker_left_after_a_full_stream(self, monkeypatch):
-        problem, n_steps, k = _forking_case()
+        problem, _, k = _forking_case()
         _cores(monkeypatch, 2)
-        _stream(problem, n_steps, self.N, control=k)
+        _stream(problem, k, self.N)
         assert multiprocessing.active_children() == []
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        problem, n_steps, k = _forking_case()
+        problem, _, k = _forking_case()
         _cores(monkeypatch, 2)
         monkeypatch.setattr(obslab.spde, "sample_noise_batch",
                             lambda n, steps, modes, *a, **kw:
                             np.full((n, steps, modes), np.nan))
         with pytest.raises(DivergenceError):
-            _stream(problem, n_steps, self.N, control=k)
+            _stream(problem, k, self.N)
         assert multiprocessing.active_children() == []
 
     def test_worker_that_dies_without_raising_ends_the_stream(
             self, monkeypatch):
         # a stream that forks: in-process, os._exit would end pytest itself
-        problem, n_steps, k = _forking_case()
+        problem, _, k = _forking_case()
         _cores(monkeypatch, 2)
         monkeypatch.setattr(obslab.spde, "sample_noise_batch",
                             lambda *a, **kw: os._exit(3))
         with pytest.raises(BrokenProcessPool):
-            _stream(problem, n_steps, self.N, control=k)
+            _stream(problem, k, self.N)
         assert multiprocessing.active_children() == []
 
     def test_no_worker_left_after_an_early_close(self, monkeypatch):
-        problem, n_steps, k = _forking_case()
+        problem, _, k = _forking_case()
         _cores(monkeypatch, 2)
-        stream = sample_terminal_states(problem, 0.2, 1e4, n_steps, self.N,
-                                        11, control=k)
+        stream = sample_terminal_states(problem, 0.2, 1e4, k, self.N, 11)
         next(stream)
         assert multiprocessing.active_children() != []  # the workers are live
         stream.close()

@@ -18,6 +18,8 @@ from obslab.stepping import (DivergenceError, StabilityError, control_drive,
                              control_gradient, march, march_adjoint,
                              noise_drive, noise_drive_std, stability_limit)
 
+from conftest import zero
+
 
 def _const_obstacle(level):
     return lambda t, x: np.full_like(np.asarray(x, dtype=float), level)
@@ -70,7 +72,7 @@ def terminal_heat_solution(x, tau):
 class TestHeatOracle:
     def test_matches_quadrature(self):
         prob = free_heat_problem(401, TERMINAL)
-        sol = solve_penalized(prob, None, 1e4, n_steps=400)
+        sol = solve_penalized(prob, zero(prob, 400), 1e4)
         times = sol.traj.times
         ref_vals = np.array([heat_kernel_solution(prob.grid, TERMINAL,
                                                   prob.horizon - t)
@@ -93,10 +95,10 @@ class TestHeatOracle:
         # self-convergence at fixed grid, where Crank-Nicolson shows its
         # second order cleanly.
         prob = free_heat_problem(401, TERMINAL)
-        fine = solve_penalized(prob, None, 1e4, n_steps=1600)
+        fine = solve_penalized(prob, zero(prob, 1600), 1e4)
         errs = []
         for n_steps in (50, 100, 200):
-            sol = solve_penalized(prob, None, 1e4, n_steps=n_steps)
+            sol = solve_penalized(prob, zero(prob, n_steps), 1e4)
             errs.append(np.max(np.abs(sol.traj.values[0]
                                       - fine.traj.values[0])))
         orders = np.log(np.array(errs[:-1]) / errs[1:]) / np.log(2.0)
@@ -128,7 +130,7 @@ class TestGuards:
 
     def test_penalty_pushes_above_barrier(self):
         prob = heat_obstacle()
-        sol = solve_penalized(prob, None, 1e4, n_steps=200)
+        sol = solve_penalized(prob, zero(prob, 200), 1e4)
         assert float(np.min(sol.traj.values[:-1])) >= -0.05
         assert np.max(sol.density.values) > 0.0
 
@@ -537,12 +539,13 @@ class TestPinnedNodes:
     def test_penalty_density_is_zero_on_the_boundary(self):
         prob = quasilinear_full()
         assert prob.obstacle_values(0.0)[0] > 0.0   # about 3.8e-15
-        sol = solve_penalized(prob, None, 1e4, n_steps=200)
+        sol = solve_penalized(prob, zero(prob, 200), 1e4)
         assert np.max(sol.density.values[:, 1:-1]) > 0.0
         assert not np.any(sol.density.values[:, [0, -1]])
 
     def test_projected_min_gap_is_nonnegative(self):
-        sol = solve_projected(quasilinear_full(), None, n_steps=200)
+        prob = quasilinear_full()
+        sol = solve_projected(prob, zero(prob, 200))
         assert not np.any(sol.density.values[:, [0, -1]])
         assert sol.min_gap >= 0.0
 

@@ -99,7 +99,7 @@ def _rate(family: str, overrides: dict, control: float, n_steps: int):
     problem = make_problem(family, **overrides)
     k = constant_control(n_steps, problem.coefficients.n_modes,
                          problem.horizon, control)
-    shifted = solve_penalized(problem, k, 1e4, n_steps=n_steps)
+    shifted = solve_penalized(problem, k, 1e4)
     event = TargetEvent(Field(shifted.traj.values[0], problem.grid), 0.02)
 
     def call():
@@ -138,11 +138,12 @@ def _residual(n_steps: int, n_nodes: int):
     the ensemble it reads: the finest mesh's paths, coarsened in time."""
     from obslab.bsde import bsde_residual, coarsen, sample_paths
     from obslab.families import make_problem
-    from obslab.skeleton import solve_penalized
+    from obslab.skeleton import solve_penalized, zero_control
     base = make_problem("quasilinear_full")
     fine = sample_paths(3000, 400, base.horizon, base.grid, 11)
     sol = solve_penalized(make_problem("quasilinear_full", n_nodes=n_nodes),
-                          None, 1e4, n_steps=n_steps)
+                          zero_control(n_steps, base.coefficients.n_modes,
+                                       base.horizon), 1e4)
     ensemble = coarsen(fine, 400 // n_steps)
     return lambda: bsde_residual(sol, ensemble)
 
@@ -279,19 +280,21 @@ def _step_phases():
 
 def _mc_batch(kind: str):
     """One 1024-row Monte Carlo batch (`spde._terminal_batch`,
-    linear_additive, no control, eps `EPS`, its noise drawn) by the step
+    linear_additive, zero control, eps `EPS`, its noise drawn) by the step
     march or from a response table, or the table's build."""
     from obslab.families import linear_additive
+    from obslab.skeleton import zero_control
     from obslab.spde import _response_table, _terminal_batch
     mc = linear_additive()
+    zero = zero_control(STEPS, 1, mc.horizon)
     if kind == "response_table_build":
-        return lambda: _response_table(mc, 1e4, STEPS, None)
+        return lambda: _response_table(mc, 1e4, zero)
     table = None
     if kind == "response":
-        table = _response_table(mc, 1e4, STEPS, None)
+        table = _response_table(mc, 1e4, zero)
         if table is None:
             raise RuntimeError("the response table is not certified")
-    return lambda: _terminal_batch(mc, EPS, 1e4, STEPS, 0, None, (0, 1024),
+    return lambda: _terminal_batch(mc, EPS, 1e4, zero, 0, (0, 1024),
                                    table=table)
 
 
@@ -313,8 +316,7 @@ def _pool_stream():
     k = constant_control(20, 4, ql.horizon, -1.0)
 
     def stream(n: int) -> None:
-        for _ in spde.sample_terminal_states(ql, 0.2, 1e4, 20, n, 0,
-                                             control=k):
+        for _ in spde.sample_terminal_states(ql, 0.2, 1e4, k, n, 0):
             pass
 
     def call():
@@ -329,14 +331,17 @@ def _pool_stream():
 
 def _serial_stream():
     """The serial 4096-sample step-march stream (linear_additive, 50 steps,
-    eps `EPS`, penalty 1e4) in 256-, 512- and 1024-row batches."""
+    eps `EPS`, penalty 1e4, zero control) in 256-, 512- and 1024-row
+    batches."""
     from obslab.families import linear_additive
+    from obslab.skeleton import zero_control
     from obslab.spde import _terminal_batch
     mc = linear_additive()
+    zero = zero_control(STEPS, 1, mc.horizon)
 
     def stream(rows: int) -> None:
         for lo in range(0, 4096, rows):
-            _terminal_batch(mc, EPS, 1e4, STEPS, 0, None, (lo, lo + rows))
+            _terminal_batch(mc, EPS, 1e4, zero, 0, (lo, lo + rows))
 
     return lambda: {f"rows_{rows}_s": _timed(lambda: stream(rows))
                     for rows in (256, 512, 1024)}
