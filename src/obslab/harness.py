@@ -2,8 +2,8 @@
 
 Every run writes, into its output directory, a JSON report, CSV trajectories
 where the experiment produces them, and a manifest with the config hash and
-wall time.  All emitted bytes except the manifest timestamp are determined
-by (config, seed).
+wall time.  All emitted bytes except the manifest's `wall_time_s` and
+`timestamp` are determined by (config, seed).
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import json
 import logging
 import time
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 
 import jsonschema
@@ -36,6 +37,17 @@ log = logging.getLogger(__name__)
 
 # the penalty every bundled baseline was pinned at
 PENALTY_N = 1e4
+# penalization_study: the penalties the decay exponent is fitted through
+N_SCHEDULE = (1e3, 1e4, 1e5, 1e6)
+# condition_ii: the amplitude and frequencies of the perturbing waves
+AMPLITUDE = 1.0
+FREQUENCIES = (1, 2, 4, 8, 16)
+# bsde_check: the (n_steps, n_nodes) levels, a joint refinement with h
+# proportional to dt, so the spatial read-off errors (interpolation ~h^2,
+# centered gradient ~h^2) decay faster than the dt^(1/2) martingale
+# remainder that sets the observed order.  Every level reads the finest
+# level's paths coarsened in time, so each n_steps divides the finest's.
+BSDE_LEVELS = ((50, 51), (100, 101), (200, 201), (400, 401))
 
 
 class ConfigError(ValueError):
@@ -113,21 +125,20 @@ def _event_from(config: dict, problem) -> TargetEvent:
 
 def _run_penalization_study(config, problem):
     n_steps = config["mesh"]["n_steps"]
-    schedule = config["params"].get("n_schedule", [1e3, 1e4, 1e5, 1e6])
     control = _control_from(config, problem, n_steps)
 
-    sols = [solve_penalized(problem, control, n) for n in schedule]
+    sols = [solve_penalized(problem, control, n) for n in N_SCHEDULE]
     norms = np.array([s.penalty_l2 for s in sols])
     gaps = [float(ht_distance(a.traj, b.traj)) for a, b in zip(sols, sols[1:])]
     # A barrier that never binds leaves a zero gap, whose log has no fit:
     # no decay is seen, and the study fails.
     exponent = ratio = None
     if np.all(norms > 0):
-        exponent = float(-np.polyfit(np.log(schedule), np.log(norms), 1)[0])
-        scaled = np.array(schedule) * norms**2
+        exponent = float(-np.polyfit(np.log(N_SCHEDULE), np.log(norms), 1)[0])
+        scaled = np.array(N_SCHEDULE) * norms**2
         ratio = float(scaled.max() / scaled.min())
     report = {
-        "n_schedule": [float(n) for n in schedule],
+        "n_schedule": list(N_SCHEDULE),
         "gap_l2": [float(v) for v in norms],
         "cauchy_gap": gaps,
         "decay_exponent": exponent,
@@ -165,21 +176,16 @@ def _run_condition_i(config, problem):
     control = _control_from(config, problem, n_steps)
     report = condition_i_distance(
         problem, p.get("epsilon_list", [0.1, 0.05, 0.025, 0.0125]),
-        control, PENALTY_N, p.get("n_samples", 200), config["seed"],
-        deltas=p.get("deltas", [0.1]))
+        control, PENALTY_N, p.get("n_samples", 200), config["seed"])
     slope = report["loglog_slope"]
     passed = report["monotone"] and slope is not None and 0.35 <= slope <= 0.65
     return report, passed, {}
 
 
 def _run_condition_ii(config, problem):
-    p = config["params"]
     n_steps = config["mesh"]["n_steps"]
     control = _control_from(config, problem, n_steps)
-    report = condition_ii_test(problem, control,
-                               p.get("amplitude", 1.0),
-                               p.get("frequencies", [1, 2, 4, 8, 16]),
-                               norm_sq_bound=p.get("norm_sq_bound"),
+    report = condition_ii_test(problem, control, AMPLITUDE, FREQUENCIES,
                                penalty_n=PENALTY_N)
     ratio = report["final_over_initial"]
     passed = report["monotone_decreasing"] and ratio is not None \
@@ -188,31 +194,22 @@ def _run_condition_ii(config, problem):
 
 
 def _run_bsde_check(config, problem):
-    # Joint refinement with h proportional to dt: the spatial read-off
-    # errors (interpolation ~h^2, centered gradient ~h^2) then decay faster
-    # than the dt^(1/2) martingale remainder that sets the observed order.
     # All levels reuse one path ensemble, coarsened in time, so level-to-
     # level residual ratios share the same Brownian increments.
-    p = config["params"]
-    levels = p.get("levels", [[50, 51], [100, 101], [200, 201], [400, 401]])
-    n_paths = p.get("n_paths", 3000)
-    finest = max(lv[0] for lv in levels)
-    uneven = [n_steps for n_steps, _ in levels if finest % n_steps]
-    if uneven:
-        raise ConfigError(f"params/levels: n_steps {uneven} do not divide "
-                          f"the finest level's {finest}")
-    probs = [_problem_from(config, n_nodes=n_nodes) for _, n_nodes in levels]
+    n_paths = config["params"].get("n_paths", 3000)
+    probs = [_problem_from(config, n_nodes=n_nodes)
+             for _, n_nodes in BSDE_LEVELS]
     sols = [solve_penalized(prob, _control_from(config, prob, n_steps),
                             PENALTY_N)
-            for (n_steps, _), prob in zip(levels, probs)]
+            for (n_steps, _), prob in zip(BSDE_LEVELS, probs)]
     # drawn and read a chunk of paths at a time, every level in one pass:
     # the whole fine ensemble is never held
     res = np.array(bsde_residuals(sols, path_chunks(
-        n_paths, finest, problem.horizon, problem.grid, config["seed"])))
-    rows = [{"n_steps": int(n_steps), "n_nodes": int(n_nodes),
-             "residual": float(r)}
-            for (n_steps, n_nodes), r in zip(levels, res)]
-    dts = problem.horizon / np.array([lv[0] for lv in levels], dtype=float)
+        n_paths, BSDE_LEVELS[-1][0], problem.horizon, problem.grid,
+        config["seed"])))
+    rows = [{"n_steps": n_steps, "n_nodes": n_nodes, "residual": float(r)}
+            for (n_steps, n_nodes), r in zip(BSDE_LEVELS, res)]
+    dts = problem.horizon / np.array(BSDE_LEVELS, dtype=float)[:, 0]
     order = float(np.polyfit(np.log(dts), np.log(res), 1)[0])
     report = {"levels": rows, "observed_order": order}
     return report, order >= 0.5, {}
@@ -341,12 +338,15 @@ def compare_baseline(report: dict, baseline: dict) -> dict:
             continue
         want = check["value"]
         tol = check.get("tol", 0.0)
-        # a bool, or a null (no value could be read), matches only itself
-        if isinstance(want, bool) or isinstance(got, bool) \
+        # a bool, a string, or a null (no value could be read) matches only
+        # itself; any other value that is not a number matches nothing
+        if isinstance(want, (bool, str)) or isinstance(got, (bool, str)) \
                 or want is None or got is None:
             ok = got == want
-        else:
+        elif isinstance(want, Real) and isinstance(got, Real):
             ok = abs(float(got) - float(want)) <= tol
+        else:
+            ok = False
         if not ok:
             mismatches.append({"path": check["path"], "expected": want,
                                "got": got, "tol": tol})

@@ -285,8 +285,10 @@ def sample_terminal_states(problem: ProblemSpec, epsilon: float, n: float,
     on a `ProcessPoolExecutor` of forked workers, one per usable core (none
     on one core); a sample's final is the same either way.  However the
     stream ends, the batches not yet started are cancelled and the workers
-    are joined.
+    are joined.  The control is checked against the problem before the
+    first batch.
     """
+    _check_control(problem, control)
     batch = functools.partial(_terminal_batch, problem, epsilon, n, control,
                               seed, reference=reference, table=table)
     ranges = [(lo, min(lo + MC_BATCH, n_samples))
@@ -330,8 +332,9 @@ def sweep_epsilon(problem: ProblemSpec, epsilon_list: Sequence[float],
     """Generator, per epsilon, of the reads of one terminal-state stream.
 
     Stream i runs at epsilon_list[i] with seed + i, on the mesh of
-    `control` and under its drive, against `reference`.  The control is
-    checked against the problem once, before any march.
+    `control` and under its drive, against `reference`; the control is
+    checked against the problem before any march (by the table's solve, or
+    else by the first stream).
     `read(eps, result, increments)` maps each batch to a tuple of
     per-sample arrays, concatenated in sample order.  A response table
     applies to a `state_free` problem without a `reference` whose samples
@@ -339,7 +342,6 @@ def sweep_epsilon(problem: ProblemSpec, epsilon_list: Sequence[float],
     the sweep builds it at most once.
     """
     _require_two_samples(n_samples)
-    _check_control(problem, control)
     table = (_response_table(problem, n, control)
              if problem.coefficients.state_free and reference is None
              and n_samples > control.n_steps + 1 else None)

@@ -187,8 +187,7 @@ class TestStreamedResidual:
 
     def test_bundled_runner_draws_each_chunk_once(self, monkeypatch):
         config = json.loads((CONFIGS / "bsde_check.json").read_text())
-        config["params"] = {"n_paths": 2100,
-                            "levels": [[25, 26], [50, 51], [100, 101]]}
+        config["params"] = {"n_paths": 2100}
         problem = harness._problem_from(config)
         calls, drawn = [], []
 
@@ -206,10 +205,12 @@ class TestStreamedResidual:
         report, _, _ = harness._RUNNERS["bsde_check"](config, problem)
         assert len(calls) == 1 and drawn == [1024, 1024, 52]
         whole = sample_paths(*calls[0])
+        finest = harness.BSDE_LEVELS[-1][0]
+        assert finest == 400 and calls[0][1] == finest
         assert [row["residual"] for row in report["levels"]] == [
             bsde_residual(_level_solution(n_steps, n_nodes),
-                          coarsen(whole, 100 // n_steps))
-            for n_steps, n_nodes in config["params"]["levels"]]
+                          coarsen(whole, finest // n_steps))
+            for n_steps, n_nodes in harness.BSDE_LEVELS]
 
 
 class TestPeakMemory:

@@ -222,29 +222,28 @@ class TestConfigValidation:
         # the schema names the two control kinds; no runner reads another
         ("skeleton_solve", "control", {"kind": "sine"},
          r"config field control/kind: 'sine' is not one of"),
+        # each check runs its one design, the harness's constants, even at
+        # the values every bundled config once set
+        ("penalization_study", "params",
+         {"n_schedule": [1000.0, 10000.0, 100000.0, 1000000.0]},
+         r"params: .*'n_schedule' was unexpected"),
+        ("condition_i", "params", {"deltas": [0.1]},
+         r"params: .*'deltas' was unexpected"),
+        ("condition_ii", "params", {"amplitude": 1.0},
+         r"params: .*'amplitude' was unexpected"),
+        ("condition_ii", "params", {"frequencies": [1, 2, 4, 8, 16]},
+         r"params: .*'frequencies' was unexpected"),
+        ("condition_ii", "params", {"norm_sq_bound": 10.0},
+         r"params: .*'norm_sq_bound' was unexpected"),
+        ("bsde_check", "params",
+         {"levels": [[50, 51], [100, 101], [200, 201], [400, 401]]},
+         r"params: .*'levels' was unexpected"),
     ])
     def test_unread_config_field_rejected_before_any_solve(
             self, kind, field, value, match, tmp_path, monkeypatch):
         cfg = load_config(kind)
         cfg[field] = value
         self._rejected_before_any_solve(cfg, tmp_path / kind, monkeypatch,
-                                        match)
-
-    @pytest.mark.parametrize("levels, match", [
-        # one level fits an order through a single point
-        ([[50, 51]], r"params/levels: \[\[50, 51\]\] is too short"),
-        ([[50, 2], [100, 101]],
-         r"params/levels/0/1: 2 is less than the minimum of 3"),
-        ([[50.5, 51], [100, 101]],
-         r"params/levels/0/0: 50.5 is not of type 'integer'"),
-        ([[50, 51, 52], [100, 101]],
-         r"params/levels/0: Expected at most 2 items"),
-    ])
-    def test_bad_bsde_levels_rejected_before_any_solve(
-            self, levels, match, tmp_path, monkeypatch):
-        cfg = load_config("bsde_check")
-        cfg["params"]["levels"] = levels
-        self._rejected_before_any_solve(cfg, tmp_path / "bsde", monkeypatch,
                                         match)
 
     @pytest.mark.parametrize("kind, key, value", [
@@ -254,21 +253,6 @@ class TestConfigValidation:
         # zero paths failed only after the four level problems were built
         ("bsde_check", "n_paths", 0),
         ("bsde_check", "n_paths", 1.5),
-        # [] failed with an IndexError; [1.5, 2] ran 1.5 as frequency 1
-        ("condition_ii", "frequencies", []),
-        ("condition_ii", "frequencies", [1.5, 2]),
-        ("condition_ii", "frequencies", [0, 1]),
-        ("condition_ii", "frequencies", [2, 2]),
-        ("condition_ii", "amplitude", "big"),
-        ("condition_ii", "norm_sq_bound", 0.0),
-        # one penalty gave a RankWarning in the decay-exponent fit
-        ("penalization_study", "n_schedule", [1000.0]),
-        ("penalization_study", "n_schedule", [1000.0, -1.0]),
-        ("penalization_study", "n_schedule", [1000.0, 1000.0]),
-        # these failed only after the whole solve
-        ("condition_i", "deltas", "x"),
-        ("condition_i", "deltas", []),
-        ("condition_i", "deltas", [-0.1]),
     ])
     def test_bad_param_value_rejected_before_any_march(
             self, kind, key, value, tmp_path, monkeypatch):
@@ -292,23 +276,10 @@ class TestConfigValidation:
             cfg, tmp_path / "bsde", monkeypatch,
             r"'mesh' should not be valid under \{'const': 'mesh'\}")
 
-    def test_bsde_levels_off_the_finest_mesh_rejected_before_any_solve(
-            self, tmp_path, monkeypatch):
-        # every level reads a coarsened copy of the finest level's paths
-        cfg = load_config("bsde_check")
-        cfg["params"]["levels"] = [[50, 51], [75, 76]]
-        monkeypatch.setattr("obslab.harness.path_chunks", lambda *a, **k:
-                            pytest.fail("paths sampled before the check"))
-        self._params_rejected_before_any_solve(
-            cfg, tmp_path / "bsde", monkeypatch,
-            r"params/levels: n_steps \[50\] do not divide the finest "
-            r"level's 75")
-
     def test_bsde_level_problem_validated_before_any_solve(
             self, tmp_path, monkeypatch):
         # the configured problem passes; the first level's fails
         cfg = load_config("bsde_check")
-        cfg["params"]["levels"] = [[50, 51], [100, 101]]
         seen = []
 
         def validate_all_but_levels(problem):
@@ -322,6 +293,28 @@ class TestConfigValidation:
             cfg, tmp_path / "bsde", monkeypatch,
             r"problem fails validation:\nFAIL  level")
         assert seen == [201, 51]
+
+    @pytest.mark.parametrize("name", ["N_SCHEDULE", "FREQUENCIES",
+                                      "BSDE_LEVELS"])
+    def test_fixed_design_meets_what_its_config_check_asked(self, name):
+        # the schedule, the wave family and the levels are no longer read
+        # from a config; the constants hold what the schema asked of them
+        design = getattr(harness, name)
+        assert isinstance(design, tuple) and len(set(design)) == len(design)
+        if name == "N_SCHEDULE":
+            # one penalty gave a RankWarning in the decay-exponent fit
+            assert len(design) >= 2
+            assert all(isinstance(n, float) and n > 0 for n in design)
+        elif name == "FREQUENCIES":
+            assert design and all(type(m) is int and m >= 1 for m in design)
+        else:
+            # one level fits an order through a single point, and every
+            # level reads the finest level's paths coarsened in time
+            assert len(design) >= 2
+            finest = design[-1][0]
+            for n_steps, n_nodes in design:
+                assert type(n_steps) is int and type(n_nodes) is int
+                assert n_nodes >= 3 and finest % n_steps == 0
 
     @pytest.mark.parametrize("kind, solver, penalty", [
         ("rate_minimize", "minimize_rate", "penalty_n"),
@@ -486,6 +479,27 @@ class TestRuns:
         assert not cmp["passed"]
         assert cmp["mismatches"][0]["path"] == "x"
 
+    @pytest.mark.parametrize("got, want, passed", [
+        # a string matches only itself (float("...") raised ValueError)
+        ("Optimization terminated successfully",
+         "Optimization terminated successfully", True),
+        ("Iteration limit reached", "Optimization terminated successfully",
+         False),
+        # a value that is neither a number, a string, a bool nor a null
+        # matches nothing (float([...]) raised TypeError)
+        ([1.0, 2.0], 1.0, False),
+        (1.0, [1.0, 2.0], False),
+        ([1.0, 2.0], [1.0, 2.0], False),
+    ])
+    def test_baseline_non_numeric_values(self, got, want, passed):
+        report = {"experiment": "rate_minimize", "x": got}
+        baseline = {"experiment": "rate_minimize",
+                    "checks": [{"path": "x", "value": want, "tol": 1.0}]}
+        cmp = compare_baseline(report, baseline)
+        assert cmp["passed"] is passed
+        assert [m["path"] for m in cmp["mismatches"]] == \
+            ([] if passed else ["x"])
+
 
 class TestCli:
     def test_run_and_compare_round_trip(self, tmp_path):
@@ -498,6 +512,28 @@ class TestCli:
                                     str(BASELINES / "skeleton_solve.json")])
         assert res2.exit_code == 0, res2.output
         assert "PASS" in res2.output
+
+    @pytest.mark.parametrize("value", ["Iteration limit reached", [0.0]])
+    def test_compare_of_a_non_numeric_mismatch_fails_cleanly(self, value,
+                                                             tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({
+            "experiment": "rate_minimize",
+            "solver_message": "Optimization terminated successfully",
+            "lambda_history": [[0, 1.0, 0.5]]}))
+        baseline = tmp_path / "baseline.json"
+        path = "solver_message" if isinstance(value, str) else "lambda_history"
+        baseline.write_text(json.dumps({
+            "experiment": "rate_minimize",
+            "checks": [{"path": path, "value": value}]}))
+        res = CliRunner().invoke(main, ["compare", str(report),
+                                        str(baseline)])
+        # a crash would end in another exception, with exit code 1 too
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.splitlines()[-1] == "FAIL"
+        assert f"'path': '{path}'" in res.output
+        assert "Traceback" not in res.output
 
     def test_log_level_flag(self, tmp_path, caplog):
         pkg = logging.getLogger("obslab")

@@ -215,7 +215,7 @@ class TestConditionI:
 
 
 class TestSweepControl:
-    @pytest.mark.parametrize("wrong, message", [
+    WRONG = [
         # unchecked, the march would step at 0.3/20 while the control's dt
         # reads 1/20
         ("horizon", "control mesh does not span the problem horizon"),
@@ -223,9 +223,27 @@ class TestSweepControl:
         # batch, as numpy's matmul error (from a forked worker at 3000
         # samples)
         ("modes", "control mode count does not match the problem"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("wrong, message", WRONG)
     def test_control_checked_before_any_march(self, wrong, message,
                                               monkeypatch):
+        problem, k = self._wrong_case(wrong, monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            list(sweep_epsilon(problem, [0.2], 1e4, k, 3000, 0, _finals))
+
+    @pytest.mark.parametrize("wrong, message", WRONG)
+    def test_direct_stream_checks_its_control(self, wrong, message,
+                                              monkeypatch):
+        # called directly, not through a sweep
+        problem, k = self._wrong_case(wrong, monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            next(sample_terminal_states(problem, 0.2, 1e4, k, 100, 0))
+
+    @staticmethod
+    def _wrong_case(wrong, monkeypatch):
+        """quasilinear_full (101 nodes) and a control on [0, 1] or with one
+        mode, with every march and noise draw patched to fail."""
         problem = quasilinear_full(n_nodes=101)
         k = (zero_control(20, 4, 1.0) if wrong == "horizon"
              else zero_control(20, 1, problem.horizon))
@@ -236,8 +254,7 @@ class TestSweepControl:
         for module in (obslab.spde, obslab.skeleton):
             monkeypatch.setattr(module, "march", no_march)
         monkeypatch.setattr(obslab.spde, "sample_noise_batch", no_march)
-        with pytest.raises(ValueError, match=message):
-            list(sweep_epsilon(problem, [0.2], 1e4, k, 3000, 0, _finals))
+        return problem, k
 
 
 class TestResponseTable:
