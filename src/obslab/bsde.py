@@ -26,13 +26,13 @@ sum, is the one-step-at-a-time recursion's, so the results keep its bits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .grid import Bracket, Grid, GridMismatchError, gradient_array
+from .grid import Bracket, Grid, GridMismatchError, gradient_array, time_mesh
 from .skeleton import Solution
 from .spde import mean_and_std_error
 from .stepping import control_drive
@@ -55,14 +55,16 @@ class PathEnsemble:
 
     `alive[p, i]` marks that path p has stayed strictly inside the box up to
     and including time node i; statistics only average over alive segments.
-    `grid` is the box that stops them; the draws (`sample_paths`,
-    `path_chunks`) take the seed.
+    Node i is at `times[i]`, of `time_mesh(horizon, n_steps)`; `grid` is the
+    box that stops the paths; the draws (`sample_paths`, `path_chunks`) take
+    the seed.
     """
 
     paths: np.ndarray   # (n_paths, n_steps + 1)
     alive: np.ndarray   # (n_paths, n_steps + 1) bool
-    times: np.ndarray   # n_steps + 1
+    horizon: float
     grid: Grid
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.paths.ndim != 2:
@@ -72,17 +74,19 @@ class PathEnsemble:
             raise ValueError(f"alive must be bool of the paths' shape "
                              f"{self.paths.shape}, not {self.alive.dtype} "
                              f"of {self.alive.shape}")
-        if self.times.shape != self.paths.shape[1:]:
-            raise ValueError(f"{len(self.times)} times for "
-                             f"{self.paths.shape[1]} path nodes")
+        object.__setattr__(self, "times", time_mesh(self.horizon, self.n_steps))
 
     @property
     def n_paths(self) -> int:
         return self.paths.shape[0]
 
     @property
+    def n_steps(self) -> int:
+        return self.paths.shape[1] - 1
+
+    @property
     def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+        return float(self.horizon / self.n_steps)
 
 
 def _draw(n_paths: int, n_steps: int, horizon: float, grid: Grid,
@@ -93,7 +97,6 @@ def _draw(n_paths: int, n_steps: int, horizon: float, grid: Grid,
     generator hands out the numbers of one draw of all of them."""
     gen = Generator(Philox(key=[seed, 0]))
     starts = gen.uniform(grid.x_min, grid.x_max, size=n_paths)
-    times = np.linspace(0.0, horizon, n_steps + 1)
     sqrt_dt = np.sqrt(horizon / n_steps)
     for p0 in range(0, n_paths, PATH_CHUNK):
         rows = slice(p0, min(p0 + PATH_CHUNK, n_paths))
@@ -112,7 +115,7 @@ def _draw(n_paths: int, n_steps: int, horizon: float, grid: Grid,
         np.logical_and.accumulate(inside, axis=1, out=alive)
         del inside
         np.clip(paths, grid.x_min, grid.x_max, out=paths)
-        yield PathEnsemble(paths, alive, times, grid)
+        yield PathEnsemble(paths, alive, horizon, grid)
 
 
 def path_chunks(n_paths: int, n_steps: int, horizon: float, grid: Grid,
@@ -131,8 +134,7 @@ def sample_paths(n_paths: int, n_steps: int, horizon: float, grid: Grid,
     alive = np.empty(paths.shape, dtype=bool)
     for _ in _draw(n_paths, n_steps, horizon, grid, seed, (paths, alive)):
         pass
-    return PathEnsemble(paths, alive, np.linspace(0.0, horizon, n_steps + 1),
-                        grid)
+    return PathEnsemble(paths, alive, horizon, grid)
 
 
 def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
@@ -141,40 +143,29 @@ def coarsen(ensemble: PathEnsemble, factor: int) -> PathEnsemble:
     The coarse paths are the fine paths read at every factor-th node, so a
     refinement study over coarsened copies of one ensemble compares schemes
     on common randomness; exits are re-detected at the coarse resolution.
+    The coarse mesh is the ensemble's horizon in n_steps / factor steps: by
+    a power of two, its nodes are every factor-th fine node, bit for bit.
     """
-    n_steps = len(ensemble.times) - 1
     if factor < 1:
         raise ValueError(f"coarsening factor must be >= 1, got {factor}")
-    if n_steps % factor != 0:
-        raise ValueError(f"{n_steps} steps do not divide by {factor}")
+    if ensemble.n_steps % factor != 0:
+        raise ValueError(f"{ensemble.n_steps} steps do not divide by {factor}")
     paths = ensemble.paths[:, ::factor]
     grid = ensemble.grid
     inside = (paths > grid.x_min) & (paths < grid.x_max)
     inside[:, 0] = ensemble.alive[:, 0]
     alive = np.logical_and.accumulate(inside, axis=1)
-    return PathEnsemble(paths, alive, ensemble.times[::factor], grid)
+    return PathEnsemble(paths, alive, ensemble.horizon, grid)
 
 
 def _blocks(ensemble: PathEnsemble):
     """(i0, i1, W, use) for each block of at most `STEP_BLOCK` steps i0 ...
     i1 - 1: step-major, contiguous copies of the paths on nodes i0 ... i1
     (b + 1 rows) and of the alive flags on nodes i0 + 1 ... i1 (b rows)."""
-    n_steps = len(ensemble.times) - 1
-    for i0 in range(0, n_steps, STEP_BLOCK):
-        i1 = min(i0 + STEP_BLOCK, n_steps)
+    for i0 in range(0, ensemble.n_steps, STEP_BLOCK):
+        i1 = min(i0 + STEP_BLOCK, ensemble.n_steps)
         yield (i0, i1, np.ascontiguousarray(ensemble.paths[:, i0:i1 + 1].T),
                np.ascontiguousarray(ensemble.alive[:, i0 + 1:i1 + 1].T))
-
-
-def _factor(sol: Solution, times: np.ndarray) -> int:
-    """The coarsening factor that takes the path mesh `times` to the
-    solution's time mesh; ValueError where there is none."""
-    n_fine, n_steps = len(times) - 1, len(sol.traj.times) - 1
-    factor = n_fine // n_steps
-    if factor < 1 or n_fine % n_steps or not np.allclose(
-            sol.traj.times, times[::factor]):
-        raise ValueError("solution and ensemble time meshes differ")
-    return factor
 
 
 def _step_sums(sol: Solution, ensemble: PathEnsemble,
@@ -235,11 +226,10 @@ def _one_mesh(ensembles: Iterable[PathEnsemble]) -> Iterator[PathEnsemble]:
     """The chunks of `ensembles` in order; a chunk on another time mesh or
     grid than the first raises `GridMismatchError` before it is yielded."""
     # the first chunk's mesh: holding the chunk would keep its paths
-    times = grid = None
+    mesh = None
     for ens in ensembles:
-        if grid is None:
-            times, grid = ens.times, ens.grid
-        elif ens.grid != grid or not np.array_equal(ens.times, times):
+        mesh = mesh or (ens.horizon, ens.n_steps, ens.grid)
+        if (ens.horizon, ens.n_steps, ens.grid) != mesh:
             raise GridMismatchError("the chunks' time meshes or grids differ")
         yield ens
         del ens   # not held while the next chunk is drawn
@@ -252,8 +242,8 @@ def bsde_residuals(solutions: Iterable[Solution],
 
     `ensembles` is a stream of chunks of one fine-mesh ensemble in path
     order, as `path_chunks` yields them; a whole ensemble is the one chunk
-    `[ensemble]`.  Each solution's time mesh must coarsen the paths' mesh
-    (every factor-th node, `coarsen`), else ValueError; chunks on another
+    `[ensemble]`.  Each solution's mesh must have the paths' horizon and a
+    step count dividing theirs (`coarsen`), else ValueError; chunks on another
     time mesh or grid than the first raise `GridMismatchError`.  Each chunk
     is read once, in row slices of at most `PATH_CHUNK` paths, each slice
     coarsened to every solution's mesh, so a whole ensemble and its
@@ -265,14 +255,16 @@ def bsde_residuals(solutions: Iterable[Solution],
             raise ValueError(f"the BSDE residual needs a penalized solution, "
                              f"not one with n = {sol.n}")
     totals, counts = [0.0] * len(sols), [0] * len(sols)
-    times = factors = None
+    factors = None
     for ens in _one_mesh(ensembles):
         if factors is None:
-            times = ens.times
-            factors = [_factor(sol, times) for sol in sols]
+            if any(sol.traj.horizon != ens.horizon
+                   or ens.n_steps % sol.traj.n_steps for sol in sols):
+                raise ValueError("solution and ensemble time meshes differ")
+            factors = [ens.n_steps // sol.traj.n_steps for sol in sols]
         for p0 in range(0, ens.n_paths, PATH_CHUNK):
             rows = slice(p0, p0 + PATH_CHUNK)
-            part = PathEnsemble(ens.paths[rows], ens.alive[rows], ens.times,
+            part = PathEnsemble(ens.paths[rows], ens.alive[rows], ens.horizon,
                                 ens.grid)
             for j, (sol, factor) in enumerate(zip(sols, factors)):
                 for total, count in _step_sums(sol, part, factor):
@@ -280,11 +272,10 @@ def bsde_residuals(solutions: Iterable[Solution],
                     counts[j] += count
             del part
         del ens   # neither is held while the next chunk is drawn
-    if times is None or not all(counts):
+    if factors is None or not all(counts):
         raise ValueError("no surviving path segments in the ensemble")
-    return [float(np.sqrt(total / count)
-                  / np.sqrt(times[factor] - times[0]))
-            for total, count, factor in zip(totals, counts, factors)]
+    return [float(np.sqrt(total / count) / np.sqrt(sol.traj.dt))
+            for total, count, sol in zip(totals, counts, sols)]
 
 
 def bsde_residual(sol: Solution, ensemble: PathEnsemble) -> float:
@@ -318,7 +309,6 @@ def _full_horizon_gaps(J_field, dJdx, ensemble: PathEnsemble) -> np.ndarray:
     """The gaps of the ensemble's paths that survive the whole horizon, in
     path order."""
     dt = ensemble.dt
-    n_steps = len(ensemble.times) - 1
     times = ensemble.times
     gaps = np.zeros(ensemble.n_paths)
     weight = np.zeros(ensemble.n_paths)
@@ -332,7 +322,7 @@ def _full_horizon_gaps(J_field, dJdx, ensemble: PathEnsemble) -> np.ndarray:
         for row in np.where(use, fb - drift, 0.0):
             gaps += row
         weight += use.sum(axis=0)
-    return gaps[weight == n_steps]
+    return gaps[weight == ensemble.n_steps]
 
 
 def star_integral_check(

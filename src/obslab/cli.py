@@ -8,7 +8,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .harness import EXPERIMENT_KINDS, compare_baseline, run
+from .harness import EXPERIMENT_KINDS, ConfigError, compare_baseline, run
 
 
 @click.group()
@@ -29,7 +29,8 @@ def main():
               help="Least severity of the package's log messages written to "
                    "standard error.")
 def run_cmd(config_file, seed, out_dir, log_level):
-    """Run the experiment described by CONFIG_FILE."""
+    """Run the experiment described by CONFIG_FILE (exit status 0: it
+    passed its check, 1: it failed it, 2: the config was rejected)."""
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger("obslab").setLevel(log_level.upper())
     with open(config_file) as fh:
@@ -39,7 +40,11 @@ def run_cmd(config_file, seed, out_dir, log_level):
     if out_dir is None:
         root = Path(os.environ.get("OBSLAB_OUT_ROOT", "results"))
         out_dir = root / config.get("out_dir", Path(config_file).stem)
-    report = run(config, out_dir)
+    try:
+        report = run(config, out_dir)
+    except ConfigError as exc:
+        click.echo(f"config rejected: {exc}", err=True)
+        sys.exit(2)
     click.echo(f"{config['experiment']}: "
                f"{'PASS' if report['passed'] else 'FAIL'}  -> {out_dir}")
     sys.exit(0 if report["passed"] else 1)

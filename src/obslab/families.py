@@ -27,7 +27,7 @@ def _zeros(t, x, y, z):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def heat_obstacle(n_nodes: int = 201, horizon: float = 1.0) -> ProblemSpec:
+def heat_obstacle(n_nodes: int = 201) -> ProblemSpec:
     """Heat equation pressed against a zero barrier.
 
     Terminal datum Phi(x) = 1 - 2 exp(-x^2 / 0.05) dips to -1 near the
@@ -36,7 +36,7 @@ def heat_obstacle(n_nodes: int = 201, horizon: float = 1.0) -> ProblemSpec:
     compatibility requirement Phi >= L(T, .) holds; the march never reads
     the barrier at the terminal time, so the dynamics are those of L = 0.
     """
-    grid = Grid(_X_MIN, _X_MAX, n_nodes)
+    grid, horizon = Grid(_X_MIN, _X_MAX, n_nodes), 1.0
 
     def terminal(x):
         return 1.0 - 2.0 * np.exp(-x**2 / 0.05)
@@ -55,14 +55,13 @@ def heat_obstacle(n_nodes: int = 201, horizon: float = 1.0) -> ProblemSpec:
     return ProblemSpec(coeffs, obstacle, terminal, horizon, grid, name="heat_obstacle")
 
 
-def linear_additive(n_nodes: int = 201, horizon: float = 0.5,
-                    sigma: float = 0.3) -> ProblemSpec:
+def linear_additive(n_nodes: int = 201) -> ProblemSpec:
     """Zero drift/flux, one additive noise mode of constant amplitude sigma.
 
     The barrier sits at -50 and never binds; the controlled response is
     exactly linear in the control, so small-noise scalings are exact.
     """
-    grid = Grid(_X_MIN, _X_MAX, n_nodes)
+    grid, horizon, sigma = Grid(_X_MIN, _X_MAX, n_nodes), 0.5, 0.3
 
     def h_shape(t, x, y, z):
         return np.full_like(np.asarray(x, dtype=float), sigma)
@@ -85,9 +84,8 @@ def linear_additive(n_nodes: int = 201, horizon: float = 0.5,
                        name="linear_additive")
 
 
-def quasilinear_full(n_nodes: int = 201, horizon: float = 0.3,
-                     obstacle_amplitude: float = 0.3,
-                     n_modes: int = 4) -> ProblemSpec:
+def quasilinear_full(n_nodes: int = 201,
+                     obstacle_amplitude: float = 0.3) -> ProblemSpec:
     """Smooth nonlinear drift, flux and noise shape with a ramped obstacle.
 
     Declared constants: alpha = 0.2 (flux in z), beta = 0.5 (noise in z),
@@ -96,7 +94,7 @@ def quasilinear_full(n_nodes: int = 201, horizon: float = 0.3,
     with ``obstacle_amplitude=0`` the barrier is flat at zero and (given the
     positive terminal bump) effectively inactive.
     """
-    grid = Grid(_X_MIN, _X_MAX, n_nodes)
+    grid, horizon = Grid(_X_MIN, _X_MAX, n_nodes), 0.3
     alpha, beta = 0.2, 0.5
     c_f, c_h = 0.4, 0.3
 
@@ -112,7 +110,7 @@ def quasilinear_full(n_nodes: int = 201, horizon: float = 0.3,
         x = np.asarray(x, dtype=float)
         return 0.2 * np.cos(x) + c_h * np.tanh(y) + beta * np.tanh(z)
 
-    weights = np.array([2.0**(-j) for j in range(1, n_modes + 1)])
+    weights = np.array([2.0**(-j) for j in range(1, 5)])
     wl2 = float(np.sqrt(np.sum(weights**2)))
 
     def hbar(x):

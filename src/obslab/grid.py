@@ -2,10 +2,12 @@
 
 `Field` and `Trajectory` carry values on a `Grid`; boundary nodes hold
 homogeneous Dirichlet data (the unbounded domain is truncated to a box).
-The solvers march raw arrays, so the stencils and norms act on arrays,
-batched over any leading axes, and return new arrays.  `ht_distance` is the
-path-space metric between two trajectories, a trajectory round-trips
-through CSV, and a `Bracket` reads grid functions at off-grid points.
+A time mesh is (horizon, n_steps), its nodes `time_mesh(horizon, n_steps)`;
+two meshes are the same exactly when both numbers are.  The solvers march
+raw arrays, so the stencils and norms act on arrays, batched over any
+leading axes, and return new arrays.  `ht_distance` is the path-space
+metric between two trajectories, a trajectory round-trips through CSV, and
+a `Bracket` reads grid functions at off-grid points.
 """
 from __future__ import annotations
 
@@ -64,15 +66,13 @@ class Field:
         object.__setattr__(self, "values", v)
 
 
-def time_mesh(times) -> np.ndarray:
-    """A read-only float copy of `times`, checked to be a uniform mesh: a
-    1-D array of at least two nodes with equal, positive steps."""
-    t = np.array(times, dtype=float)
-    if t.ndim != 1 or len(t) < 2:
-        raise ValueError("times must be a 1-D array with >= 2 entries")
-    dts = np.diff(t)
-    if not np.allclose(dts, dts[0], rtol=1e-12, atol=1e-14) or dts[0] <= 0:
-        raise ValueError("times must be uniform and increasing")
+def time_mesh(horizon: float, n_steps: int) -> np.ndarray:
+    """The read-only nodes linspace(0, horizon, n_steps + 1), n_steps >= 1."""
+    if np.ndim(horizon) or not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError("the horizon must be a positive finite scalar")
+    if n_steps < 1:
+        raise ValueError(f"a time mesh needs at least one step, not {n_steps}")
+    t = np.linspace(0.0, horizon, n_steps + 1)
     t.flags.writeable = False
     return t
 
@@ -81,27 +81,31 @@ def time_mesh(times) -> np.ndarray:
 class Trajectory:
     """A time-indexed family of fields on a common grid and uniform mesh.
 
-    `values[i]` is the field at `times[i]`; times run forward from 0 to T.
+    `values[i]` is the field at `times[i]`, of `time_mesh(horizon, n_steps)`.
     """
 
-    times: np.ndarray
-    values: np.ndarray  # (n_times, n_nodes)
+    horizon: float
+    values: np.ndarray  # (n_steps + 1, n_nodes)
     grid: Grid
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = time_mesh(self.times)
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (len(t), self.grid.n_nodes):
-            raise ValueError(f"values shape {v.shape} inconsistent with mesh")
+        if v.ndim != 2 or v.shape[1] != self.grid.n_nodes:
+            raise ValueError(f"values shape {v.shape} inconsistent with grid")
         if not np.all(np.isfinite(v)):
             raise ValueError("trajectory contains non-finite values")
         v = v.copy(); v.flags.writeable = False
-        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "times", time_mesh(self.horizon, len(v) - 1))
         object.__setattr__(self, "values", v)
 
     @property
+    def n_steps(self) -> int:
+        return len(self.values) - 1
+
+    @property
     def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+        return float(self.horizon / self.n_steps)
 
     # -- CSV round trip: header row of x-coordinates, one row per time node --
 
@@ -135,7 +139,11 @@ class Trajectory:
         times = np.array([float(r[0]) for r in rows[1:]])
         vals = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
         grid = Grid(x_min=float(xs[0]), x_max=float(xs[-1]), n_nodes=len(xs))
-        return cls(times=times, values=vals, grid=grid)
+        traj = cls(times[-1], vals, grid)
+        if np.any(traj.times != times):
+            raise ValueError(f"{path}: the t column is not the uniform mesh "
+                             f"of {traj.n_steps} steps on [0, {times[-1]!r}]")
+        return traj
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +183,7 @@ def ht_distance(a: Trajectory, b: Trajectory) -> float:
     """
     if a.grid != b.grid:
         raise GridMismatchError("trajectories live on different grids")
-    if a.values.shape != b.values.shape or not np.allclose(a.times, b.times):
+    if a.horizon != b.horizon or a.n_steps != b.n_steps:
         raise GridMismatchError("trajectories live on different time meshes")
     d = a.values - b.values
     sup = float(np.max(h_norm_array(d, a.grid.h)))

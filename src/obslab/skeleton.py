@@ -11,7 +11,7 @@ which the barrier statistics are read.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,27 +38,27 @@ class Control:
     [t_i, t_{i+1}).  The squared Cameron-Martin norm is dt * sum values^2.
     """
 
-    times: np.ndarray   # n_steps + 1 uniform nodes on [0, T]
+    horizon: float
     values: np.ndarray  # (n_steps, J)
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = time_mesh(self.times)
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != len(t) - 1:
-            raise ValueError(f"control values shape {v.shape} inconsistent with mesh")
+        if v.ndim != 2:
+            raise ValueError(f"control values shape {v.shape} is not 2-D")
         if not np.all(np.isfinite(v)):
             raise ValueError("control contains non-finite values")
         v = v.copy(); v.flags.writeable = False
-        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "times", time_mesh(self.horizon, len(v)))
         object.__setattr__(self, "values", v)
 
     @property
     def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+        return float(self.horizon / self.n_steps)
 
     @property
     def n_steps(self) -> int:
-        return len(self.times) - 1
+        return len(self.values)
 
     @property
     def n_modes(self) -> int:
@@ -74,19 +74,18 @@ class Control:
         return self.k_norm_sq() <= bound
 
     def with_values(self, values: np.ndarray) -> "Control":
-        return Control(self.times, values)
+        return Control(self.horizon, values)
 
 
 def zero_control(n_steps: int, n_modes: int, horizon: float) -> Control:
-    return Control(np.linspace(0.0, horizon, n_steps + 1),
-                   np.zeros((n_steps, n_modes)))
+    return Control(horizon, np.zeros((n_steps, n_modes)))
 
 
 def constant_control(n_steps: int, n_modes: int, horizon: float,
                      value: float, mode: int = 0) -> Control:
     vals = np.zeros((n_steps, n_modes))
     vals[:, mode] = value
-    return Control(np.linspace(0.0, horizon, n_steps + 1), vals)
+    return Control(horizon, vals)
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,7 @@ class Solution:
 
 
 def _check_control(problem: ProblemSpec, control: Control) -> None:
-    if control.times[0] != 0.0 or abs(control.times[-1] - problem.horizon) \
-            > 1e-12 * max(1.0, problem.horizon):
+    if control.horizon != problem.horizon:
         raise ValueError("control mesh does not span the problem horizon")
     if control.n_modes != problem.coefficients.n_modes:
         raise ValueError("control mode count does not match the problem")
@@ -146,8 +144,8 @@ def _solve(problem: ProblemSpec, control: Control, **split) -> Solution:
     _check_control(problem, control)
     res = march(problem, control.n_steps,
                 drive=control_drive(problem, control.values), **split)
-    return Solution(Trajectory(control.times, res.traj, problem.grid),
-                    Trajectory(control.times, res.density, problem.grid),
+    return Solution(Trajectory(control.horizon, res.traj, problem.grid),
+                    Trajectory(control.horizon, res.density, problem.grid),
                     np.inf if res.project else res.penalty_n, control, problem)
 
 

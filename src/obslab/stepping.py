@@ -50,7 +50,7 @@ import numpy as np
 # laplacian_array is not called here, but stays importable from this module:
 # the traced benchmark (perfbench/layers.py) names it as a probe site.
 from .grid import (gradient_array, h_norm_array,  # noqa: F401
-                   laplacian_array, v_norm_sq_array)
+                   laplacian_array, time_mesh, v_norm_sq_array)
 from .kernels import ldl_factor, thomas_batch
 from .problem import ProblemSpec
 
@@ -102,8 +102,8 @@ def stability_limit(problem: ProblemSpec) -> float:
 
 def barrier_table(problem: ProblemSpec, n_steps: int) -> np.ndarray:
     """Row i is the barrier at t_i, where the step over [t_i, t_{i+1}) lands."""
-    times = np.linspace(0.0, problem.horizon, n_steps + 1)
-    return problem.obstacle_values(times[:-1, None])
+    return problem.obstacle_values(
+        time_mesh(problem.horizon, n_steps)[:-1, None])
 
 
 def control_drive(problem: ProblemSpec, values: np.ndarray) -> np.ndarray:
@@ -200,7 +200,7 @@ def march(problem: ProblemSpec, n_steps: int, *,
         sup_dist = h_norm_array(d, h)
         integ_dist = dt * v_norm_sq_array(d, h)
 
-    times = np.linspace(0.0, T, n_steps + 1)
+    times = time_mesh(T, n_steps)
     obstacle = barrier_table(problem, n_steps)
     obstacle[:, [0, -1]] = -np.inf
     co = problem.coefficients
@@ -301,7 +301,7 @@ def march_adjoint(problem: ProblemSpec, result: MarchResult,
     drive = result.drive
     factor = _diffusion_factor(nx, dt / (4.0 * h**2))
     split = 1.0 / (1.0 + dt * result.penalty_n)
-    times = np.linspace(0.0, problem.horizon, n_steps + 1)
+    times = time_mesh(problem.horizon, n_steps)
     interior = np.ones(nx)
     interior[[0, -1]] = 0.0
     if co.state_free:

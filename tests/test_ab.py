@@ -95,6 +95,19 @@ def test_failed_end_to_end_side_is_surfaced_not_ratioed_not_dropped(
     assert out["metrics"]["setup_s"]["before"]["iqr"] == [0.5, 0.5]
 
 
+def test_every_case_setup_builds_on_this_tree():
+    # run_case reads a setup's ImportError or AttributeError as "absent",
+    # so a case this tree broke would time nothing on either side; the
+    # timed calls are not run
+    failed = {}
+    for name, case in CASES.items():
+        try:
+            assert callable(case.setup()), "the setup returned no call"
+        except Exception as exc:
+            failed[name] = f"{type(exc).__name__}: {exc}"
+    assert failed == {}
+
+
 def test_a_a_smoke_run_of_the_cheapest_case():
     name = "single_row_heat_obstacle"
     runs = ab.run_group({name: CASES[name]}, 1,

@@ -44,7 +44,7 @@ def test_criterion_01_heat_equation_exactness():
     taus = prob.horizon - sol.traj.times
     ref_vals = terminal_heat_solution(prob.grid.x[None, :], taus[:, None])
     ref_vals[:, 0] = ref_vals[:, -1] = 0.0
-    dist = ht_distance(sol.traj, Trajectory(sol.traj.times, ref_vals,
+    dist = ht_distance(sol.traj, Trajectory(sol.traj.horizon, ref_vals,
                                             prob.grid))
     fine = solve_penalized(prob, zero(prob, 1600), 1e4)
     errs = [np.max(np.abs(solve_penalized(prob, zero(prob, n),
@@ -118,7 +118,7 @@ def test_criterion_05_uniform_convergence_over_control_family():
     family = []
     for amp, freq in ((0.0, 1), (1.0, 1), (2.0, 1), (1.5, 2), (2.5, 3)):
         vals = amp * np.sin(np.pi * freq * tmid / prob.horizon)[:, None]
-        k = Control(times, vals)
+        k = Control(prob.horizon, vals)
         assert k.in_ball(4.0)
         family.append(k)
     ns = [1e3 * 2**i for i in range(5)]

@@ -40,7 +40,19 @@ class TestPathEnsemble:
         half = coarsen(ens, 2)
         assert half.paths.shape == (50, 41)
         assert np.array_equal(half.paths, ens.paths[:, ::2])
-        assert np.allclose(half.times, ens.times[::2])
+        assert half.horizon == ens.horizon and half.n_steps == 40
+
+    @pytest.mark.parametrize("horizon", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8])
+    def test_power_of_two_coarsening_keeps_the_fine_nodes(self, horizon,
+                                                          factor):
+        # the coarse mesh is built afresh as time_mesh(T, 400 / f); by a
+        # power of two it is the fine mesh's every f-th node, and its step
+        # the fine node f, bit for bit, so the read-off keeps its bits
+        ens = sample_paths(3, 400, horizon, Grid(-4.0, 4.0, 11), seed=3)
+        coarse = coarsen(ens, factor)
+        assert coarse.times.tobytes() == ens.times[::factor].tobytes()
+        assert coarse.dt == ens.times[factor] - ens.times[0]
 
     @pytest.mark.parametrize("factor", [0, -1])
     def test_coarsen_factor_below_one_rejected(self, factor):
@@ -52,12 +64,12 @@ class TestPathEnsemble:
         ("paths", np.zeros(4), "paths must be"),
         ("alive", np.ones((3, 4), dtype=int), "alive must be bool"),
         ("alive", np.ones((3, 5), dtype=bool), "alive must be bool"),
-        ("times", np.linspace(0.0, 0.3, 5), "5 times for 4 path nodes"),
+        ("horizon", np.linspace(0.0, 0.3, 4), "horizon must be a positive"),
     ])
     def test_inconsistent_shapes_rejected(self, field, value, message):
         parts = {"paths": np.zeros((3, 4)),
                  "alive": np.ones((3, 4), dtype=bool),
-                 "times": np.linspace(0.0, 0.3, 4),
+                 "horizon": 0.3,
                  "grid": Grid(-1.0, 1.0, 11)}
         parts[field] = value
         with pytest.raises(ValueError, match=message):
@@ -79,8 +91,7 @@ def sample_paths_one_draw(n_paths, n_steps, horizon, grid, seed):
     inside = (paths > grid.x_min) & (paths < grid.x_max)
     alive = np.logical_and.accumulate(inside, axis=1)
     np.clip(paths, grid.x_min, grid.x_max, out=paths)
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    return PathEnsemble(paths, alive, times, grid)
+    return PathEnsemble(paths, alive, horizon, grid)
 
 
 def _same_bits(a, b):
@@ -94,7 +105,7 @@ def _joined(chunks):
     chunks = list(chunks)
     return PathEnsemble(np.concatenate([c.paths for c in chunks]),
                         np.concatenate([c.alive for c in chunks]),
-                        chunks[0].times, chunks[0].grid)
+                        chunks[0].horizon, chunks[0].grid)
 
 
 # a 2.5 box: about a third of the paths of half a time unit leave it
@@ -336,8 +347,7 @@ class TestBlockedReadOff:
         if modes is not None:
             values = np.zeros((n_steps, prob.coefficients.n_modes))
             values[:, :2] = modes
-            control = Control(np.linspace(0.0, prob.horizon, n_steps + 1),
-                              values)
+            control = Control(prob.horizon, values)
         sol = solve_penalized(prob, control, 1e4)
         # a 2.5 box inside the grid's: about a third of the paths exit,
         # most of them inside a block
@@ -391,7 +401,7 @@ class TestResidual:
         ens = sample_paths(200, 50, prob.horizon, prob.grid, seed=4)
         inner = np.all(np.abs(ens.paths) < 2.0, axis=1)
         ens_in = type(ens)(paths=ens.paths[inner], alive=ens.alive[inner],
-                           times=ens.times, grid=ens.grid)
+                           horizon=ens.horizon, grid=ens.grid)
         assert bsde_residual(sol, ens_in) < 1e-10
 
     def test_perturbed_solution_increases_residual(self):
@@ -405,7 +415,7 @@ class TestResidual:
         base = bsde_residual(sol, ens)
 
         bad_vals = sol.traj.values + 0.1 * np.sin(np.pi * prob.grid.x)
-        bad_traj = Trajectory(sol.traj.times, bad_vals, prob.grid)
+        bad_traj = Trajectory(sol.traj.horizon, bad_vals, prob.grid)
         bad = dataclasses.replace(sol, traj=bad_traj)
         assert bsde_residual(bad, ens) >= 5.0 * base
 
@@ -415,6 +425,15 @@ class TestResidual:
                            linear_problem.grid, seed=6)
         with pytest.raises(ValueError):
             bsde_residual(sol, ens)
+
+    def test_horizon_off_by_5e_6_rejected(self, linear_problem):
+        # the paths' horizon 5e-6 (relative) longer than the solution's is
+        # another mesh: horizons compare with no tolerance
+        sol = solve_penalized(linear_problem, zero(linear_problem, 50), 1e4)
+        chunks = path_chunks(300, 100, linear_problem.horizon * (1 + 5e-6),
+                             linear_problem.grid, 6)
+        with pytest.raises(ValueError, match="time meshes differ"):
+            bsde_residuals([sol], chunks)
 
     def test_projection_solution_rejected(self):
         # n = inf: the penalty term would read inf * 0 = NaN
@@ -458,7 +477,7 @@ class TestStarIntegral:
         ens = sample_paths(8000, 200, T, Grid(-8.0, 8.0, 161), seed=7)
         inner = np.abs(ens.paths[:, 0]) < 5.0  # keep exits negligible
         ens_in = type(ens)(paths=ens.paths[inner], alive=ens.alive[inner],
-                           times=ens.times, grid=ens.grid)
+                           horizon=ens.horizon, grid=ens.grid)
         J = lambda t, x: np.asarray(x, dtype=float)
         dJ = lambda t, x: np.ones_like(np.asarray(x, dtype=float))
         rep = star_integral_check(J, dJ, [ens_in])
@@ -471,7 +490,7 @@ class TestStarIntegral:
         grid = Grid(-1.0, 1.0, 21)
         paths = np.array([[0.0, 0.1, 0.2], [0.5, 0.9, 1.0]])
         alive = np.array([[True, True, True], [True, True, False]])
-        ens = PathEnsemble(paths, alive, np.array([0.0, 0.1, 0.2]), grid)
+        ens = PathEnsemble(paths, alive, 0.2, grid)
         J = lambda t, x: np.asarray(x, dtype=float)
         dJ = lambda t, x: np.ones_like(np.asarray(x, dtype=float))
         with pytest.raises(ValueError, match="two surviving paths"):

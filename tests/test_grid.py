@@ -1,6 +1,8 @@
 """Grid containers, difference stencils, norms, CSV round-trips, and
 read-off at off-grid points."""
 import csv
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,10 +10,11 @@ import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obslab.bsde import PathEnsemble
 from obslab.families import make_problem
 from obslab.grid import (Bracket, Grid, GridMismatchError, Trajectory,
                          gradient_array, h_norm_array, ht_distance,
-                         laplacian_array, v_norm_sq_array)
+                         laplacian_array, time_mesh, v_norm_sq_array)
 from obslab.skeleton import Control, solve_skeleton
 
 from conftest import zero
@@ -48,38 +51,71 @@ class TestGrid:
             Grid(-1.0, 1.0, 1)
 
 
-def _control_on(times):
-    return Control(times, np.zeros((max(len(times) - 1, 0), 1)))
+def _control_on(horizon, n_steps=4):
+    return Control(horizon, np.zeros((n_steps, 1)))
 
 
-def _trajectory_on(times):
+def _trajectory_on(horizon, n_steps=4):
     grid = Grid(-1.0, 1.0, 5)
-    return Trajectory(times, np.zeros((len(times), grid.n_nodes)), grid)
+    return Trajectory(horizon, np.zeros((n_steps + 1, grid.n_nodes)), grid)
+
+
+def _ensemble_on(horizon, n_steps=4):
+    grid = Grid(-1.0, 1.0, 5)
+    return PathEnsemble(np.zeros((3, n_steps + 1)),
+                        np.ones((3, n_steps + 1), dtype=bool), horizon, grid)
+
+
+HOLDERS = pytest.mark.parametrize(
+    "build", [_control_on, _trajectory_on, _ensemble_on],
+    ids=["control", "trajectory", "ensemble"])
 
 
 class TestTimeMesh:
-    @pytest.mark.parametrize("build", [_control_on, _trajectory_on],
-                             ids=["control", "trajectory"])
-    @pytest.mark.parametrize("times, message", [
-        (np.array([0.0]), "times must be a 1-D array with >= 2 entries"),
-        (np.array([[0.0, 0.1], [0.2, 0.3]]),
-         "times must be a 1-D array with >= 2 entries"),
-        (np.array([0.0, 0.1, 0.3]), "times must be uniform and increasing"),
-        (np.array([0.2, 0.1, 0.0]), "times must be uniform and increasing"),
-    ], ids=["one_node", "two_d", "non_uniform", "decreasing"])
-    def test_bad_mesh_rejected_alike(self, build, times, message):
-        # Control and Trajectory share one check, and so one message
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            build(times)
+    @pytest.mark.parametrize("horizon, n_steps", [
+        (1.0, 400), (0.3, 400), (0.5, 50), (1e-6, 3), (1e6, 7)])
+    def test_nodes_are_the_linspace(self, horizon, n_steps):
+        t = time_mesh(horizon, n_steps)
+        assert np.array_equal(t.view(np.int64), np.linspace(
+            0.0, horizon, n_steps + 1).view(np.int64))
+        assert not t.flags.writeable
+        assert t[-1] == horizon and t[1] - t[0] == horizon / n_steps
 
-    @pytest.mark.parametrize("build", [_control_on, _trajectory_on],
-                             ids=["control", "trajectory"])
+    @pytest.mark.parametrize("horizon", [
+        np.linspace(0.0, 1.0, 5), [1.0], 0.0, -1.0, np.inf, np.nan],
+        ids=["array", "list", "zero", "negative", "inf", "nan"])
+    def test_bad_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="^the horizon must be a "
+                                             "positive finite scalar"):
+            time_mesh(horizon, 4)
+
+    def test_no_step_rejected(self):
+        with pytest.raises(ValueError, match="at least one step, not 0"):
+            time_mesh(1.0, 0)
+
+    @HOLDERS
+    def test_stale_times_array_rejected_alike(self, build):
+        # a caller that still passes the nodes fails on the horizon check
+        with pytest.raises(ValueError, match="^the horizon must be a "
+                                             "positive finite scalar"):
+            build(np.linspace(0.0, 1.0, 5))
+
+    @HOLDERS
+    def test_rows_without_a_step_rejected_alike(self, build):
+        with pytest.raises(ValueError, match="at least one step, not 0"):
+            build(1.0, n_steps=0)
+
+    @HOLDERS
     def test_times_held_as_a_read_only_copy(self, build):
-        times = np.linspace(0.0, 1.0, 5)
-        held = build(times).times
-        assert np.array_equal(held, times) and not held.flags.writeable
-        times[0] = -1.0
-        assert held[0] == 0.0
+        obj = build(0.3)
+        assert obj.n_steps == 4 and obj.dt == 0.3 / 4
+        assert np.array_equal(obj.times, time_mesh(0.3, 4))
+        assert obj.times is obj.times and not obj.times.flags.writeable
+        # built by each object from (horizon, n_steps), never passed in, so
+        # no caller holds them
+        assert build(0.3).times is not obj.times
+        assert [f.name for f in dataclasses.fields(obj)
+                if f.name == "times" and not f.init] == ["times"]
 
 
 class TestStencils:
@@ -134,39 +170,62 @@ class TestNorms:
 
     def test_ht_distance_zero_on_equal(self):
         g = Grid(-1.0, 1.0, 21)
-        times = np.linspace(0.0, 1.0, 11)
         vals = np.outer(np.linspace(1, 2, 11), np.cos(g.x))
-        t = Trajectory(times, vals, g)
+        t = Trajectory(1.0, vals, g)
         assert ht_distance(t, t) == 0.0
 
     def test_ht_distance_grid_mismatch(self):
-        times = np.linspace(0.0, 1.0, 5)
-        a = Trajectory(times, np.zeros((5, 11)), Grid(-1.0, 1.0, 11))
-        b = Trajectory(times, np.zeros((5, 21)), Grid(-1.0, 1.0, 21))
+        a = Trajectory(1.0, np.zeros((5, 11)), Grid(-1.0, 1.0, 11))
+        b = Trajectory(1.0, np.zeros((5, 21)), Grid(-1.0, 1.0, 21))
         with pytest.raises(GridMismatchError):
+            ht_distance(a, b)
+
+    @pytest.mark.parametrize("horizon, n_steps", [(1.000005, 10), (1.0, 20)],
+                             ids=["horizon", "steps"])
+    def test_ht_distance_mesh_mismatch(self, horizon, n_steps):
+        # a relative horizon gap of 5e-6 is a different mesh: no tolerance
+        g = Grid(-1.0, 1.0, 21)
+        a = Trajectory(1.0, np.outer(np.linspace(1, 2, 11), np.cos(g.x)), g)
+        b = Trajectory(horizon, np.zeros((n_steps + 1, 21)), g)
+        with pytest.raises(GridMismatchError, match="different time meshes"):
             ht_distance(a, b)
 
 
 class TestCsvRoundTrip:
     def test_trajectory_round_trip(self, tmp_path, rng):
         g = Grid(-4.0, 4.0, 33)
-        times = np.linspace(0.0, 0.5, 9)
-        traj = Trajectory(times, rng.standard_normal((9, 33)), g)
+        traj = Trajectory(0.5, rng.standard_normal((9, 33)), g)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         back = Trajectory.from_csv(path)
-        assert np.allclose(back.times, traj.times)
+        assert back.horizon == traj.horizon
         assert np.allclose(back.values, traj.values)
         assert back.grid == traj.grid
 
+    @pytest.mark.parametrize("node, value", [(1, "0.12500000000000003"),
+                                              (2, "0.3"), (0, "0.1")],
+                             ids=["ulp", "non_uniform", "late_start"])
+    def test_t_column_off_the_mesh_rejected(self, tmp_path, node, value):
+        # the t column must be exactly time_mesh(t[-1], n), node for node
+        path = tmp_path / "traj.csv"
+        Trajectory(0.5, np.zeros((5, 3)), Grid(-1.0, 1.0, 3)).to_csv(path)
+        lines = path.read_bytes().split(b"\r\n")
+        row = lines[node + 1].split(b",")
+        row[0] = value.encode()
+        lines[node + 1] = b",".join(row)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the "
+                                             f"t column is not the uniform "
+                                             f"mesh of 4 steps"):
+            Trajectory.from_csv(path)
+
     def test_csv_contract_on_edge_values(self, tmp_path):
         g = Grid(-1.0, 1.0, 5)
-        times = np.linspace(0.0, 0.3, 4)
         values = np.array([[-0.0, 5e-324, 1e16, 1.0, 0.1 + 0.2],
                            [1e-300, -1e300, 2.5, -7.0, 3.0],
                            [0.0, -5e-324, -1e16, 1.0 / 3.0, 1e-5],
                            [123456789.125, -0.5, 0.1, 0.2, 0.3]])
-        assert_csv_contract(Trajectory(times, values, g), tmp_path)
+        assert_csv_contract(Trajectory(0.3, values, g), tmp_path)
 
     # values at the edges of each float spelling: exponent and positional
     # forms, the decade [1e-5, 1e-4), subnormals and signed zero
@@ -185,8 +244,7 @@ class TestCsvRoundTrip:
                                           width):
         flat = np.array(planted + drawn)
         n_times = max(2, -(-len(flat) // n_nodes))
-        traj = Trajectory(np.linspace(0.0, horizon, n_times),
-                          np.resize(flat, (n_times, n_nodes)),
+        traj = Trajectory(horizon, np.resize(flat, (n_times, n_nodes)),
                           Grid(x_min, x_min + width, n_nodes))
         assert_csv_contract(traj, tmp_path_factory.mktemp("csv"))
 
@@ -198,8 +256,7 @@ class TestCsvRoundTrip:
     @staticmethod
     def _table(rng):
         """401 time nodes of 401 grid nodes, standard normal values."""
-        return Trajectory(np.linspace(0.0, 1.0, 401),
-                          rng.standard_normal((401, 401)),
+        return Trajectory(1.0, rng.standard_normal((401, 401)),
                           Grid(-4.0, 4.0, 401))
 
     def test_rows_spelled_as_one_dump_of_the_table(self, tmp_path, rng):

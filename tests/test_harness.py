@@ -125,11 +125,11 @@ class TestConfigValidation:
     def test_bad_family_param_value_rejected_before_any_solve(
             self, tmp_path, monkeypatch):
         cfg = load_config("skeleton_solve")
-        cfg["problem"]["params"] = {"n_modes": 0}
+        cfg["problem"]["params"] = {"n_nodes": 2}
         self._params_rejected_before_any_solve(
             cfg, tmp_path / "skel", monkeypatch,
             r"problem.params rejected by family 'quasilinear_full': "
-            r"mode_weights must be a nonempty vector")
+            r"n_nodes must be >= 3, got 2")
 
     @pytest.mark.parametrize("kind, control, match", [
         ("condition_ii", {"kind": "constant", "value": 1.0, "mode": 3},
@@ -556,6 +556,20 @@ class TestCli:
         res = CliRunner().invoke(main, ["list-experiments"])
         assert res.exit_code == 0
         assert "mc_compare" in res.output
+
+    def test_rejected_config_exits_2_without_a_traceback(self, tmp_path):
+        # 1 is an experiment that ran and failed its check
+        cfg = json.loads((CONFIGS / "condition_ii.json").read_text())
+        cfg["seed"] = -1
+        (tmp_path / "bad.json").write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        res = CliRunner().invoke(main, ["run", str(tmp_path / "bad.json"),
+                                        "--out-dir", str(out)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.stderr.startswith("config rejected: config field seed")
+        assert "Traceback" not in res.output
+        assert not out.exists()
 
     def test_missing_config_errors(self, tmp_path):
         res = CliRunner().invoke(main, ["run", str(tmp_path / "no.json")])

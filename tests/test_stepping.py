@@ -79,7 +79,7 @@ class TestHeatOracle:
                              for t in times])
         ref_vals[:, 0] = 0.0
         ref_vals[:, -1] = 0.0
-        ref = Trajectory(times, ref_vals, prob.grid)
+        ref = Trajectory(prob.horizon, ref_vals, prob.grid)
         assert ht_distance(sol.traj, ref) <= 5e-3
 
     def test_closed_form_matches_quadrature(self):
@@ -182,10 +182,9 @@ class TestControlAndNoise:
         stored = march(prob, n_steps, penalty_n=1e4, drive=noise, store=True)
         streamed = march(prob, n_steps, penalty_n=1e4, drive=noise,
                          store=False, reference=det.traj)
-        ref = Trajectory(np.linspace(0, prob.horizon, n_steps + 1), det.traj,
-                         prob.grid)
+        ref = Trajectory(prob.horizon, det.traj, prob.grid)
         for b in range(3):
-            t = Trajectory(ref.times, stored.traj[b], prob.grid)
+            t = Trajectory(prob.horizon, stored.traj[b], prob.grid)
             assert ht_distance(t, ref) == pytest.approx(streamed.distances[b],
                                                         rel=1e-12)
 

@@ -121,15 +121,18 @@ for _n, _repeats in ((20, 5), (40, 5), (80, 1), (160, 1)):
 def _to_csv():
     """`Trajectory.to_csv` of 401 time nodes of 401 grid nodes, standard
     normal values."""
+    import atexit
+    import shutil
     import tempfile
 
     import numpy as np
     from obslab.grid import Grid, Trajectory
-    traj = Trajectory(np.linspace(0.0, 1.0, 401),
+    traj = Trajectory(1.0,
                       np.random.default_rng(0).standard_normal((401, 401)),
                       Grid(-4.0, 4.0, 401))
-    tmp = tempfile.TemporaryDirectory()   # removed when the interpreter ends
-    return lambda: traj.to_csv(Path(tmp.name) / "traj.csv")
+    tmp = tempfile.mkdtemp()
+    atexit.register(shutil.rmtree, tmp, True)   # when the interpreter ends
+    return lambda: traj.to_csv(Path(tmp) / "traj.csv")
 
 
 def _residual(n_steps: int, n_nodes: int):
