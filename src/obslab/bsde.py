@@ -49,7 +49,7 @@ STEP_BLOCK = 16
 PATH_CHUNK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """Brownian paths with uniform initial law on the box, stopped at exit.
 
@@ -57,14 +57,14 @@ class PathEnsemble:
     and including time node i; statistics only average over alive segments.
     Node i is at `times[i]`, of `time_mesh(horizon, n_steps)`; `grid` is the
     box that stops the paths; the draws (`sample_paths`, `path_chunks`) take
-    the seed.
+    the seed.  It holds arrays, so `==` is identity.
     """
 
     paths: np.ndarray   # (n_paths, n_steps + 1)
     alive: np.ndarray   # (n_paths, n_steps + 1) bool
     horizon: float
     grid: Grid
-    times: np.ndarray = field(init=False, repr=False, compare=False)
+    times: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.paths.ndim != 2:

@@ -48,9 +48,9 @@ class Grid:
         return (self.x_max - self.x_min) / (self.n_nodes - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Field:
-    """A grid function: one real value per node."""
+    """A grid function: one real value per node; `==` is identity."""
 
     values: np.ndarray
     grid: Grid
@@ -77,17 +77,18 @@ def time_mesh(horizon: float, n_steps: int) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A time-indexed family of fields on a common grid and uniform mesh.
 
     `values[i]` is the field at `times[i]`, of `time_mesh(horizon, n_steps)`.
+    It holds arrays, so `==` is identity.
     """
 
     horizon: float
     values: np.ndarray  # (n_steps + 1, n_nodes)
     grid: Grid
-    times: np.ndarray = field(init=False, repr=False, compare=False)
+    times: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -135,6 +136,10 @@ class Trajectory:
     def from_csv(cls, path) -> "Trajectory":
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
+        if len(rows) < 3:
+            raise ValueError(f"{path}: a trajectory needs a header and at "
+                             f"least two time rows, not "
+                             f"{max(len(rows) - 1, 0)}")
         xs = np.array([float(v) for v in rows[0][1:]])
         times = np.array([float(r[0]) for r in rows[1:]])
         vals = np.array([[float(v) for v in r[1:]] for r in rows[1:]])

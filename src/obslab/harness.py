@@ -29,8 +29,8 @@ from .grid import Field, ht_distance
 from .ldp import TargetEvent, condition_ii_test, mc_ldp_compare, minimize_rate
 from .problem import validate
 from .skeleton import (Control, complementarity_residual, constant_control,
-                       solve_penalized, solve_projected, solve_skeleton,
-                       zero_control)
+                       solve_penalized, solve_penalized_rows, solve_projected,
+                       solve_skeleton, zero_control)
 from .spde import condition_i_distance
 
 log = logging.getLogger(__name__)
@@ -127,7 +127,8 @@ def _run_penalization_study(config, problem):
     n_steps = config["mesh"]["n_steps"]
     control = _control_from(config, problem, n_steps)
 
-    sols = [solve_penalized(problem, control, n) for n in N_SCHEDULE]
+    sols = solve_penalized_rows(problem, [control] * len(N_SCHEDULE),
+                                N_SCHEDULE)
     norms = np.array([s.penalty_l2 for s in sols])
     gaps = [float(ht_distance(a.traj, b.traj)) for a, b in zip(sols, sols[1:])]
     # A barrier that never binds leaves a zero gap, whose log has no fit:

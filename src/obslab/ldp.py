@@ -22,11 +22,11 @@ import numpy as np
 
 from .grid import Field, h_norm_array, ht_distance
 from .problem import ProblemSpec
-# solve_skeleton and sample_terminal_states are not called here, but stay
-# importable from this module: the traced benchmark (perfbench/layers.py)
-# names them as probe sites.
-from .skeleton import (Control, solve_penalized, solve_skeleton,  # noqa: F401
-                       zero_control)
+# solve_penalized, solve_skeleton and sample_terminal_states are not called
+# here, but stay importable from this module: the traced benchmark
+# (perfbench/layers.py) names them as probe sites.
+from .skeleton import (Control, solve_penalized,  # noqa: F401
+                       solve_penalized_rows, solve_skeleton, zero_control)
 from .spde import (mean_and_std_error, sample_terminal_states,  # noqa: F401
                    sweep_epsilon)
 from .stepping import (MarchResult, control_drive, control_gradient, march,
@@ -269,10 +269,10 @@ def condition_ii_test(problem: ProblemSpec, k: Control,
         if norm_sq_bound is not None and not km.in_ball(norm_sq_bound):
             raise ValueError(f"perturbed control at m={m} leaves the control ball")
         perturbed.append((m, wave, km))
-    base = solve_penalized(problem, k, penalty_n)
+    base, *sols = solve_penalized_rows(
+        problem, [k] + [km for _, _, km in perturbed], penalty_n)
     rows = []
-    for m, wave, km in perturbed:
-        sol = solve_penalized(problem, km, penalty_n)
+    for (m, wave, _), sol in zip(perturbed, sols):
         witness = abs(float(k.dt * np.sum(wave * (t_mid / T))))
         rows.append({
             "frequency": int(m),

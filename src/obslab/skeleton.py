@@ -1,9 +1,11 @@
 """Deterministic controlled obstacle problem: penalization scheme and oracle.
 
 `solve_penalized` implements the stiff-penalty march for a fixed penalty
-parameter n; `solve_projected` replaces the penalty with a nodewise
-projection onto the barrier and serves as the independent cross-check;
-`solve_skeleton` drives the penalty parameter through a doubling schedule
+parameter n, and `solve_penalized_rows` marches independent penalized
+solves (a penalty ladder, a family of controls) as the rows of one march;
+`solve_projected` replaces the penalty with a nodewise projection onto the
+barrier and serves as the independent cross-check; `solve_skeleton` drives
+the penalty parameter through a doubling schedule, two levels per march,
 until consecutive solutions are Cauchy in the path metric.  Each returns a
 `Solution`: the path u with the density of its reflection measure, from
 which the barrier statistics are read.
@@ -13,6 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -30,17 +33,18 @@ N0_DEFAULT = 1_000
 N_MAX_DEFAULT = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Control:
     """A discretized control path: one row of mode values per time interval.
 
     `values[i, j]` is the j-th mode's value on the forward interval
     [t_i, t_{i+1}).  The squared Cameron-Martin norm is dt * sum values^2.
+    It holds arrays, so `==` is identity.
     """
 
     horizon: float
     values: np.ndarray  # (n_steps, J)
-    times: np.ndarray = field(init=False, repr=False, compare=False)
+    times: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -140,24 +144,44 @@ def _check_control(problem: ProblemSpec, control: Control) -> None:
         raise ValueError("control mode count does not match the problem")
 
 
-def _solve(problem: ProblemSpec, control: Control, **split) -> Solution:
-    _check_control(problem, control)
-    res = march(problem, control.n_steps,
-                drive=control_drive(problem, control.values), **split)
-    return Solution(Trajectory(control.horizon, res.traj, problem.grid),
-                    Trajectory(control.horizon, res.density, problem.grid),
-                    np.inf if res.project else res.penalty_n, control, problem)
+def _solve(problem: ProblemSpec, controls: Sequence[Control],
+           **split) -> list:
+    """Row r of one march is the solve of controls[r]; the controls share
+    one mesh."""
+    for control in controls:
+        _check_control(problem, control)
+    n_steps = controls[0].n_steps
+    if any(control.n_steps != n_steps for control in controls):
+        raise ValueError("the controls of one march must share one mesh")
+    res = march(problem, n_steps, drive=control_drive(
+        problem, np.stack([control.values for control in controls])), **split)
+    ns = np.broadcast_to(np.inf if res.project else res.penalty_n,
+                         len(controls))
+    return [Solution(Trajectory(problem.horizon, traj, problem.grid),
+                     Trajectory(problem.horizon, density, problem.grid),
+                     float(n), control, problem)
+            for traj, density, n, control
+            in zip(res.traj, res.density, ns, controls)]
 
 
 def solve_penalized(problem: ProblemSpec, control: Control,
                     n: float) -> Solution:
     """Fixed-penalty march; the workhorse behind the skeleton limit."""
-    return _solve(problem, control, penalty_n=n)
+    return solve_penalized_rows(problem, [control], n)[0]
+
+
+def solve_penalized_rows(problem: ProblemSpec, controls: Sequence[Control],
+                         n) -> list:
+    """Independent penalized solves as the rows of one march: row r solves
+    controls[r] at the penalty n, or at n[r] when n holds one positive
+    penalty per row.  Each row equals its own `solve_penalized` bit for
+    bit."""
+    return _solve(problem, controls, penalty_n=n)
 
 
 def solve_projected(problem: ProblemSpec, control: Control) -> Solution:
     """Projection-scheme march: the independent oracle for the same limit."""
-    return _solve(problem, control, project=True)
+    return _solve(problem, [control], project=True)[0]
 
 
 def solve_skeleton(problem: ProblemSpec, control: Control, tol: float = 1e-3,
@@ -167,20 +191,26 @@ def solve_skeleton(problem: ProblemSpec, control: Control, tol: float = 1e-3,
 
     Returns the last penalized solution; a failure to meet `tol` before
     `n_max` is flagged on the result and logged as a warning, not raised.
-    The schedule must allow at least one doubling (2 * n0 <= n_max).
+    The schedule must allow at least one doubling (2 * n0 <= n_max).  The
+    levels are marched two at a time, as the rows of one march (an odd
+    schedule's last march has one row); a level marched past the one that
+    meets `tol` is dropped.
     """
     if 2 * n0 > n_max:
         raise ValueError(f"n0={n0:g} leaves no doubling below n_max={n_max:g}; "
                          "need 2 * n0 <= n_max")
-    prev = solve_penalized(problem, control, n0)
-    n = n0
+    schedule = [n0]
+    while schedule[-1] * 2 <= n_max:
+        schedule.append(schedule[-1] * 2)
+    pairs = (schedule[lo:lo + 2] for lo in range(0, len(schedule), 2))
+    solves = (sol for pair in pairs for sol in solve_penalized_rows(
+        problem, [control] * len(pair), pair))
+    prev = next(solves)
     history = []
     converged = False
-    while n * 2 <= n_max:
-        n *= 2
-        cur = solve_penalized(problem, control, n)
+    for cur in solves:
         gap = ht_distance(prev.traj, cur.traj)
-        history.append((n, gap))
+        history.append((cur.n, gap))
         prev = cur
         if gap < tol:
             converged = True

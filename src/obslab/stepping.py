@@ -32,10 +32,15 @@ met by one of two splitting steps applied to the diffusion predictor p:
 Both act on the interior nodes only: the march sets the barrier at the
 pinned boundary nodes to -inf, so they carry no reflection.
 
-Batched operation (leading sample axis) drives the Monte Carlo modules.
-A stored march gives the trajectory and the barrier density (the discrete
-reflection measure); Monte Carlo marches read the final state or a streamed
-path distance and store neither.  `march_adjoint` runs the transposed steps
+Batched operation (leading sample axis) drives the Monte Carlo modules
+and marches independent solves as the rows of one march: with a
+(batch, n_steps) drive the penalty n is one scalar for every row or one
+value per row, read by the split and the density line as a (batch, 1)
+column.  A row's bits do not depend on its batch, so a penalty ladder or a
+family of controls marched as rows equals its single-row marches bit for
+bit.  A stored march gives the trajectory and the barrier density (the
+discrete reflection measure); Monte Carlo marches read the final state or a
+streamed path distance and store neither.  `march_adjoint` runs the transposed steps
 back through a stored penalty march, reading its drive and penalty off the
 result: the gradient over the drive of a linear functional of the final
 state.  `control_gradient` carries it to the control values.
@@ -43,7 +48,7 @@ state.  `control_gradient` carries it to the control values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -77,7 +82,8 @@ class MarchResult:
     batched; both are None when storage was turned off.  `final` is the
     state at forward time 0.  `drive`, `penalty_n` and `project` record how
     it was marched; a stored march keeps the drive array it was given, an
-    unstored one None.
+    unstored one None.  `penalty_n` is the scalar or the per-row (batch,)
+    array the march was given.
     """
 
     final: np.ndarray
@@ -85,7 +91,7 @@ class MarchResult:
     density: Optional[np.ndarray]
     distances: Optional[np.ndarray]  # per-sample ht_distance to `reference`
     drive: Optional[np.ndarray]
-    penalty_n: float
+    penalty_n: Union[float, np.ndarray]
     project: bool
 
 
@@ -141,7 +147,7 @@ def noise_drive_std(problem: ProblemSpec, epsilon: float,
 
 def march(problem: ProblemSpec, n_steps: int, *,
           drive: np.ndarray,
-          penalty_n: float = 0.0,
+          penalty_n: Union[float, np.ndarray] = 0.0,
           project: bool = False,
           store: bool = True,
           reference: Optional[np.ndarray] = None) -> MarchResult:
@@ -151,7 +157,10 @@ def march(problem: ProblemSpec, n_steps: int, *,
     [t_i, t_{i+1}) (a control's and a noise path's, summed), or
     (batch, n_steps) to march one drive per sample; a leading batch axis
     batches the whole march.  Each step adds h_shape * drive[..., i] at the
-    interior nodes.  `reference` is a forward-ordered
+    interior nodes.  `penalty_n` is one penalty for every row, or, with a
+    (batch, n_steps) drive, a (batch,) array of positive penalties, one per
+    row: the rows are then independent penalized solves, each equal to its
+    single-row march bit for bit.  `reference` is a forward-ordered
     (n_steps+1, n_nodes) array; when given, the per-sample path distance to
     it is accumulated without storing trajectories.  With `store=False` the
     march keeps only the current state: `final` and `distances` are set.
@@ -169,15 +178,25 @@ def march(problem: ProblemSpec, n_steps: int, *,
         raise StabilityError(
             f"dt={dt:.3g} exceeds the flux stability limit "
             f"{stability_limit(problem):.3g}; increase n_steps")
-    if penalty_n and project:
-        raise ValueError("choose either the penalty or the projection step")
     drive = np.asarray(drive, dtype=float)
     if drive.ndim not in (1, 2) or drive.shape[-1] != n_steps:
         raise ValueError(f"drive shape {drive.shape} is neither "
                          f"({n_steps},) nor (batch, {n_steps})")
+    if np.ndim(penalty_n):
+        penalty_n = np.asarray(penalty_n, dtype=float)
+        if drive.ndim != 2 or penalty_n.shape != drive.shape[:1]:
+            raise ValueError(f"penalty_n shape {penalty_n.shape} does not "
+                             f"match the drive rows of {drive.shape}")
+        if not np.all((penalty_n > 0.0) & np.isfinite(penalty_n)):
+            raise ValueError("per-row penalties must be positive and finite")
+    if np.any(penalty_n) and project:
+        raise ValueError("choose either the penalty or the projection step")
 
     factor = _diffusion_factor(nx, dt / (4.0 * h**2))
-    c_pen = dt * penalty_n
+    # the split and the density line read a per-row penalty as a column
+    pen = penalty_n[:, None] if np.ndim(penalty_n) else penalty_n
+    c_pen = dt * pen
+    penalize = bool(np.any(pen > 0.0))
 
     v = problem.terminal_field().values.copy()
     if drive.ndim == 2:
@@ -237,7 +256,7 @@ def march(problem: ProblemSpec, n_steps: int, *,
                 # v - p = max(L - p, 0)
                 density[..., i_step, :] = np.maximum(L - pred, 0.0) / dt
             np.maximum(pred, L, out=pred)
-        elif penalty_n > 0.0:
+        elif penalize:
             # (p + dt*n*L) / (1 + dt*n) where p < L, else p.  A step on
             # which the barrier binds on no row leaves p as it is; a binding
             # step pays only the `any` over the mask it needs anyway.
@@ -255,7 +274,7 @@ def march(problem: ProblemSpec, n_steps: int, *,
         if store:
             traj[..., i_step, :] = v
             if not project:
-                density[..., i_step, :] = penalty_n * np.maximum(L - v, 0.0)
+                density[..., i_step, :] = pen * np.maximum(L - v, 0.0)
         if reference is not None:
             d = v - reference[i_step]
             sup_dist = np.maximum(sup_dist, h_norm_array(d, h))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from obslab.bsde import PathEnsemble
 from obslab.families import make_problem
-from obslab.grid import (Bracket, Grid, GridMismatchError, Trajectory,
+from obslab.grid import (Bracket, Field, Grid, GridMismatchError, Trajectory,
                          gradient_array, h_norm_array, ht_distance,
                          laplacian_array, time_mesh, v_norm_sq_array)
 from obslab.skeleton import Control, solve_skeleton
@@ -69,6 +69,19 @@ def _ensemble_on(horizon, n_steps=4):
 HOLDERS = pytest.mark.parametrize(
     "build", [_control_on, _trajectory_on, _ensemble_on],
     ids=["control", "trajectory", "ensemble"])
+
+
+class TestArrayHolderEquality:
+    @pytest.mark.parametrize("build", [
+        lambda: _control_on(0.3), lambda: _trajectory_on(0.3),
+        lambda: _ensemble_on(0.3),
+        lambda: Field(np.zeros(5), Grid(-1.0, 1.0, 5))],
+        ids=["control", "trajectory", "ensemble", "field"])
+    def test_equality_is_identity(self, build):
+        # they hold arrays, whose == has no single truth value
+        a, b = build(), build()
+        assert (a == b) is False and (a != b) is True
+        assert (a == a) is True
 
 
 class TestTimeMesh:
@@ -217,6 +230,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the "
                                              f"t column is not the uniform "
                                              f"mesh of 4 steps"):
+            Trajectory.from_csv(path)
+
+    @pytest.mark.parametrize("n_rows", [0, 1], ids=["header_only",
+                                                     "one_time_row"])
+    def test_file_without_two_time_rows_rejected(self, tmp_path, n_rows):
+        # cut from a written file: the header and n_rows time rows
+        path = tmp_path / "traj.csv"
+        Trajectory(0.5, np.zeros((5, 3)), Grid(-1.0, 1.0, 3)).to_csv(path)
+        lines = path.read_bytes().split(b"\r\n")
+        path.write_bytes(b"\r\n".join(lines[:1 + n_rows] + [b""]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*"
+                                             f"at least two time rows, "
+                                             f"not {n_rows}$"):
             Trajectory.from_csv(path)
 
     def test_csv_contract_on_edge_values(self, tmp_path):

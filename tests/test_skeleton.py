@@ -11,8 +11,9 @@ from obslab.families import make_problem
 from obslab.grid import ht_distance
 from obslab.skeleton import (Control, complementarity_residual,
                              constant_control, solve_penalized,
-                             solve_projected, solve_skeleton, zero_control)
-from obslab.stepping import barrier_table
+                             solve_penalized_rows, solve_projected,
+                             solve_skeleton, zero_control)
+from obslab.stepping import barrier_table, march
 
 from conftest import zero
 
@@ -117,6 +118,87 @@ class TestSkeletonLimit:
         assert sk.cauchy_history[-1][1] > 1e-6
         last = solve_penalized(heat_problem, zero(heat_problem, 200), 4000)
         assert np.array_equal(sk.density.values, last.density.values)
+
+
+def _sequential_skeleton(problem, control, tol, n0, n_max):
+    """The doubling schedule as a loop of single-row solves, one level per
+    march: (last solve, Cauchy history, converged)."""
+    prev = solve_penalized(problem, control, n0)
+    n, history = n0, []
+    while n * 2 <= n_max:
+        n *= 2
+        cur = solve_penalized(problem, control, n)
+        history.append((n, ht_distance(prev.traj, cur.traj)))
+        prev = cur
+        if history[-1][1] < tol:
+            return prev, history, True
+    return prev, history, False
+
+
+class TestPairedSchedule:
+    """`solve_skeleton` marches its levels two at a time and gives what the
+    sequential loop gives, bit for bit."""
+
+    N0, N_MAX = 1e3, 3.2e4   # six levels: three pairs
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        prob = make_problem("heat_obstacle", n_nodes=101)
+        k = zero(prob, 100)
+        gaps = [g for _, g in _sequential_skeleton(prob, k, 0.0, self.N0,
+                                                   self.N_MAX)[1]]
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        return prob, k, gaps
+
+    def _check(self, case, tol, n_max, monkeypatch):
+        prob, k, _ = case
+        rows = []
+
+        def counted(problem, n_steps, **kwargs):
+            rows.append(len(kwargs["drive"]))
+            return march(problem, n_steps, **kwargs)
+
+        monkeypatch.setattr(skeleton, "march", counted)
+        sk = solve_skeleton(prob, k, tol=tol, n0=self.N0, n_max=n_max)
+        monkeypatch.undo()
+        last, history, converged = _sequential_skeleton(prob, k, tol,
+                                                        self.N0, n_max)
+        assert sk.cauchy_history == tuple(history)
+        assert sk.converged is converged
+        assert sk.n == last.n
+        assert np.array_equal(sk.traj.values, last.traj.values)
+        assert np.array_equal(sk.density.values, last.density.values)
+        return sk, rows
+
+    def test_rows_on_two_meshes_rejected(self, case):
+        prob = case[0]
+        with pytest.raises(ValueError, match="share one mesh"):
+            solve_penalized_rows(prob, [zero(prob, 100), zero(prob, 50)],
+                                 [1e3, 2e3])
+
+    def test_converged_at_the_first_doubling(self, case, monkeypatch):
+        sk, rows = self._check(case, 1.0, self.N_MAX, monkeypatch)
+        assert sk.converged and sk.n == 2 * self.N0
+        assert rows == [2]
+
+    def test_converged_in_the_middle_of_a_pair(self, case, monkeypatch):
+        # the gap to 4 n0, the first level of the second pair, meets tol;
+        # 8 n0, marched beside it, is dropped
+        gaps = case[2]
+        sk, rows = self._check(case, math.sqrt(gaps[0] * gaps[1]),
+                               self.N_MAX, monkeypatch)
+        assert sk.converged and sk.n == 4 * self.N0
+        assert len(sk.cauchy_history) == 2
+        assert rows == [2, 2]
+
+    def test_odd_unconverged_schedule_ends_on_one_row(self, case,
+                                                      monkeypatch, caplog):
+        with caplog.at_level(logging.WARNING, logger="obslab.skeleton"):
+            sk, rows = self._check(case, 0.0, 4 * self.N0, monkeypatch)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "hit n_max=4000" in caplog.text
+        assert not sk.converged and sk.n == 4 * self.N0
+        assert rows == [2, 1]
 
 
 class TestComplementarity:

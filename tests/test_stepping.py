@@ -310,6 +310,63 @@ class TestLeanMarch:
         assert np.all(res.traj[:, 1:-1] >= table[:, 1:-1])
 
 
+class TestPerRowPenalty:
+    """Independent penalized solves as the rows of one march: a
+    (batch,) penalty with a (batch, n_steps) drive."""
+
+    @staticmethod
+    def _binding(family):
+        # linear_additive's own barrier never binds at these controls; a
+        # barrier at 0 does, so the split acts on every family
+        prob = make_problem(family, n_nodes=41)
+        if family == "linear_additive":
+            prob = dataclasses.replace(prob, obstacle=_const_obstacle(0.0))
+        return prob
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(FAMILY_NAMES),
+           penalties=st.lists(st.floats(1.0, 1e7), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_single_row_marches(self, family, penalties, seed):
+        prob = self._binding(family)
+        n_steps = 16
+        rng = np.random.default_rng(seed)
+        controls = rng.normal(-3.0, 2.0, (len(penalties), n_steps,
+                                          prob.coefficients.n_modes))
+        drive = control_drive(prob, controls)
+        rows = march(prob, n_steps, drive=drive, penalty_n=penalties)
+        assert np.array_equal(rows.penalty_n, penalties)
+        assert rows.density.any()
+        for b, n in enumerate(penalties):
+            single = march(prob, n_steps, drive=drive[b], penalty_n=n)
+            assert single.penalty_n == n
+            for name in ("traj", "density", "final"):
+                assert np.array_equal(getattr(rows, name)[b],
+                                      getattr(single, name)), name
+
+    @pytest.mark.parametrize("drive_shape, penalty_n", [
+        ((3, 20), [1e3, 1e4]), ((3, 20), [[1e3], [1e4], [1e5]]),
+        ((20,), [1e3]), ((3, 20), [1e3, 0.0, 1e4]),
+        ((3, 20), [1e3, np.inf, 1e4])],
+        ids=["too_few", "column", "single_system", "zero", "inf"])
+    def test_mismatched_or_non_positive_penalties_rejected_before_any_step(
+            self, drive_shape, penalty_n, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the penalty check")
+
+        for name in ("ldl_factor", "thomas_batch"):
+            monkeypatch.setattr(stepping, name, no_step)
+        with pytest.raises(ValueError, match="penalt"):
+            march(linear_additive(n_nodes=21), 20, drive=np.zeros(drive_shape),
+                  penalty_n=penalty_n)
+
+    def test_adjoint_rejects_a_per_row_penalty_march(self):
+        prob = linear_additive(n_nodes=51)
+        rows = march(prob, 20, drive=np.zeros((2, 20)), penalty_n=[1e3, 1e4])
+        with pytest.raises(ValueError, match="stored single-system"):
+            march_adjoint(prob, rows, np.ones(51))
+
+
 class TestReadRule:
     """A state-free set is read once per march over the step times, row i
     at t_{i+1}; a state-dependent one at every step.  Both give the same

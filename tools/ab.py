@@ -3,7 +3,7 @@
     python3 tools/ab.py --before OLD [GROUP ...]
 
 OLD is the root of another checkout (default: this one, which makes an A/A
-run).  The GROUPs are `rate`, `readoff`, `step` and `e2e`
+run).  The GROUPs are `rate`, `ladder`, `readoff`, `step` and `e2e`
 (default: all); tools/ab_cases.py holds their cases and their round and
 repeat counts.
 Each group's result goes to BENCH_<group>.json at the root of this

@@ -116,6 +116,37 @@ for _n, _repeats in ((20, 5), (40, 5), (80, 1), (160, 1)):
          {"n_nodes": 101, "obstacle_amplitude": 0.8}, -2.0, _n)
 
 
+# -- ladder: independent solves on one mesh, marched as the rows of one march
+
+def _skeleton_ladder():
+    """`solve_skeleton` at the drawn `skeleton_solve` shape of heat_obstacle
+    (401 nodes, 400 steps, constant control 1.0; h = 0, so the control does
+    not matter): 10 levels, 1e3 to 5.12e5, before a Cauchy gap meets the
+    default tol."""
+    from obslab.families import make_problem
+    from obslab.skeleton import constant_control, solve_skeleton
+    problem = make_problem("heat_obstacle", n_nodes=401)
+    k = constant_control(400, 1, problem.horizon, 1.0)
+    return lambda: solve_skeleton(problem, k)
+
+
+def _bundled_runner(name: str):
+    """The bundled config `name`'s runner, as the experiment runs it."""
+    from obslab import harness
+    config = json.loads((HERE.parent / "configs" / f"{name}.json")
+                        .read_text())
+    problem = harness._problem_from(config)
+    run = harness._RUNNERS[name]
+    return lambda: run(config, problem)
+
+
+_add("ladder", "skeleton_heat_obstacle_401x400", 5, _skeleton_ladder)
+# the four penalties of N_SCHEDULE, and the base control with its five
+# perturbed ones
+for _name in ("penalization_study", "condition_ii"):
+    _add("ladder", f"{_name}_bundled", 5, _bundled_runner, _name)
+
+
 # -- readoff: trajectory CSVs and the BSDE read-off
 
 def _to_csv():
@@ -151,32 +182,6 @@ def _residual(n_steps: int, n_nodes: int):
     return lambda: bsde_residual(sol, ensemble)
 
 
-def _star():
-    """The bundled `star_check` config's runner, as the experiment runs it:
-    the draw of 10 000 paths of 400 steps (linear_additive's box and
-    horizon, seed 3) and `star_integral_check` of J(t, x) = exp(-x^2)
-    along them."""
-    from obslab import harness
-    config = json.loads((HERE.parent / "configs" / "star_check.json")
-                        .read_text())
-    problem = harness._problem_from(config)
-    run = harness._RUNNERS["star_check"]
-    return lambda: run(config, problem)
-
-
-def _bsde_check():
-    """The bundled `bsde_check` config's runner, as the experiment runs it:
-    the four levels' solves (quasilinear_full, 50 x 51 to 400 x 401, zero
-    control, penalty 1e4), then the read-off of all four along 3000 paths
-    of 400 steps (seed 11)."""
-    from obslab import harness
-    config = json.loads((HERE.parent / "configs" / "bsde_check.json")
-                        .read_text())
-    problem = harness._problem_from(config)
-    run = harness._RUNNERS["bsde_check"]
-    return lambda: run(config, problem)
-
-
 def _paths():
     """`sample_paths` of the bundled `star_check` shape: 10 000 paths of
     400 steps, linear_additive's box and horizon, seed 3."""
@@ -190,8 +195,13 @@ _add("readoff", "to_csv_401x401", 5, _to_csv)
 for _n_steps, _n_nodes in ((50, 51), (100, 101), (200, 201), (400, 401)):
     _add("readoff", f"bsde_residual_{_n_steps}x{_n_nodes}", 5, _residual,
          _n_steps, _n_nodes)
-_add("readoff", "star_check_10000x400", 5, _star)
-_add("readoff", "bsde_check_3000x400", 5, _bsde_check)
+# the draw of 10 000 paths of 400 steps (linear_additive's box and horizon,
+# seed 3) and `star_integral_check` of J(t, x) = exp(-x^2) along them
+_add("readoff", "star_check_10000x400", 5, _bundled_runner, "star_check")
+# the four levels' solves (quasilinear_full, 50 x 51 to 400 x 401, zero
+# control, penalty 1e4), then the read-off of all four along 3000 paths of
+# 400 steps (seed 11)
+_add("readoff", "bsde_check_3000x400", 5, _bundled_runner, "bsde_check")
 _add("readoff", "sample_paths_10000x400", 5, _paths)
 
 
